@@ -76,7 +76,7 @@ def _parser() -> argparse.ArgumentParser:
     chk.add_argument("-l", "--logic", required=True)
     chk.add_argument("-i", "--inventory", action="append", required=True,
                      help="algebra JSON file or directory of them (repeatable)")
-    chk.add_argument("--depth", type=int, default=None)
+    chk.add_argument("--depth", type=_positive_int, default=None)
     chk.add_argument("--max-set", type=int, default=2)
     chk.add_argument("--recheck", action="store_true",
                      help="re-verify an embedded witness before reporting")
@@ -97,6 +97,16 @@ def _parser() -> argparse.ArgumentParser:
     orc.add_argument("what", choices=["congruences"])
     orc.add_argument("-a", "--algebra", required=True)
     return p
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _inventory_paths(args_inventory: Sequence[str]) -> list[str]:
@@ -155,7 +165,9 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
 def _dispatch(args, config: Config) -> tuple[int, Any, dict, str]:
     cmd = args.command
-    depth = getattr(args, "depth", None) or config.depth_default
+    depth = getattr(args, "depth", None)
+    if depth is None:
+        depth = config.depth_default
 
     if cmd == "leibniz":
         m = load_matrix(args.matrix)

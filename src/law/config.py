@@ -6,6 +6,8 @@ import json
 import os
 from dataclasses import dataclass, replace
 
+from .errors import LawError
+
 #: Cells allowed for the joint-evaluation closure behind bounded filter checks.
 #: Rounds that would exceed it are skipped and the effective depth recorded.
 CLOSURE_CELL_BUDGET = 1 << 23
@@ -29,11 +31,23 @@ DEFAULTS = Config()
 
 
 def load_config(path: str | None = None) -> Config:
-    """Read config from `path`, else from $LAW_CONFIG, else defaults."""
+    """Read config from `path`, else from $LAW_CONFIG, else defaults.
+
+    Every field in the file must be a known cap and a positive integer;
+    anything else raises LawError naming the file and the field."""
     path = path or os.environ.get("LAW_CONFIG")
     if not path:
         return DEFAULTS
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    known = {f for f in Config.__dataclass_fields__}
-    return DEFAULTS.override(**{k: v for k, v in data.items() if k in known})
+    if not isinstance(data, dict):
+        raise LawError(f"config {path}: expected a JSON object")
+    known = Config.__dataclass_fields__
+    for key, value in data.items():
+        if key not in known:
+            raise LawError(f"config {path}: unknown field {key!r} (known: {', '.join(known)})")
+        if type(value) is not int or value <= 0:
+            raise LawError(
+                f"config {path}: field {key!r} must be a positive integer, got {value!r}"
+            )
+    return DEFAULTS.override(**data)

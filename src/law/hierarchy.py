@@ -602,16 +602,16 @@ def check_admissibility_bounded(
     }
     rule_vars = sorted(rule.variables())
     pool_terms = list(enumerate_terms(logic.signature, pool, subst_depth))
+    # Each premise is checked once, on the level that binds its last
+    # variable: schedule[i] lists, in premise order, the premises whose
+    # variables lie in rule_vars[:i] and in no shorter prefix.
+    level_of = {v: i + 1 for i, v in enumerate(rule_vars)}
+    schedule: list[list[Term]] = [[] for _ in range(len(rule_vars) + 1)]
+    for p in rule.premises:
+        schedule[max((level_of[v] for v in variables(p)), default=0)].append(p)
 
-    def assigned_premises(binding: dict[str, Term]) -> list[Term]:
-        done = set(binding)
-        return [p for p in rule.premises if variables(p) <= done]
-
-    def rec(i: int, binding: dict[str, Term], checked: set[Term]) -> Optional[dict[str, Term]]:
-        for p in assigned_premises(binding):
-            if p in checked:
-                continue
-            checked = checked | {p}
+    def rec(i: int, binding: dict[str, Term]) -> Optional[dict[str, Term]]:
+        for p in schedule[i]:
             if not theorem_oracle(substitute(p, binding)):
                 return None
         if i == len(rule_vars):
@@ -619,15 +619,16 @@ def check_admissibility_bounded(
             if not theorem_oracle(conclusion):
                 return dict(binding)
             return None
+        var = rule_vars[i]
         for t in pool_terms:
-            nxt = dict(binding)
-            nxt[rule_vars[i]] = t
-            found = rec(i + 1, nxt, checked)
+            binding[var] = t
+            found = rec(i + 1, binding)
             if found is not None:
                 return found
+        binding.pop(var, None)
         return None
 
-    witness = rec(0, {}, set())
+    witness = rec(0, {})
     if witness is None:
         return holds(**bounds)
     return fails(

@@ -1,14 +1,21 @@
 """Signatures and terms: the syntactic layer underneath everything else.
 
-Terms are immutable trees. The s-expression syntax used in files is
-``(sym arg ...)`` with bare identifiers for variables; a bare identifier that
-names a nullary symbol denotes that constant.
+Terms are immutable trees of two node types, `Var` and `App`. Nodes are
+slotted (no ``__dict__``) and refuse assignment. An `App` caches its hash and
+depth when built and its variable set on first use; nodes share variable-set
+objects with their subterms where the sets are equal. Equality is structural,
+with the cached hashes compared first. There is no intern table: equal terms
+built apart are distinct objects, and nothing holds a term beyond its users.
+
+The s-expression syntax used in files is ``(sym arg ...)`` with bare
+identifiers for variables; a bare identifier that names a nullary symbol
+denotes that constant.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import TermError
@@ -50,18 +57,38 @@ class Signature:
 
 
 class Term:
-    """Base class; instances are Var or App."""
+    """Base class; instances are Var or App.
 
-    __slots__ = ()
+    `_vars` holds the node's variable set once `variables` has computed it.
+    """
+
+    __slots__ = ("_vars",)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+_new = object.__new__
+_set_vars = Term._vars.__set__
+
+
 class Var(Term):
-    name: str
-    _hash: int = field(init=False, compare=False)
+    __slots__ = ("name", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("v", self.name)))
+    depth = 0  # read by App.__new__ and `depth` without a type test
+
+    def __new__(cls, name: str):
+        self = _new(cls)
+        _set_name(self, name)
+        _set_var_hash(self, hash(("v", name)))
+        return self
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor: assignment is refused
+        return (Var, (self.name,))
 
     def __hash__(self) -> int:
         return self._hash
@@ -75,16 +102,31 @@ class Var(Term):
         return self.name
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class App(Term):
-    sym: str
-    args: tuple[Term, ...]
-    _hash: int = field(init=False, compare=False)
-    depth: int = field(init=False, compare=False)
+_set_name = Var.name.__set__
+_set_var_hash = Var._hash.__set__
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("a", self.sym, self.args)))
-        object.__setattr__(self, "depth", 1 + max((depth(a) for a in self.args), default=0))
+
+class App(Term):
+    """The application of `sym` to `args`. `__new__` writes the slots through
+    their descriptors, since assignment is refused."""
+
+    __slots__ = ("sym", "args", "_hash", "depth")
+
+    def __new__(cls, sym: str, args: tuple[Term, ...]):
+        self = _new(cls)
+        d = 0
+        for a in args:
+            ad = a.depth
+            if ad > d:
+                d = ad
+        _set_sym(self, sym)
+        _set_args(self, args)
+        _set_app_hash(self, hash(("a", sym, args)))
+        _set_depth(self, d + 1)
+        return self
+
+    def __reduce__(self):
+        return (App, (self.sym, self.args))
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,23 +145,43 @@ class App(Term):
         return to_sexpr(self)
 
 
+_set_sym = App.sym.__set__
+_set_args = App.args.__set__
+_set_app_hash = App._hash.__set__
+_set_depth = App.depth.__set__
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
 def depth(t: Term) -> int:
     """Variables have depth 0; an application adds one level."""
-    return t.depth if isinstance(t, App) else 0
+    return t.depth
 
 
 def variables(t: Term) -> frozenset[str]:
+    """The variable names in `t`, cached on every node it visits."""
+    try:
+        return t._vars
+    except AttributeError:
+        return _fill_variables(t)
+
+
+def _fill_variables(t: Term) -> frozenset[str]:
+    # A node reuses a child's set object whenever that set already holds all
+    # of the node's variables, so most nodes share their set with a subterm.
     if isinstance(t, Var):
-        return frozenset((t.name,))
-    out: set[str] = set()
-    stack = list(t.args)
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Var):
-            out.add(s.name)
-        else:
-            stack.extend(s.args)
-    return frozenset(out)
+        out = frozenset((t.name,))
+    else:
+        out = _NO_VARS
+        for a in t.args:
+            try:
+                s = a._vars
+            except AttributeError:
+                s = _fill_variables(a)
+            if s is not out and not s <= out:
+                out = s if out <= s else out | s
+    _set_vars(t, out)
+    return out
 
 
 def variables_of(terms: Iterable[Term]) -> frozenset[str]:
@@ -132,7 +194,18 @@ def variables_of(terms: Iterable[Term]) -> frozenset[str]:
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    return App(t.sym, tuple(substitute(a, mapping) for a in t.args))
+    return _substitute_app(t, mapping)
+
+
+def _substitute_app(t: App, mapping: Mapping[str, Term]) -> App:
+    # variable arguments are looked up in place: no call per leaf
+    args = []
+    for a in t.args:
+        if isinstance(a, Var):
+            args.append(mapping.get(a.name, a))
+        else:
+            args.append(_substitute_app(a, mapping))
+    return App(t.sym, tuple(args))
 
 
 def check_term(sig: Signature, t: Term) -> None:
@@ -201,9 +274,12 @@ def enumerate_terms(sig: Signature, variables: Sequence[str], max_depth: int) ->
     """All terms over `sig` with variables among `variables`, depth <= max_depth.
 
     Deterministic depth-lexicographic order: variables in the given order,
-    then per level every symbol (sorted by name) applied to previously seen
-    terms, keeping only applications whose depth equals the current level so
-    each term appears exactly once.
+    then per level every symbol (sorted by name) applied to the argument
+    tuples of ``itertools.product(seen, repeat=arity)``, where `seen` lists
+    the terms of earlier levels, keeping those with an argument from the
+    level just below, so each term appears exactly once. Only those tuples
+    are built (`_touching_segments`), and the deepest level is streamed
+    rather than stored.
     """
     for v in variables:
         if v in sig:
@@ -213,16 +289,44 @@ def enumerate_terms(sig: Signature, variables: Sequence[str], max_depth: int) ->
     yield from level
     syms = sorted(sig.symbols)
     for d in range(1, max_depth + 1):
-        nxt: list[Term] = []
-        for sym, arity in syms:
-            if arity == 0:
-                if d == 1:
-                    nxt.append(App(sym, ()))
-                continue
-            for args in itertools.product(seen, repeat=arity):
-                if max((depth(a) for a in args), default=0) == d - 1:
-                    nxt.append(App(sym, args))
-        yield from nxt
-        seen.extend(nxt)
-        if not nxt:
-            break
+        fresh = _level_terms(syms, seen, level, d)
+        if d == max_depth:
+            yield from fresh
+            return
+        level = list(fresh)
+        yield from level
+        seen.extend(level)
+        if not level:
+            return
+
+
+def _level_terms(
+    syms: list[tuple[str, int]], seen: list[Term], below: list[Term], d: int
+) -> Iterator[Term]:
+    """The terms of depth `d`, given `seen` (every term of depth < d, ending
+    with `below`, those of depth d - 1), in `enumerate_terms` order."""
+    old = seen[: len(seen) - len(below)]
+    for sym, arity in syms:
+        if arity == 0:
+            if d == 1:
+                yield App(sym, ())
+            continue
+        for pools in _touching_segments(old, below, seen, arity):
+            yield from map(App, itertools.repeat(sym), itertools.product(*pools))
+
+
+def _touching_segments(
+    old: list[Term], new: list[Term], seen: list[Term], arity: int
+) -> list[tuple[list[Term], ...]]:
+    """The tuples of ``product(seen, repeat=arity)`` with at least one entry
+    from `new`, in product order, as consecutive products of pools.
+
+    `seen` is `old` followed by `new`. In product order the first entry
+    varies slowest: a first entry from `new` may be followed by anything,
+    one from `old` must be followed by a tail that itself touches `new`.
+    """
+    if arity == 1:
+        return [(new,)]
+    tails = _touching_segments(old, new, seen, arity - 1)
+    heads = [([t],) + tail for t in old for tail in tails]
+    return heads + [(new,) + (seen,) * (arity - 1)]

@@ -22,7 +22,7 @@ from .logics import (
 )
 from .matrices import Matrix
 from .terms import App, Signature, Term, Var, check_term, substitute, variables
-from .verdicts import Verdict, fails, holds, verdict_merge  # noqa: F401  (merge re-exported)
+from .verdicts import Verdict, fails, holds
 
 
 def placeholder_vars(arity: int) -> tuple[str, ...]:

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import law
 from law.cli import run
 from law.gallery import bool2, bool4, build, imp2, pointed_set
 from law.serialize import (
@@ -219,10 +220,45 @@ def test_config_flag_overrides(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child imports law from wherever this process found it, so the run
+    # needs neither an install nor PYTHONPATH
+    src = os.path.dirname(os.path.dirname(law.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "law", "gallery", "ba-star", "--out", "/tmp/law-ba-star"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["written"]
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_check_rejects_nonpositive_depth(tmp_path, capsys, depth):
+    logic_path = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
+    inv_path = write(tmp_path, "imp2.json", algebra_to_json(imp2()))
+    code, out, _ = invoke(
+        ["check", "protoalgebraic", "-l", logic_path, "-i", inv_path, "--depth", depth]
+    )
+    assert code == 2 and out == ""
+    assert "--depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [({"oracle_max": 6, "depth_cap": 2}, "depth_cap"),
+     ({"oracle_max": -1}, "oracle_max"),
+     ({"depth_default": 0}, "depth_default")],
+    ids=["unknown-field", "negative-cap", "zero-cap"],
+)
+def test_config_rejects_bad_fields(tmp_path, monkeypatch, data, field):
+    cfg = write(tmp_path, "cfg.json", data)
+    monkeypatch.setenv("LAW_CONFIG", cfg)
+    alg_path = write(tmp_path, "b2.json", algebra_to_json(bool2()))
+    code, out, err = invoke(["oracle", "congruences", "-a", alg_path])
+    assert code == 2
+    message = json.loads(out)["error"]
+    assert cfg in message and repr(field) in message
+    assert cfg in err

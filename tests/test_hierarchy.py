@@ -1,5 +1,7 @@
 """Hierarchy checks: witness searches, class verdicts, admissibility."""
 
+import itertools
+
 import pytest
 
 from law.algebra import one_element
@@ -22,7 +24,7 @@ from law.hierarchy import (
     verify_order_alg_witness,
     verify_protoalgebraic_witness,
 )
-from law.logics import Rule, matrices_logic
+from law.logics import Rule, matrices_logic, rules_logic
 from law.matrices import Matrix
 from law.terms import App, Signature, Var, enumerate_terms, parse_term, substitute, to_sexpr
 
@@ -250,6 +252,58 @@ def test_admissibility_fails_with_identity_substitution():
 def test_admissibility_chaining_fallback():
     v = check_admissibility_bounded(NABLA.logic, Rule((), X), subst_depth=1)
     assert v.fails
+
+
+def naive_admissibility(logic, rule, subst_depth, oracle, pool=("x", "y", "z1")):
+    """Reference search: every substitution from the pool in product order,
+    all premises checked, then the conclusion. Returns the first witness as
+    sexprs, or None."""
+    names = sorted(rule.variables())
+    pool_terms = list(enumerate_terms(logic.signature, pool, subst_depth))
+    for images in itertools.product(pool_terms, repeat=len(names)):
+        binding = dict(zip(names, images))
+        if all(oracle(substitute(p, binding)) for p in rule.premises):
+            if not oracle(substitute(rule.conclusion, binding)):
+                return {v: to_sexpr(t) for v, t in binding.items()}
+    return None
+
+
+def admissibility_cases():
+    """(logic, rule, first witness at subst_depth 1, or None when it holds)."""
+    hat = nabla_hat(2)
+    lifted = [substitute(p, {"x": App("→", (X, X)), "y": App("→", (Y, Y))}) for p in hat]
+    cases = [pytest.param(NABLA.logic, Rule(lifted, psi), None, id=f"nabla-hat-{i}")
+             for i, psi in enumerate(hat)]
+    const = rules_logic(Signature({"c": 0, "→": 2}), [])
+    c = App("c", ())
+
+    def imp(text):
+        return parse_term(IMP, text)
+
+    cases += [
+        pytest.param(const, Rule([App("→", (c, c))], App("→", (X, c))), {"x": "x"},
+                     id="ground-theorem-premise"),
+        pytest.param(const, Rule([c, App("→", (X, Y))], Y), None,
+                     id="ground-premise-never-holds"),
+        pytest.param(NABLA.logic, Rule([imp("(→ x y)"), imp("(→ y z1)")], imp("(→ x z1)")),
+                     None, id="shared-variables-holds"),
+        pytest.param(NABLA.logic, Rule([imp("(→ x y)"), imp("(→ y x)")], imp("(→ x (→ y y))")),
+                     {"x": "x", "y": "x"}, id="shared-variables-fails"),
+        pytest.param(NABLA.logic, Rule((), X), {"x": "x"}, id="no-premises"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("logic, rule, want", admissibility_cases())
+def test_admissibility_agrees_with_naive_search(logic, rule, want):
+    assert naive_admissibility(logic, rule, 1, nabla_theorem_oracle) == want
+    v = check_admissibility_bounded(
+        logic, rule, subst_depth=1, theorem_oracle=nabla_theorem_oracle
+    )
+    if want is None:
+        assert v.holds
+    else:
+        assert v.fails and v.witness["substitution"] == want
 
 
 def test_theorem_search():
