@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .config import DEFAULTS
 from .errors import CapExceeded, NotACongruence, SignatureMismatch, TermError
 from .partitions import Partition, all_partitions
-from .terms import App, Signature, Term, Var
+from .terms import App, Signature, Term, Var, check_term
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +104,27 @@ def eval_term(alg: FiniteAlgebra, t: Term, valuation: Mapping[str, int]) -> int:
     return alg.apply(t.sym, [eval_term(alg, a, valuation) for a in t.args])
 
 
-def all_valuations(variables: Sequence[str], size: int) -> Iterator[dict[str, int]]:
-    """Every assignment of the given variables into {0..size-1}, in lex order."""
-    for combo in itertools.product(range(size), repeat=len(variables)):
-        yield dict(zip(variables, combo))
+def term_values(alg: FiniteAlgebra, t: Term, variables: Sequence[str]) -> list[int]:
+    """The values of `t` in `alg` at every assignment of `variables`, in
+    ``itertools.product`` order: the first variable varies slowest, so the
+    values of a term over placeholders ``x1..xn`` form its table in the
+    row-major layout of operation tables."""
+    check_term(alg.signature, t)
+    assignments = list(itertools.product(range(alg.size), repeat=len(variables)))
+    columns = {v: list(col) for v, col in zip(variables, zip(*assignments))}
+    return _values(alg, t, columns, len(assignments))
+
+
+def _values(alg: FiniteAlgebra, t: Term, columns: dict[str, list[int]], count: int) -> list[int]:
+    if isinstance(t, Var):
+        if t.name not in columns:
+            raise TermError(f"unbound variable {t.name!r}")
+        return columns[t.name]
+    n = alg.size
+    idx = [0] * count
+    for a in t.args:
+        idx = [i * n + v for i, v in zip(idx, _values(alg, a, columns, count))]
+    return list(map(alg.table(t.sym).__getitem__, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -158,38 +175,23 @@ def pair_symbol(f: str, g: str) -> str:
     return f"{f}⊗{g}"
 
 
-def nonindexed_signature(sig1: Signature, sig2: Signature) -> Signature:
-    syms = {}
-    for f, n in sig1.symbols:
-        for g, m in sig2.symbols:
-            if n == m:
-                syms[pair_symbol(f, g)] = n
-    return Signature(syms)
-
-
 def nonindexed_product(
     a1: FiniteAlgebra, a2: FiniteAlgebra, cap: int = DEFAULTS.product_max
 ) -> FiniteAlgebra:
     """Product over the pair signature: ``f⊗g`` acts as f on the left
-    coordinates and as g on the right coordinates."""
-    total = a1.size * a2.size
-    if total > cap:
-        raise CapExceeded(f"product size {total} exceeds cap {cap}")
-    sizes = (a1.size, a2.size)
-    sig = nonindexed_signature(a1.signature, a2.signature)
-    tables = {}
-    for f, arity in a1.signature.symbols:
-        for g, m in a2.signature.symbols:
-            if m != arity:
-                continue
-            cells = []
-            for args in itertools.product(range(total), repeat=arity):
-                cols = [product_decode(a, sizes) for a in args]
-                left = a1.apply(f, [c[0] for c in cols])
-                right = a2.apply(g, [c[1] for c in cols])
-                cells.append(product_encode((left, right), sizes))
-            tables[pair_symbol(f, g)] = tuple(cells)
-    return FiniteAlgebra(sig, total, tables)
+    coordinates and as g on the right coordinates. It is the direct product
+    of the left factor, where ``f⊗g`` has the table of f in `a1`, and the
+    right factor, where it has the table of g in `a2`."""
+    pairs = {
+        pair_symbol(f, g): (n, f, g)
+        for f, n in a1.signature.symbols
+        for g, m in a2.signature.symbols
+        if n == m
+    }
+    sig = Signature({fg: n for fg, (n, _, _) in pairs.items()})
+    left = FiniteAlgebra(sig, a1.size, {fg: a1.table(f) for fg, (_, f, _) in pairs.items()})
+    right = FiniteAlgebra(sig, a2.size, {fg: a2.table(g) for fg, (_, _, g) in pairs.items()})
+    return direct_product([left, right], cap=cap)
 
 
 def is_congruence(alg: FiniteAlgebra, theta: Partition) -> bool:

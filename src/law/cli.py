@@ -77,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
     chk.add_argument("-i", "--inventory", action="append", required=True,
                      help="algebra JSON file or directory of them (repeatable)")
     chk.add_argument("--depth", type=_positive_int, default=None)
-    chk.add_argument("--max-set", type=int, default=2)
+    chk.add_argument("--max-set", type=_positive_int, default=2)
     chk.add_argument("--recheck", action="store_true",
                      help="re-verify an embedded witness before reporting")
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, eval_term
+from .algebra import FiniteAlgebra, term_values
 from .config import DEFAULTS
 from .errors import UnknownName
 from .logics import (
@@ -113,6 +113,53 @@ def _axiom_instances(rule: Rule, prefixes: list[list[Term]], cap: int) -> Iterab
             yield t
 
 
+def _saturate(
+    logic: LogicPresentation,
+    gamma: Iterable[Term],
+    pool: Sequence[str],
+    cap: int,
+    goal: Optional[Term] = None,
+) -> set[Term]:
+    """`gamma` and every term of depth <= `cap` derivable from it through
+    such terms (see `chain_entails`). Stops once `goal` is derived."""
+    if logic.kind != RULES:
+        raise ValueError("forward chaining needs a rule presentation")
+    prefixes = _depth_prefixes(logic.signature, pool, _axiom_pool_depth(logic, cap))
+    derived: set[Term] = set(gamma)
+    for rule in logic.rules:
+        if not rule.premises:
+            derived.update(_axiom_instances(rule, prefixes, cap))
+    if goal in derived:
+        return derived
+    proper = [r for r in logic.rules if r.premises]
+    changed = True
+    while changed:
+        changed = False
+        for rule in proper:
+            fresh: set[Term] = set()
+            needed = variables(rule.conclusion)
+            for binding in _premise_matches(rule, derived):
+                if binding.keys() >= needed:
+                    bindings = (binding,)
+                else:
+                    names = sorted(needed - binding.keys())
+                    bindings = [
+                        {**binding, **dict(zip(names, images))}
+                        for images in itertools.product(map(Var, pool), repeat=len(names))
+                    ]
+                for full in bindings:
+                    t = substitute(rule.conclusion, full)
+                    if depth(t) <= cap and t not in derived and t not in fresh:
+                        if t == goal:
+                            derived.add(t)
+                            return derived
+                        fresh.add(t)
+            if fresh:
+                derived.update(fresh)
+                changed = True
+    return derived
+
+
 def derive_theorems(
     logic: LogicPresentation,
     pool: Sequence[str] = ("x", "y"),
@@ -121,33 +168,7 @@ def derive_theorems(
     """Theorems of a rule presentation among terms of bounded depth over a
     fixed pool, by saturation. Sound; complete only relative to the caps
     (derivations that pass through deeper terms are missed)."""
-    if logic.kind != RULES:
-        raise ValueError("forward chaining needs a rule presentation")
-    prefixes = _depth_prefixes(logic.signature, pool, _axiom_pool_depth(logic, depth_cap))
-    derived: set[Term] = set()
-    for rule in logic.rules:
-        if not rule.premises:
-            derived.update(_axiom_instances(rule, prefixes, depth_cap))
-    proper = [r for r in logic.rules if r.premises]
-    changed = True
-    while changed:
-        changed = False
-        for rule in proper:
-            fresh: set[Term] = set()
-            for binding in _premise_matches(rule, derived):
-                free = sorted(variables(rule.conclusion) - set(binding))
-                for images in itertools.product(
-                    [Var(v) for v in pool], repeat=len(free)
-                ):
-                    full = dict(binding)
-                    full.update(zip(free, images))
-                    t = substitute(rule.conclusion, full)
-                    if depth(t) <= depth_cap and t not in derived and t not in fresh:
-                        fresh.add(t)
-            if fresh:
-                derived.update(fresh)
-                changed = True
-    return frozenset(derived)
+    return frozenset(_saturate(logic, (), pool, depth_cap))
 
 
 def _axiom_pool_depth(logic: LogicPresentation, cap: int) -> int:
@@ -191,34 +212,16 @@ def chain_entails(
     pool: Sequence[str] = ("x", "y"),
     depth_cap: int = DEFAULTS.depth_default,
 ) -> bool:
-    """Bounded forward chaining from `gamma`; True means derivable."""
-    if logic.kind != RULES:
-        raise ValueError("forward chaining needs a rule presentation")
-    prefixes = _depth_prefixes(logic.signature, pool, _axiom_pool_depth(logic, depth_cap))
-    derived: set[Term] = set(gamma)
-    for rule in logic.rules:
-        if not rule.premises:
-            derived.update(_axiom_instances(rule, prefixes, depth_cap))
-    if phi in derived:
-        return True
-    proper = [r for r in logic.rules if r.premises]
-    changed = True
-    while changed:
-        changed = False
-        for rule in proper:
-            fresh: set[Term] = set()
-            for binding in _premise_matches(rule, derived):
-                if variables(rule.conclusion) - set(binding):
-                    continue
-                t = substitute(rule.conclusion, binding)
-                if depth(t) <= depth_cap + 1 and t not in derived and t not in fresh:
-                    if t == phi:
-                        return True
-                    fresh.add(t)
-            if fresh:
-                derived.update(fresh)
-                changed = True
-    return phi in derived
+    """Bounded forward chaining from `gamma`; True means derivable.
+
+    The saturation of `derive_theorems`, under the same caps: axioms are
+    instantiated with pool terms, every derived term has depth <=
+    `depth_cap`, and conclusion variables that no premise binds range over
+    `pool`. So with no premises it agrees with ``phi in derive_theorems(logic,
+    pool, depth_cap)``. False is not a refutation: derivations that pass
+    through deeper terms are missed.
+    """
+    return phi in _saturate(logic, gamma, pool, depth_cap, goal=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +269,16 @@ def theorem_search(
     pool: Sequence[str] = ("x",),
 ) -> Optional[Term]:
     """First depth-bounded theorem in enumeration order, if any."""
+    is_theorem = _theorem_test(logic, pool, depth_cap)
+    terms = enumerate_terms(logic.signature, pool, depth_cap)
+    return next((t for t in terms if is_theorem(t)), None)
+
+
+def _theorem_test(logic: LogicPresentation, pool: Sequence[str], cap: int) -> Callable[[Term], bool]:
+    """Theoremhood by saturation for a rule presentation, else by truth tables."""
     if logic.kind == RULES:
-        theorems = derive_theorems(logic, pool, depth_cap)
-        for t in enumerate_terms(logic.signature, pool, depth_cap):
-            if t in theorems:
-                return t
-        return None
-    for t in enumerate_terms(logic.signature, pool, depth_cap):
-        if entails(logic, (), t):
-            return t
-    return None
+        return derive_theorems(logic, pool, cap).__contains__
+    return lambda t: entails(logic, (), t)
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +517,7 @@ def find_injective_theorem(
     every reduced inventory model."""
     inv = sorted(inventory, key=lambda a: a.sort_key())
     models = [m for alg in inv for m in reduced_filters_on(logic, alg, depth_cap=depth_cap)]
-    if logic.kind == RULES:
-        theorems = derive_theorems(logic, ("x",), max(depth, depth_cap))
-        is_theorem: Callable[[Term], bool] = lambda t: t in theorems
-    else:
-        is_theorem = lambda t: entails(logic, (), t)
+    is_theorem = _theorem_test(logic, ("x",), max(depth, depth_cap))
     for t in enumerate_terms(logic.signature, ("x",), depth):
         if not is_theorem(t):
             continue
@@ -528,8 +527,7 @@ def find_injective_theorem(
 
 
 def _injective_on(alg: FiniteAlgebra, t: Term) -> bool:
-    values = [eval_term(alg, t, {"x": a}) for a in range(alg.size)]
-    return len(set(values)) == alg.size
+    return len(set(term_values(alg, t, ("x",)))) == alg.size
 
 
 def verify_order_alg_witness(
@@ -548,11 +546,9 @@ def verify_order_alg_witness(
         for m in reduced_filters_on(logic, alg, depth_cap=depth_cap):
             des = m.filter_set()
             n = alg.size
+            rows = [term_values(alg, d, ("x", "y")) for d in delta]
             rel = [
-                [
-                    all(eval_term(alg, d, {"x": a, "y": b}) in des for d in delta)
-                    for b in range(n)
-                ]
+                [all(row[a * n + b] in des for row in rows) for b in range(n)]
                 for a in range(n)
             ]
             for a in range(n):
@@ -564,11 +560,10 @@ def verify_order_alg_witness(
             for a, b, c in itertools.product(range(n), repeat=3):
                 if rel[a][b] and rel[b][c] and not rel[a][c]:
                     return fails({"reason": "not transitive", "model": m, "pair": (a, c)}, **bounds)
+            sides = [(term_values(alg, lhs, ("x",)), term_values(alg, rhs, ("x",)))
+                     for lhs, rhs in inequalities]
             for a in range(n):
-                sat = all(
-                    rel[eval_term(alg, lhs, {"x": a})][eval_term(alg, rhs, {"x": a})]
-                    for lhs, rhs in inequalities
-                )
+                sat = all(rel[lhs[a]][rhs[a]] for lhs, rhs in sides)
                 if sat != (a in des):
                     return fails(
                         {"reason": "membership disagrees with the inequalities",

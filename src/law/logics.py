@@ -20,11 +20,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, all_valuations, eval_term
+from .algebra import FiniteAlgebra, term_values
 from .config import DEFAULTS
 from .errors import CapExceeded, NotAFilter, SignatureMismatch
 from .matrices import Matrix, leibniz_congruence
@@ -122,6 +122,12 @@ class FilterFamily:
             self, "filters", tuple(sorted(tuple(sorted(set(f))) for f in filters))
         )
 
+    def to_json(self) -> dict:
+        from .serialize import algebra_to_json
+
+        return {"algebra": algebra_to_json(self.algebra),
+                "filters": [list(f) for f in self.filters]}
+
 
 def filter_notion(logic: LogicPresentation) -> str:
     return "exact" if logic.kind == RULES else "bounded"
@@ -131,18 +137,28 @@ def filter_notion(logic: LogicPresentation) -> str:
 # consequence for matrix presentations
 
 
+def _violation(
+    alg: FiniteAlgebra,
+    premises: Sequence[Term],
+    conclusion: Term,
+    designated: Container[int],
+    variables: Sequence[str],
+) -> Optional[int]:
+    """The conclusion's value at the first assignment of `variables`, in
+    `term_values` order, that sends every premise into `designated` and the
+    conclusion outside it; None when there is none."""
+    rows = [term_values(alg, p, variables) for p in premises]
+    for i, v in enumerate(term_values(alg, conclusion, variables)):
+        if v not in designated and all(row[i] in designated for row in rows):
+            return v
+    return None
+
+
 def is_model(m: Matrix, r: Rule) -> bool:
     """True iff every valuation sending all premises into the filter sends
     the conclusion there too."""
-    for t in r.premises + (r.conclusion,):
-        check_term(m.algebra.signature, t)
-    des = m.filter_set()
     variables = sorted(r.variables())
-    for val in all_valuations(variables, m.algebra.size):
-        if all(eval_term(m.algebra, p, val) in des for p in r.premises):
-            if eval_term(m.algebra, r.conclusion, val) not in des:
-                return False
-    return True
+    return _violation(m.algebra, r.premises, r.conclusion, m.filter_set(), variables) is None
 
 
 def entails(logic: LogicPresentation, gamma: Iterable[Term], phi: Term) -> bool:
@@ -155,15 +171,10 @@ def entails(logic: LogicPresentation, gamma: Iterable[Term], phi: Term) -> bool:
         raise CapExceeded(
             f"{len(variables)} variables exceed the budget {logic.variable_budget}"
         )
-    for t in gamma + (phi,):
-        check_term(logic.signature, t)
-    for m in logic.matrices:
-        des = m.filter_set()
-        for val in all_valuations(variables, m.algebra.size):
-            if all(eval_term(m.algebra, g, val) in des for g in gamma):
-                if eval_term(m.algebra, phi, val) not in des:
-                    return False
-    return True
+    return all(
+        _violation(m.algebra, gamma, phi, m.filter_set(), variables) is None
+        for m in logic.matrices
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +190,21 @@ def filter_generated(
     if logic.signature != alg.signature:
         raise SignatureMismatch("algebra signature differs from the logic's")
     current = set(seed)
-    prepared = [
-        (r, sorted(r.variables())) for r in logic.rules
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for rule, variables in prepared:
-            for val in all_valuations(variables, alg.size):
-                if all(eval_term(alg, p, val) in current for p in rule.premises):
-                    v = eval_term(alg, rule.conclusion, val)
-                    if v not in current:
-                        current.add(v)
-                        changed = True
-    return tuple(sorted(current))
+    while True:
+        fresh = {
+            _violation(alg, r.premises, r.conclusion, current, sorted(r.variables()))
+            for r in logic.rules
+        } - {None}
+        if not fresh:
+            return tuple(sorted(current))
+        current |= fresh
 
 
 def _closed_under_rules(logic: LogicPresentation, alg: FiniteAlgebra, subset: frozenset[int]) -> bool:
-    for rule in logic.rules:
-        variables = sorted(rule.variables())
-        for val in all_valuations(variables, alg.size):
-            if all(eval_term(alg, p, val) in subset for p in rule.premises):
-                if eval_term(alg, rule.conclusion, val) not in subset:
-                    return False
-    return True
+    return all(
+        _violation(alg, rule.premises, rule.conclusion, subset, sorted(rule.variables())) is None
+        for rule in logic.rules
+    )
 
 
 # ---------------------------------------------------------------------------

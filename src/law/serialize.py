@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any
+from typing import Any, Callable
 
 from .algebra import FiniteAlgebra
 from .errors import LawError
@@ -208,11 +208,6 @@ def payload_to_json(value: Any) -> Any:
         return [payload_to_json(v) for v in value]
     if hasattr(value, "to_json"):
         return payload_to_json(value.to_json())
-    if hasattr(value, "filters") and hasattr(value, "algebra"):
-        return {
-            "algebra": payload_to_json(value.algebra),
-            "filters": [list(f) for f in value.filters],
-        }
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
@@ -227,20 +222,28 @@ def load_json(path: str) -> Any:
         return json.load(fh)
 
 
+def _load(path: str, from_json: Callable[..., Any], *args: Any) -> Any:
+    data = load_json(path)
+    try:
+        return from_json(data, *args)
+    except KeyError as exc:
+        raise LawError(f"{path}: missing field {exc.args[0]!r}") from None
+
+
 def load_algebra(path: str) -> FiniteAlgebra:
-    return algebra_from_json(load_json(path))
+    return _load(path, algebra_from_json)
 
 
 def load_matrix(path: str) -> Matrix:
-    return matrix_from_json(load_json(path), os.path.dirname(path) or ".")
+    return _load(path, matrix_from_json, os.path.dirname(path) or ".")
 
 
 def load_logic(path: str) -> LogicPresentation:
-    return logic_from_json(load_json(path), os.path.dirname(path) or ".")
+    return _load(path, logic_from_json, os.path.dirname(path) or ".")
 
 
 def load_translation(path: str) -> Translation:
-    return translation_from_json(load_json(path))
+    return _load(path, translation_from_json)
 
 
 def dump_json(path: str, data: Any) -> None:

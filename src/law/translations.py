@@ -3,11 +3,10 @@ bounded interpretation checking between logics."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, eval_term
+from .algebra import FiniteAlgebra, term_values
 from .config import DEFAULTS
 from .errors import SignatureMismatch, TermError
 from .logics import (
@@ -87,16 +86,11 @@ def tau_reduct(tau: Translation, alg: FiniteAlgebra) -> FiniteAlgebra:
     """Same carrier; each source symbol's table is its image term evaluated."""
     if alg.signature != tau.target:
         raise SignatureMismatch("reduct needs an algebra over the target signature")
-    n = alg.size
-    tables = {}
-    for sym, arity in tau.source.symbols:
-        image = tau.image(sym)
-        names = placeholder_vars(arity)
-        cells = []
-        for args in itertools.product(range(n), repeat=arity):
-            cells.append(eval_term(alg, image, dict(zip(names, args))))
-        tables[sym] = tuple(cells)
-    return FiniteAlgebra(tau.source, n, tables, name=f"{alg.name}^tau" if alg.name else "")
+    tables = {
+        sym: term_values(alg, tau.image(sym), placeholder_vars(arity))
+        for sym, arity in tau.source.symbols
+    }
+    return FiniteAlgebra(tau.source, alg.size, tables, name=f"{alg.name}^tau" if alg.name else "")
 
 
 def check_interpretation_bounded(

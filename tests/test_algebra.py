@@ -6,6 +6,7 @@ import random
 import pytest
 
 from law.algebra import (
+    FiniteAlgebra,
     congruences_bruteforce,
     direct_product,
     enumerate_algebras,
@@ -17,12 +18,13 @@ from law.algebra import (
     one_element,
     product_decode,
     quotient,
+    term_values,
 )
 from law.errors import CapExceeded, NotACongruence, TermError
 from law.gallery import bool2, bool4, imp2, pointed_set
 from law.matrices import Matrix, find_isomorphism
 from law.partitions import Partition, all_partitions
-from law.terms import Signature, parse_term
+from law.terms import App, Signature, enumerate_terms, parse_term
 
 BOOL = bool2().signature
 
@@ -56,6 +58,32 @@ def test_eval_errors():
         eval_term(b2, parse_term(BOOL, "(and x y)"), {"x": 1})
     with pytest.raises(TermError):
         eval_term(b2, parse_term(Signature({"⊥": 2}), "(⊥ x x)"), {"x": 0})
+    with pytest.raises(TermError):
+        term_values(b2, parse_term(BOOL, "(and x y)"), ("x",))
+    with pytest.raises(TermError):
+        term_values(b2, parse_term(Signature({"⊥": 2}), "(⊥ x x)"), ("x",))
+    with pytest.raises(TermError):
+        term_values(b2, App("not", ()), ())
+
+
+def test_term_values_agree_with_eval_term():
+    rng = random.Random(3)
+    imp = Signature({"→": 2})
+    mixed = Signature({"c": 0, "u": 1, "t": 3})
+    cases = [(alg, imp) for n in (1, 2) for alg in enumerate_algebras(imp, n)]
+    cases += [(bool2(), BOOL), (bool4(), BOOL)]
+    for n in (1, 2, 3):
+        tables = {sym: [rng.randrange(n) for _ in range(n**arity)] for sym, arity in mixed.symbols}
+        cases.append((FiniteAlgebra(mixed, n, tables), mixed))
+    for i, (alg, sig) in enumerate(cases):
+        terms = list(enumerate_terms(sig, ("x", "y", "z"), 2))
+        if len(terms) > 1500:  # the ternary signature has 39,311 such terms
+            terms = rng.sample(terms, 1500)
+        order = ("x", "y", "z") if i % 2 else ("z", "x", "y")
+        assignments = list(itertools.product(range(alg.size), repeat=3))
+        for t in terms:
+            want = [eval_term(alg, t, dict(zip(order, a))) for a in assignments]
+            assert term_values(alg, t, order) == want, (alg, t, order)
 
 
 def test_direct_product_shapes():

@@ -262,3 +262,27 @@ def test_config_rejects_bad_fields(tmp_path, monkeypatch, data, field):
     message = json.loads(out)["error"]
     assert cfg in message and repr(field) in message
     assert cfg in err
+
+
+@pytest.mark.parametrize("max_set", ["0", "-1"])
+def test_check_rejects_nonpositive_max_set(tmp_path, capsys, max_set):
+    logic_path = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
+    inv_path = write(tmp_path, "imp2.json", algebra_to_json(imp2()))
+    code, out, _ = invoke(
+        ["check", "protoalgebraic", "-l", logic_path, "-i", inv_path, "--max-set", max_set]
+    )
+    assert code == 2 and out == ""
+    assert "--max-set" in capsys.readouterr().err
+
+
+def test_inventory_file_missing_a_field_is_named(tmp_path):
+    # a gallery directory holds the logic and manifest files besides the
+    # algebras, so using it as an inventory loads the logic as an algebra
+    out_dir = os.path.join(tmp_path, "nabla")
+    assert invoke(["gallery", "nabla", "--out", out_dir])[0] == 0
+    logic_path = os.path.join(out_dir, "nabla.logic.json")
+    code, out, err = invoke(["check", "protoalgebraic", "-l", logic_path, "-i", out_dir])
+    assert code == 2
+    message = json.loads(out)["error"]
+    assert message == f"LawError: {logic_path}: missing field 'size'"
+    assert logic_path in err

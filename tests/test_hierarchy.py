@@ -6,7 +6,7 @@ import pytest
 
 from law.algebra import one_element
 from law.errors import UnknownName
-from law.gallery import bool4, build, imp2, nabla_hat, pointed_set
+from law.gallery import GALLERY_NAMES, bool4, build, imp2, nabla_hat, pointed_set
 from law.hierarchy import (
     WitnessSet,
     chain_entails,
@@ -310,3 +310,16 @@ def test_theorem_search():
     assert to_sexpr(theorem_search(NABLA.logic)) == "(→ x x)"
     assert to_sexpr(theorem_search(ASSERTIONAL.logic)) == "(⊤ x)"
     assert theorem_search(PAIR.logic) is None
+
+
+@pytest.mark.parametrize("depth_cap", [1, 2])
+def test_chain_entails_agrees_with_derive_theorems(depth_cap):
+    # terms one level deeper than the cap too: neither may derive them
+    pool = ("x", "y")
+    for name in GALLERY_NAMES:
+        logic = build(name).logic
+        if logic is None or logic.kind != "rules":
+            continue
+        theorems = derive_theorems(logic, pool, depth_cap)
+        for t in enumerate_terms(logic.signature, pool, depth_cap + 1):
+            assert chain_entails(logic, (), t, pool, depth_cap) == (t in theorems), (name, t)

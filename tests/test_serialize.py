@@ -15,7 +15,10 @@ from law.serialize import (
     algebra_to_json,
     canonical_json,
     dump_json,
+    load_algebra,
+    load_logic,
     load_matrix,
+    load_translation,
     logic_from_json,
     logic_to_json,
     matrix_from_json,
@@ -90,3 +93,20 @@ def test_partition_and_payload_serialization():
 def test_canonical_json_is_sorted_and_stable():
     a = canonical_json({"b": 1, "a": [2, 1]})
     assert a == '{"a":[2,1],"b":1}'
+
+
+@pytest.mark.parametrize(
+    "loader, data, field",
+    [(load_algebra, algebra_to_json(bool2()), "size"),
+     (load_matrix, matrix_to_json(Matrix(bool2(), (1,))), "filter"),
+     (load_logic, logic_to_json(build("nabla").logic), "kind"),
+     (load_translation, translation_to_json(Translation.identity(imp2().signature)), "map")],
+    ids=["algebra", "matrix", "logic", "translation"],
+)
+def test_loaders_name_the_file_and_the_missing_field(tmp_path, loader, data, field):
+    del data[field]
+    path = os.path.join(tmp_path, "broken.json")
+    dump_json(path, data)
+    with pytest.raises(LawError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}: missing field {field!r}"
