@@ -11,6 +11,14 @@ Two filter notions, always flagged:
   variable pinned to each carrier element) under consequence, with terms
   deduplicated by their joint evaluations so the caps stay feasible.
 
+The bounded closure is pure Python over `bytes`: a row holds one byte per
+column, an operation meets all rows of its last argument in one big-int
+lane computation and one `bytes.translate`, rounds are semi-naive (each
+level only tries argument tuples touching the previous level's new rows),
+and the finished closure is one row-major blob per algebra. Defining
+algebras therefore have at most 256 elements. The subset sweep works on the
+same byte lanes, as ints with one lane per row.
+
 Verdicts derived from the bounded notion are never reported as exact; use
 `filter_bounds` for the metadata to attach.
 """
@@ -21,8 +29,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
-
-import numpy as np
 
 from .algebra import FiniteAlgebra, term_values
 from .config import DEFAULTS
@@ -217,6 +223,19 @@ def _closed_under_rules(logic: LogicPresentation, alg: FiniteAlgebra, subset: fr
 # depth level, deduplicating as we go. G is a bounded filter iff no row has
 # canonical value outside G while staying designated at every assignment
 # that keeps the G-valued premise rows designated.
+#
+# Within a block (the columns of one algebra) a row is `bytes`, one byte per
+# column. An operation meets every row of the last argument at once: the
+# head rows, each repeated once per tail row, and the concatenated tail rows
+# are read as big-endian ints, so each byte is a lane holding the table index
+# ((h1*n + h2)*n + ..)*n + t. No lane carries while n**arity <= 256, and
+# `bytes.translate` with the table padded to 256 maps the lanes to values.
+# Wider tables go cell by cell. Rounds are semi-naive (Bancilhon and
+# Ramakrishnan, 1986): level L only tries argument tuples that touch a row
+# new at level L-1, since the rest were tried one level up; the budget still
+# counts every tuple. The finished closure keeps one row-major blob per block.
+
+_LANES = 256  # a closure cell is one byte
 
 
 @dataclass(frozen=True)
@@ -227,17 +246,17 @@ class _ClosureKey:
     cell_budget: int
 
 
+@dataclass(frozen=True)
 class _Closure:
-    def __init__(self, blocks, block_algs, c_block, c_col, depth_effective, depth_cap):
-        self.blocks = blocks              # list of np.ndarray (rows, cols) per distinct algebra
-        self.block_algs = block_algs      # list of FiniteAlgebra, parallel to blocks
-        self.c_block = c_block            # block index holding the canonical column
-        self.c_col = c_col                # column index of the canonical valuation
-        self.depth_effective = depth_effective
-        self.depth_cap = depth_cap
+    blobs: tuple[bytes, ...]            # row-major rows per distinct algebra, one byte per cell
+    widths: tuple[int, ...]             # columns per block, parallel to blobs
+    block_algs: tuple[FiniteAlgebra, ...]
+    c_block: int                        # block index holding the canonical column
+    c_col: int                          # column index of the canonical valuation
+    depth_effective: int
 
-    def canonical_values(self) -> np.ndarray:
-        return self.blocks[self.c_block][:, self.c_col]
+    def canonical_values(self) -> bytes:
+        return self.blobs[self.c_block][self.c_col :: self.widths[self.c_block]]
 
 
 @functools.lru_cache(maxsize=64)
@@ -245,88 +264,90 @@ def _joint_closure(key: _ClosureKey) -> _Closure:
     logic, alg = key.logic, key.algebra
     n = alg.size
     distinct = sorted({m.algebra for m in logic.matrices}, key=lambda a: a.sort_key())
+    block_algs = distinct if alg in distinct else distinct + [alg]
+    for b in block_algs:
+        if b.size > _LANES:
+            raise CapExceeded(
+                f"closure cells are bytes: an algebra of size {b.size} exceeds {_LANES} elements"
+            )
     canonical = tuple(range(n))
+    inputs = [list(itertools.product(range(b.size), repeat=n)) for b in distinct]
     if alg in distinct:
         c_block = distinct.index(alg)
-        inputs_of = {b: list(itertools.product(range(b.size), repeat=n)) for b in distinct}
-        c_col = inputs_of[alg].index(canonical)
-        block_algs = distinct
+        c_col = inputs[c_block].index(canonical)
     else:
-        inputs_of = {b: list(itertools.product(range(b.size), repeat=n)) for b in distinct}
-        inputs_of[alg] = [canonical]
-        block_algs = distinct + [alg]
-        c_block = len(block_algs) - 1
-        c_col = 0
+        inputs.append([canonical])
+        c_block, c_col = len(block_algs) - 1, 0
+    widths = [len(cols) for cols in inputs]
+    cols_total = sum(widths)
+    offsets = list(itertools.accumulate(widths, initial=0))
+    syms = sorted(logic.signature.symbols)
+    lanes = [{sym: bytes(b.table(sym)).ljust(_LANES, b"\0")
+              for sym, arity in syms if b.size**arity <= _LANES} for b in block_algs]
 
-    cols_total = sum(len(inputs_of[b]) for b in block_algs)
-    tables = [
-        {sym: np.asarray(b.table(sym), dtype=np.int64) for sym, _ in b.signature.symbols}
-        for b in block_algs
-    ]
-    sizes = [b.size for b in block_algs]
+    # depth-0 rows: one per canonical variable; `rows` holds each block's rows
+    rows = [[bytes(inp[i] for inp in cols) for i in range(n)] for cols in inputs]
+    seen = set(map(b"".join, zip(*rows)))
 
-    # depth-0 rows: one per canonical variable
-    blocks = [
-        np.array([[inp[i] for inp in inputs_of[b]] for i in range(n)], dtype=np.uint8)
-        for b in block_algs
-    ]
-    seen = {_row_bytes(blocks, i) for i in range(n)}
+    fresh: list[bytes] = []  # the current level's new rows, all blocks joined
+
+    def absorb(outs: list[bytes]) -> None:
+        """Keep the unseen rows among the candidates: one bytes per block,
+        rows back to back."""
+        parts = [[o[i : i + w] for i in range(0, len(o), w)] for o, w in zip(outs, widths)]
+        keys = parts[0] if len(parts) == 1 else list(map(b"".join, zip(*parts)))
+        if not seen.issuperset(keys):
+            for k in keys:
+                if k not in seen:
+                    seen.add(k)
+                    fresh.append(k)
 
     depth_effective = 0
-    syms = sorted(logic.signature.symbols)
+    old = 0  # rows that predate the previous level's new ones
     for level in range(1, key.depth_cap + 1):
-        rows = blocks[0].shape[0]
-        projected = sum(rows ** arity if arity else 1 for _, arity in syms) * cols_total
+        count = len(rows[0])
+        projected = sum(count**arity if arity else 1 for _, arity in syms) * cols_total
         if projected > key.cell_budget:
             break
-        blocks_wide = [b.astype(np.int64) for b in blocks]
-        new_blocks: list[list[np.ndarray]] = [[] for _ in block_algs]
-        new_rows = 0
+        fresh.clear()
+        tails = {}  # first tail row -> each block's tail rows, concatenated
         for sym, arity in syms:
             if arity == 0:
                 if level == 1:
-                    cand = [np.full((1, blocks[bi].shape[1]), t[sym][0], dtype=np.uint8)
-                            for bi, t in enumerate(tables)]
-                    new_rows += _absorb(cand, new_blocks, seen)
+                    absorb([bytes([b.table(sym)[0]]) * w for b, w in zip(block_algs, widths)])
                 continue
-            for combo in itertools.product(range(rows), repeat=arity - 1):
-                # vary the last argument over all rows at once
-                cand = []
-                for bi, t in enumerate(tables):
-                    nb = sizes[bi]
-                    idx = np.zeros(blocks[bi].shape[1], dtype=np.int64)
-                    for a in combo:
-                        idx = idx * nb + blocks_wide[bi][a]
-                    flat = idx[None, :] * nb + blocks_wide[bi]
-                    cand.append(t[sym][flat].astype(np.uint8))
-                new_rows += _absorb(cand, new_blocks, seen)
-        if new_rows == 0:
+            for head in itertools.product(range(count), repeat=arity - 1):
+                start = 0 if any(h >= old for h in head) else old
+                if start not in tails:
+                    tails[start] = [b"".join(r[start:]) for r in rows]
+                copies = count - start
+                outs = []
+                for bi, b in enumerate(block_algs):
+                    tail, nb, brows = tails[start][bi], b.size, rows[bi]
+                    lane = lanes[bi].get(sym)
+                    if lane is not None:
+                        idx = 0
+                        for h in head:
+                            idx = idx * nb + int.from_bytes(brows[h] * copies, "big")
+                        idx = idx * nb + int.from_bytes(tail, "big")
+                        outs.append(idx.to_bytes(len(tail), "big").translate(lane))
+                    else:
+                        cells = [0] * len(tail)
+                        for h in head:
+                            cells = [i * nb + v for i, v in zip(cells, brows[h] * copies)]
+                        cells = [i * nb + v for i, v in zip(cells, tail)]
+                        outs.append(bytes(map(b.table(sym).__getitem__, cells)))
+                absorb(outs)
+        if not fresh:
             depth_effective = key.depth_cap  # fixpoint: deeper terms add nothing
             break
-        blocks = [
-            np.concatenate([blocks[bi]] + new_blocks[bi], axis=0) if new_blocks[bi] else blocks[bi]
-            for bi in range(len(block_algs))
-        ]
+        old = count
+        for bi, brows in enumerate(rows):
+            lo, hi = offsets[bi], offsets[bi + 1]
+            brows.extend(k[lo:hi] for k in fresh)
         depth_effective = level
-    return _Closure(blocks, block_algs, c_block, c_col, depth_effective, key.depth_cap)
-
-
-def _row_bytes(blocks: Sequence[np.ndarray], i: int) -> bytes:
-    return b"".join(b[i].tobytes() for b in blocks)
-
-
-def _absorb(cand: list[np.ndarray], new_blocks, seen) -> int:
-    added = 0
-    rows = cand[0].shape[0]
-    for r in range(rows):
-        key = b"".join(c[r].tobytes() for c in cand)
-        if key in seen:
-            continue
-        seen.add(key)
-        for bi in range(len(cand)):
-            new_blocks[bi].append(cand[bi][r : r + 1])
-        added += 1
-    return added
+    return _Closure(tuple(map(b"".join, rows)), tuple(widths), tuple(block_algs),
+                    c_block, c_col, depth_effective)
 
 
 def _bounded_filter_subsets(
@@ -341,32 +362,49 @@ def _bounded_filter_subsets(
             f"bounded filters need {n} canonical variables, budget is {logic.variable_budget}"
         )
     closure = _joint_closure(_ClosureKey(logic, alg, depth_cap, cell_budget))
+    # Sets of rows are ints with one byte lane per row, 1 for a member:
+    # of_value[v] holds the rows of canonical value v, and each column of
+    # every matrix gives the rows it leaves undesignated.
     c_vals = closure.canonical_values()
-    mats = [
-        (closure.block_algs.index(m.algebra), m.filter_set()) for m in logic.matrices
-    ]
-    in_filter = []
-    for bi, fset in mats:
-        mask = np.zeros(closure.block_algs[bi].size, dtype=bool)
-        for x in fset:
-            mask[x] = True
-        in_filter.append(mask[closure.blocks[bi]])
+    of_value = [_lanes(c_vals, _indicator({v})) for v in range(n)]
+    columns: dict[int, None] = {}
+    for m in logic.matrices:
+        bi = closure.block_algs.index(m.algebra)
+        blob, w = closure.blobs[bi], closure.widths[bi]
+        undesignated = _indicator(set(range(m.algebra.size)) - m.filter_set())
+        for c in range(w):
+            columns[_lanes(blob[c::w], undesignated)] = None
+    # kills[v]: bit j set when a row of canonical value v kills column j,
+    # i.e. leaves it undesignated, so no G holding v can use that column
+    kills = [sum(1 << j for j, col in enumerate(columns) if col & rows) for rows in of_value]
 
     results = []
     for subset in _subsets_sorted(n):
-        g_mask = np.zeros(n, dtype=bool)
-        for x in subset:
-            g_mask[x] = True
-        in_g = g_mask[c_vals]
-        survivor = ~in_g
-        for (bi, _), good in zip(mats, in_filter):
-            killed = (in_g[:, None] & ~good).any(axis=0)
-            active = ~killed
-            if active.any():
-                survivor = survivor & good[:, active].all(axis=1)
-        if not survivor.any():
+        killed = outside = 0
+        for v in range(n):
+            if v in subset:
+                killed |= kills[v]
+            else:
+                outside |= of_value[v]
+        cover = 0
+        for j, col in enumerate(columns):
+            if not killed >> j & 1:
+                cover |= col
+        # G is a filter iff every row outside it is undesignated in some
+        # active column
+        if outside & cover == outside:
             results.append(subset)
     return results, closure.depth_effective
+
+
+def _indicator(members: Container[int]) -> bytes:
+    """A translation table sending members to 1 and everything else to 0."""
+    return bytes(x in members for x in range(_LANES))
+
+
+def _lanes(cells: bytes, table: bytes) -> int:
+    """The translated cells as the byte lanes of one int."""
+    return int.from_bytes(cells.translate(table), "big")
 
 
 def _subsets_sorted(n: int) -> list[tuple[int, ...]]:

@@ -46,6 +46,43 @@ def file_fingerprint(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# shapes: a value of the wrong JSON type raises _Shape naming its field, and
+# the loaders add the file
+
+
+class _Shape(LawError):
+    """A JSON value of the wrong type."""
+
+
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _expect(value: Any, kind: type, what: str) -> Any:
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        got = _TYPE_NAMES.get(type(value), type(value).__name__)
+        raise _Shape(f"{what} must be {_TYPE_NAMES[kind]}, got {got}")
+    return value
+
+
+def _field(data: dict, name: str, kind: type) -> Any:
+    """`data[name]` checked to be of `kind`; a KeyError names a missing field."""
+    return _expect(data[name], kind, f"field {name!r}")
+
+
+def _items(items: Any, kind: type, name: str) -> list:
+    """The value of array field `name`, each item checked to be of `kind`."""
+    _expect(items, list, f"field {name!r}")
+    return [_expect(item, kind, f"each item of field {name!r}") for item in items]
+
+
+def _signature(data: dict, name: str) -> Signature:
+    arities = _field(data, name, dict)
+    return Signature({str(k): _expect(v, int, f"arity of {k!r} in field {name!r}")
+                      for k, v in arities.items()})
+
+
+# ---------------------------------------------------------------------------
 # algebras
 
 
@@ -82,11 +119,11 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> FiniteAlgebra:
-    sig = Signature({str(k): int(v) for k, v in data["signature"].items()})
-    size = int(data["size"])
-    tables = {
-        sym: tuple(_flatten(data["ops"][sym], arity)) for sym, arity in sig.symbols
-    }
+    data = _expect(data, dict, "the document")
+    sig = _signature(data, "signature")
+    size = _field(data, "size", int)
+    ops = _field(data, "ops", dict)
+    tables = {sym: tuple(_flatten(ops[sym], arity)) for sym, arity in sig.symbols}
     return FiniteAlgebra(sig, size, tables, name=str(data.get("name", "")))
 
 
@@ -105,12 +142,13 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(data: dict, base_dir: str = ".") -> Matrix:
-    algdata = data["algebra"]
-    if isinstance(algdata, dict) and "path" in algdata:
-        alg = load_algebra(os.path.join(base_dir, algdata["path"]))
+    data = _expect(data, dict, "the document")
+    algdata = _field(data, "algebra", dict)
+    if "path" in algdata:
+        alg = load_algebra(os.path.join(base_dir, _field(algdata, "path", str)))
     else:
         alg = algebra_from_json(algdata)
-    return Matrix(alg, [int(x) for x in data["filter"]])
+    return Matrix(alg, _items(data["filter"], int, "filter"))
 
 
 def partition_to_json(p: Partition) -> list[list[int]]:
@@ -144,21 +182,23 @@ def logic_to_json(logic: LogicPresentation) -> dict:
 
 
 def logic_from_json(data: dict, base_dir: str = ".") -> LogicPresentation:
-    sig = Signature({str(k): int(v) for k, v in data["signature"].items()})
-    kind = data["kind"]
-    budget = int(data.get("variable_budget", 8))
+    data = _expect(data, dict, "the document")
+    sig = _signature(data, "signature")
+    kind = _field(data, "kind", str)
+    budget = _expect(data.get("variable_budget", 8), int, "field 'variable_budget'")
     name = str(data.get("name", ""))
     if kind == RULES:
         rules = [
             Rule(
-                [parse_term(sig, s) for s in r.get("premises", [])],
-                parse_term(sig, r["conclusion"]),
+                [parse_term(sig, s) for s in _items(r.get("premises", []), str, "premises")],
+                parse_term(sig, _field(r, "conclusion", str)),
             )
-            for r in data.get("rules", [])
+            for r in _items(data.get("rules", []), dict, "rules")
         ]
         return rules_logic(sig, rules, name=name, variable_budget=budget)
     if kind == MATRICES:
-        mats = [matrix_from_json(m, base_dir) for m in data.get("matrices", [])]
+        mats = [matrix_from_json(m, base_dir)
+                for m in _items(data.get("matrices", []), dict, "matrices")]
         logic = matrices_logic(mats, name=name, variable_budget=budget)
         if logic.signature != sig:
             raise LawError("logic signature differs from its matrices")
@@ -175,9 +215,11 @@ def translation_to_json(tau: Translation) -> dict:
 
 
 def translation_from_json(data: dict) -> Translation:
-    source = Signature({str(k): int(v) for k, v in data["source"].items()})
-    target = Signature({str(k): int(v) for k, v in data["target"].items()})
-    mapping = {sym: parse_term(target, s) for sym, s in data["map"].items()}
+    data = _expect(data, dict, "the document")
+    source = _signature(data, "source")
+    target = _signature(data, "target")
+    mapping = {sym: parse_term(target, _expect(s, str, f"the image of {sym!r} in field 'map'"))
+               for sym, s in _field(data, "map", dict).items()}
     return Translation(source, target, mapping)
 
 
@@ -228,6 +270,8 @@ def _load(path: str, from_json: Callable[..., Any], *args: Any) -> Any:
         return from_json(data, *args)
     except KeyError as exc:
         raise LawError(f"{path}: missing field {exc.args[0]!r}") from None
+    except _Shape as exc:
+        raise LawError(f"{path}: {exc}") from None
 
 
 def load_algebra(path: str) -> FiniteAlgebra:

@@ -10,6 +10,7 @@ import pytest
 
 import law
 from law.cli import run
+from law.algebra import FiniteAlgebra, one_element
 from law.gallery import bool2, bool4, build, imp2, pointed_set
 from law.serialize import (
     algebra_from_json,
@@ -235,6 +236,20 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["result"]["written"]
 
 
+def test_cold_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(law.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, law.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_check_rejects_nonpositive_depth(tmp_path, capsys, depth):
     logic_path = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
@@ -286,3 +301,29 @@ def test_inventory_file_missing_a_field_is_named(tmp_path):
     message = json.loads(out)["error"]
     assert message == f"LawError: {logic_path}: missing field 'size'"
     assert logic_path in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [([], "the document must be an object, got an array"),
+     ({"signature": [["f", 1]], "size": 2, "ops": {}},
+      "field 'signature' must be an object, got an array")],
+    ids=["array-document", "array-signature"],
+)
+def test_algebra_of_the_wrong_shape_exits_2_naming_the_file_and_field(tmp_path, data, message):
+    alg_path = write(tmp_path, "bad.json", data)
+    code, out, err = invoke(["oracle", "congruences", "-a", alg_path])
+    assert code == 2
+    assert json.loads(out)["error"] == f"LawError: {alg_path}: {message}"
+    assert alg_path in err
+
+
+def test_filters_on_an_algebra_over_256_elements_exit_2(tmp_path):
+    sig = Signature({"s": 1})
+    big = FiniteAlgebra(sig, 257, {"s": [(x + 1) % 257 for x in range(257)]})
+    logic_path = write(tmp_path, "big.logic.json", logic_to_json(matrices_logic([Matrix(big, (0,))])))
+    alg_path = write(tmp_path, "one.json", algebra_to_json(one_element(sig)))
+    code, out, _ = invoke(["filters", "-l", logic_path, "-a", alg_path])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith("CapExceeded: ") and "257" in error

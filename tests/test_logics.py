@@ -1,14 +1,18 @@
 """Logic presentations: models, entailment, filters, Suszko congruences."""
 
 import itertools
+import random
 
 import pytest
 
-from law.algebra import one_element
+from law.algebra import FiniteAlgebra, one_element, term_values
+from law.config import DEFAULTS
 from law.errors import CapExceeded, NotAFilter, SignatureMismatch
 from law.gallery import bool2, build, imp2, pointed_set, product_of_logics
 from law.logics import (
     Rule,
+    _ClosureKey,
+    _joint_closure,
     deductive_filters,
     entails,
     filter_bounds,
@@ -226,3 +230,77 @@ def test_product_logic_filters_decompose():
         assert left in component and right in component
         rebuilt = {a * 2 + b for a in left for b in right}
         assert rebuilt == set(f)
+
+
+# ---------------------------------------------------------------------------
+# the joint closure against an oracle: evaluate every term
+
+
+def _closure_rows(closure):
+    """The closure's rows, each a tuple of one bytes per block."""
+    per_block = [
+        [blob[i : i + w] for i in range(0, len(blob), w)]
+        for blob, w in zip(closure.blobs, closure.widths)
+    ]
+    return list(zip(*per_block))
+
+
+def _term_rows(logic, alg, depth):
+    """Joint evaluations of the terms of depth <= `depth` over the canonical
+    variables: in each defining algebra at every assignment, in the target
+    algebra at the canonical one (variable i sent to element i)."""
+    names = [f"v{i}" for i in range(alg.size)]
+    canonical = sum(i * alg.size ** (alg.size - 1 - i) for i in range(alg.size))
+    blocks = sorted({m.algebra for m in logic.matrices}, key=lambda a: a.sort_key())
+    rows = set()
+    for t in enumerate_terms(logic.signature, names, depth):
+        row = tuple(bytes(term_values(b, t, names)) for b in blocks)
+        if alg not in blocks:
+            row += (bytes([term_values(alg, t, names)[canonical]]),)
+        rows.add(row)
+    return rows
+
+
+def _closure_cases():
+    luk = FiniteAlgebra(IMP, 3, {"→": [min(2, 2 - a + b) for a in range(3) for b in range(3)]})
+    l3 = matrices_logic([Matrix(luk, (2,))], name="Ł3")
+    rng = random.Random(4)
+    for i, size in enumerate((1, 2, 2, 3, 3)):
+        table = [rng.randrange(size) for _ in range(size * size)]
+        alg = FiniteAlgebra(IMP, size, {"→": table})
+        yield pytest.param(l3, alg, 3 if size < 3 else 2, None, id=f"luk3-on-size-{size}-{i}")
+    yield pytest.param(l3, luk, 3, None, id="luk3-on-itself")
+
+    constant = Signature({"c": 0, "f": 2})
+    cf = FiniteAlgebra(constant, 2, {"c": [1], "f": [0, 1, 1, 0]})
+    alg = FiniteAlgebra(constant, 2, {"c": [0], "f": [1, 1, 0, 1]})
+    yield pytest.param(matrices_logic([Matrix(cf, (1,))]), alg, 3, None, id="nullary-symbol")
+
+    # 17 * 17 = 289 table cells do not fit the 256 byte lanes: cell by cell
+    big = FiniteAlgebra(IMP, 17, {"→": [(3 * a + b * b) % 17 for a in range(17) for b in range(17)]})
+    yield pytest.param(matrices_logic([Matrix(big, (0,))]), imp2(), 3, None, id="17-elements")
+
+    # level 3 would need 81**2 * 28 cells: the budget stops the closure at level 2
+    alg = FiniteAlgebra(IMP, 3, {"→": [1, 2, 0, 0, 0, 1, 2, 2, 1]})
+    yield pytest.param(l3, alg, 3, 10_000, id="budget-stopped")
+
+
+@pytest.mark.parametrize("logic, alg, depth_cap, budget", _closure_cases())
+def test_closure_rows_are_the_joint_evaluations_of_bounded_terms(logic, alg, depth_cap, budget):
+    budget = budget or DEFAULTS.closure_cell_budget
+    closure = _joint_closure(_ClosureKey(logic, alg, depth_cap, budget))
+    rows = _closure_rows(closure)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == _term_rows(logic, alg, closure.depth_effective)
+    if budget < DEFAULTS.closure_cell_budget:
+        assert closure.depth_effective == 2
+
+
+def test_bounded_filters_refuse_algebras_over_256_elements():
+    sig = Signature({"s": 1})
+    big = FiniteAlgebra(sig, 257, {"s": [(x + 1) % 257 for x in range(257)]})
+    logic = matrices_logic([Matrix(big, (0,))])
+    with pytest.raises(CapExceeded, match="257"):
+        deductive_filters(logic, one_element(sig))
+    with pytest.raises(CapExceeded, match="257"):
+        filter_bounds(logic, one_element(sig))

@@ -110,3 +110,34 @@ def test_loaders_name_the_file_and_the_missing_field(tmp_path, loader, data, fie
     with pytest.raises(LawError) as info:
         loader(path)
     assert str(info.value) == f"{path}: missing field {field!r}"
+
+
+def _reshaped(data, field, value):
+    return {**data, field: value}
+
+
+@pytest.mark.parametrize(
+    "loader, data, message",
+    [(load_algebra, [], "the document must be an object, got an array"),
+     (load_algebra, _reshaped(algebra_to_json(bool2()), "signature", [["and", 2]]),
+      "field 'signature' must be an object, got an array"),
+     (load_algebra, _reshaped(algebra_to_json(bool2()), "size", "2"),
+      "field 'size' must be an integer, got a string"),
+     (load_matrix, _reshaped(matrix_to_json(Matrix(bool2(), (1,))), "filter", {"1": True}),
+      "field 'filter' must be an array, got an object"),
+     (load_logic, _reshaped(logic_to_json(build("nabla").logic), "rules", ["(→ x x)"]),
+      "each item of field 'rules' must be an object, got a string"),
+     (load_logic, _reshaped(logic_to_json(build("two-valued-pair").logic), "matrices", {}),
+      "field 'matrices' must be an array, got an object"),
+     (load_translation,
+      _reshaped(translation_to_json(Translation.identity(imp2().signature)), "map", []),
+      "field 'map' must be an object, got an array")],
+    ids=["algebra-document", "algebra-signature", "algebra-size", "matrix-filter",
+         "logic-rules", "logic-matrices", "translation-map"],
+)
+def test_loaders_name_the_file_and_a_field_of_the_wrong_shape(tmp_path, loader, data, message):
+    path = os.path.join(tmp_path, "misshapen.json")
+    dump_json(path, data)
+    with pytest.raises(LawError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}: {message}"
