@@ -15,9 +15,10 @@ import json
 import os
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import gallery as gallery_mod
+from .algebra import FiniteAlgebra, congruences_bruteforce
 from .config import Config, load_config
 from .errors import LawError
 from .hierarchy import (
@@ -29,9 +30,7 @@ from .hierarchy import (
 )
 from .logics import deductive_filters, filter_bounds, suszko_congruence
 from .matrices import leibniz_congruence, matrix_product, reduce_matrix
-from .algebra import congruences_bruteforce
 from .serialize import (
-    algebra_to_json,
     file_fingerprint,
     load_algebra,
     load_logic,
@@ -41,7 +40,6 @@ from .serialize import (
     matrix_to_json,
     partition_to_json,
     payload_to_json,
-    dump_json,
 )
 from .translations import check_interpretation_bounded
 from .verdicts import Verdict
@@ -52,26 +50,31 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="config JSON path (defaults to $LAW_CONFIG)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    leib = sub.add_parser("leibniz", help="Leibniz congruence of a matrix")
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        parser = sub.add_parser(name, help=help)
+        parser.set_defaults(handler=handler)
+        return parser
+
+    leib = command("leibniz", _leibniz, "Leibniz congruence of a matrix")
     leib.add_argument("-m", "--matrix", required=True)
 
-    susz = sub.add_parser("suszko", help="Suszko congruence of a filter")
+    susz = command("suszko", _suszko, "Suszko congruence of a filter")
     susz.add_argument("-l", "--logic", required=True)
     susz.add_argument("-a", "--algebra", required=True)
     susz.add_argument("--filter", required=True, help="comma-separated elements, empty for {}")
 
-    filt = sub.add_parser("filters", help="deductive filters of a logic on an algebra")
+    filt = command("filters", _filters, "deductive filters of a logic on an algebra")
     filt.add_argument("-l", "--logic", required=True)
     filt.add_argument("-a", "--algebra", required=True)
 
-    red = sub.add_parser("reduce", help="reduce a matrix by its Leibniz congruence")
+    red = command("reduce", _reduce, "reduce a matrix by its Leibniz congruence")
     red.add_argument("-m", "--matrix", required=True)
 
-    prod = sub.add_parser("product", help="non-indexed product of logics or matrices")
+    prod = command("product", _product, "non-indexed product of logics or matrices")
     prod.add_argument("-l", "--logic", action="append", default=[])
     prod.add_argument("-m", "--matrix", action="append", default=[])
 
-    chk = sub.add_parser("check", help="bounded class check or witness search")
+    chk = command("check", _check, "bounded class check or witness search")
     chk.add_argument("cls", metavar="CLASS", choices=CLASS_NAMES + ("protoalgebraic",))
     chk.add_argument("-l", "--logic", required=True)
     chk.add_argument("-i", "--inventory", action="append", required=True,
@@ -81,19 +84,19 @@ def _parser() -> argparse.ArgumentParser:
     chk.add_argument("--recheck", action="store_true",
                      help="re-verify an embedded witness before reporting")
 
-    interp = sub.add_parser("interpret", help="bounded interpretation check")
+    interp = command("interpret", _interpret, "bounded interpretation check")
     interp.add_argument("-t", "--translation", required=True)
     interp.add_argument("--from", dest="source", required=True)
     interp.add_argument("--to", dest="target", required=True)
     interp.add_argument("-i", "--inventory", action="append", required=True)
     interp.add_argument("--recheck", action="store_true")
 
-    gal = sub.add_parser("gallery", help="write a gallery entry to a directory")
+    gal = command("gallery", _gallery, "write a gallery entry to a directory")
     gal.add_argument("name", choices=gallery_mod.GALLERY_NAMES)
     gal.add_argument("--param", action="append", default=[], help="k=v (repeatable)")
     gal.add_argument("--out", required=True)
 
-    orc = sub.add_parser("oracle", help="brute-force oracles")
+    orc = command("oracle", _oracle, "brute-force oracles")
     orc.add_argument("what", choices=["congruences"])
     orc.add_argument("-a", "--algebra", required=True)
     return p
@@ -109,27 +112,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _inventory_paths(args_inventory: Sequence[str]) -> list[str]:
-    paths: list[str] = []
-    for item in args_inventory:
-        if os.path.isdir(item):
-            paths.extend(sorted(glob.glob(os.path.join(item, "*.json"))))
-        else:
-            paths.append(item)
-    if not paths:
-        raise LawError("empty inventory")
-    return paths
+class _Inputs(dict):
+    """Path -> fingerprint of every input file a handler has loaded."""
 
-
-def _parse_filter(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(","))
-
-
-def _exit_for(verdict: Verdict) -> int:
-    return 0 if verdict.holds else 1
+    def load(self, loader: Callable[[str], Any], path: str) -> Any:
+        value = loader(path)
+        self[path] = file_fingerprint(path)
+        return value
 
 
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
@@ -141,9 +130,10 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
         args = _parser().parse_args(list(argv))
     except SystemExit as exc:  # argparse already printed usage
         return 2 if exc.code else 0
+    inputs = _Inputs()
     try:
         config = load_config(args.config)
-        code, result, inputs, summary = _dispatch(args, config)
+        code, result, summary = args.handler(args, config, inputs)
     except (LawError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         report = {
             "command": list(argv),
@@ -163,203 +153,153 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     return code
 
 
-def _dispatch(args, config: Config) -> tuple[int, Any, dict, str]:
-    cmd = args.command
-    depth = getattr(args, "depth", None)
-    if depth is None:
-        depth = config.depth_default
+# ---------------------------------------------------------------------------
+# handlers: (args, config, inputs) -> (exit code, result, stderr summary)
 
-    if cmd == "leibniz":
-        m = load_matrix(args.matrix)
-        p = leibniz_congruence(m)
-        return (
-            0,
-            {"partition": partition_to_json(p)},
-            {args.matrix: file_fingerprint(args.matrix)},
-            f"leibniz congruence has {p.num_blocks} blocks",
+
+def _leibniz(args, config: Config, inputs: _Inputs):
+    p = leibniz_congruence(inputs.load(load_matrix, args.matrix))
+    return 0, {"partition": partition_to_json(p)}, f"leibniz congruence has {p.num_blocks} blocks"
+
+
+def _reduce(args, config: Config, inputs: _Inputs):
+    reduced, omega = reduce_matrix(inputs.load(load_matrix, args.matrix))
+    return (0, {"matrix": matrix_to_json(reduced), "partition": partition_to_json(omega)},
+            f"reduced to size {reduced.algebra.size}")
+
+
+def _with_filter_bounds(args, config: Config, inputs: _Inputs, sweep):
+    """Load `-l` and `-a`, run `sweep(logic, alg, **caps)` for a (result,
+    summary) pair and add the filter bounds to the result. The bounds come
+    second, so the sweep's carrier cap and signature check report first."""
+    logic = inputs.load(load_logic, args.logic)
+    alg = inputs.load(load_algebra, args.algebra)
+    caps = {"depth_cap": config.depth_default, "cell_budget": config.closure_cell_budget}
+    result, summary = sweep(logic, alg, oracle_max=config.oracle_max, **caps)
+    result["bounds"] = filter_bounds(logic, alg, **caps)
+    return 0, result, summary
+
+
+def _filters(args, config: Config, inputs: _Inputs):
+    def sweep(logic, alg, **caps):
+        filters = deductive_filters(logic, alg, **caps)
+        return {"filters": [list(f) for f in filters]}, f"{len(filters)} deductive filters"
+
+    return _with_filter_bounds(args, config, inputs, sweep)
+
+
+def _suszko(args, config: Config, inputs: _Inputs):
+    def sweep(logic, alg, **caps):
+        p = suszko_congruence(logic, alg, _parse_filter(args.filter), **caps)
+        return {"partition": partition_to_json(p)}, f"suszko congruence has {p.num_blocks} blocks"
+
+    return _with_filter_bounds(args, config, inputs, sweep)
+
+
+def _parse_filter(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    if not text:
+        return ()
+    return tuple(int(x) for x in text.split(","))
+
+
+def _product(args, config: Config, inputs: _Inputs):
+    if args.logic and not args.matrix:
+        if len(args.logic) != 2:
+            raise LawError("product needs exactly two -l arguments")
+        l1, l2 = (inputs.load(load_logic, p) for p in args.logic)
+        out = gallery_mod.product_of_logics(l1, l2, cap=config.product_max)
+        return (0, {"logic": logic_to_json(out)},
+                f"product logic with {len(out.matrices)} defining matrices")
+    if args.matrix and not args.logic:
+        if len(args.matrix) != 2:
+            raise LawError("product needs exactly two -m arguments")
+        m1, m2 = (inputs.load(load_matrix, p) for p in args.matrix)
+        out = matrix_product(m1, m2, cap=config.product_max)
+        return 0, {"matrix": matrix_to_json(out)}, f"product matrix of size {out.algebra.size}"
+    raise LawError("product needs two -l files or two -m files")
+
+
+def _inventory(items: Sequence[str], inputs: _Inputs) -> list[FiniteAlgebra]:
+    """The algebras of the `-i` items: files, and the *.json files of directories."""
+    paths: list[str] = []
+    for item in items:
+        if os.path.isdir(item):
+            paths.extend(sorted(glob.glob(os.path.join(item, "*.json"))))
+        else:
+            paths.append(item)
+    if not paths:
+        raise LawError("empty inventory")
+    return [inputs.load(load_algebra, p) for p in paths]
+
+
+def _verdict_report(recheck: bool, check: Callable[[], Verdict], label: str):
+    """Report `check()`. With `recheck`, a Fails verdict is computed once
+    more, and the run errs unless it fails again."""
+    verdict = check()
+    if recheck and verdict.fails and not check().fails:
+        raise LawError("witness failed the recheck pass")
+    return (0 if verdict.holds else 1), payload_to_json(verdict), f"{label}: {verdict.status}"
+
+
+def _check(args, config: Config, inputs: _Inputs):
+    logic = inputs.load(load_logic, args.logic)
+    inventory = _inventory(args.inventory, inputs)
+    depth = config.depth_default if args.depth is None else args.depth
+    if args.cls != "protoalgebraic":
+        return _verdict_report(
+            args.recheck,
+            lambda: check_class(args.cls, logic, inventory, depth=depth,
+                                max_set=args.max_set, oracle_max=config.oracle_max),
+            args.cls,
         )
+    bounds = {"depth": depth, "max_set": args.max_set}
+    witness = find_protoalgebraic_witness(
+        logic, depth=depth, max_set=args.max_set,
+        inventory=inventory, depth_cap=config.depth_default,
+    )
+    if witness is None:
+        return 1, {"status": "unknown_within_bounds", "bounds": bounds}, "no witness within bounds"
+    if args.recheck:
+        consequence = consequence_presentation(logic, inventory, config.depth_default)
+        if not verify_protoalgebraic_witness(consequence, witness.terms):
+            raise LawError("witness failed the recheck pass")
+    return 0, {"status": "holds", "witness": witness.to_json(), "bounds": bounds}, "witness found"
 
-    if cmd == "suszko":
-        logic = load_logic(args.logic)
-        alg = load_algebra(args.algebra)
-        filt = _parse_filter(args.filter)
-        p = suszko_congruence(logic, alg, filt, oracle_max=config.oracle_max,
-                              depth_cap=config.depth_default,
-                              cell_budget=config.closure_cell_budget)
-        return (
-            0,
-            {
-                "partition": partition_to_json(p),
-                "bounds": filter_bounds(logic, alg, config.depth_default,
-                                        config.closure_cell_budget),
-            },
-            {path: file_fingerprint(path) for path in (args.logic, args.algebra)},
-            f"suszko congruence has {p.num_blocks} blocks",
-        )
 
-    if cmd == "filters":
-        logic = load_logic(args.logic)
-        alg = load_algebra(args.algebra)
-        filters = deductive_filters(logic, alg, oracle_max=config.oracle_max,
-                                    depth_cap=config.depth_default,
-                                    cell_budget=config.closure_cell_budget)
-        return (
-            0,
-            {
-                "filters": [list(f) for f in filters],
-                "bounds": filter_bounds(logic, alg, config.depth_default,
-                                        config.closure_cell_budget),
-            },
-            {path: file_fingerprint(path) for path in (args.logic, args.algebra)},
-            f"{len(filters)} deductive filters",
-        )
+def _interpret(args, config: Config, inputs: _Inputs):
+    tau = inputs.load(load_translation, args.translation)
+    source = inputs.load(load_logic, args.source)
+    target = inputs.load(load_logic, args.target)
+    inventory = _inventory(args.inventory, inputs)
+    return _verdict_report(
+        args.recheck,
+        lambda: check_interpretation_bounded(tau, source, target, inventory,
+                                             depth_cap=config.depth_default),
+        "interpretation",
+    )
 
-    if cmd == "reduce":
-        m = load_matrix(args.matrix)
-        reduced, omega = reduce_matrix(m)
-        return (
-            0,
-            {"matrix": matrix_to_json(reduced), "partition": partition_to_json(omega)},
-            {args.matrix: file_fingerprint(args.matrix)},
-            f"reduced to size {reduced.algebra.size}",
-        )
 
-    if cmd == "product":
-        if args.logic and not args.matrix:
-            if len(args.logic) != 2:
-                raise LawError("product needs exactly two -l arguments")
-            l1, l2 = (load_logic(p) for p in args.logic)
-            out = gallery_mod.product_of_logics(l1, l2, cap=config.product_max)
-            return (
-                0,
-                {"logic": logic_to_json(out)},
-                {p: file_fingerprint(p) for p in args.logic},
-                f"product logic with {len(out.matrices)} defining matrices",
-            )
-        if args.matrix and not args.logic:
-            if len(args.matrix) != 2:
-                raise LawError("product needs exactly two -m arguments")
-            m1, m2 = (load_matrix(p) for p in args.matrix)
-            out = matrix_product(m1, m2, cap=config.product_max)
-            return (
-                0,
-                {"matrix": matrix_to_json(out)},
-                {p: file_fingerprint(p) for p in args.matrix},
-                f"product matrix of size {out.algebra.size}",
-            )
-        raise LawError("product needs two -l files or two -m files")
+def _gallery(args, config: Config, inputs: _Inputs):
+    params = {}
+    for item in args.param:
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise LawError(f"bad --param {item!r}, expected k=v")
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise LawError(f"bad --param {item!r}, the value must be an integer") from None
+    entry = gallery_mod.build(args.name, params)
+    return (0, {"written": gallery_mod.write_entry(entry, args.out)},
+            f"gallery entry {entry.name} written to {args.out}")
 
-    if cmd == "check":
-        logic = load_logic(args.logic)
-        paths = _inventory_paths(args.inventory)
-        inventory = [load_algebra(p) for p in paths]
-        inputs = {args.logic: file_fingerprint(args.logic)}
-        inputs.update({p: file_fingerprint(p) for p in paths})
-        if args.cls == "protoalgebraic":
-            witness = find_protoalgebraic_witness(
-                logic, depth=depth, max_set=args.max_set,
-                inventory=inventory, depth_cap=config.depth_default,
-            )
-            if witness is None:
-                return (
-                    1,
-                    {"status": "unknown_within_bounds",
-                     "bounds": {"depth": depth, "max_set": args.max_set}},
-                    inputs,
-                    "no witness within bounds",
-                )
-            if args.recheck:
-                consequence = consequence_presentation(logic, inventory, config.depth_default)
-                if not verify_protoalgebraic_witness(consequence, witness.terms):
-                    raise LawError("witness failed the recheck pass")
-            return (
-                0,
-                {"status": "holds", "witness": witness.to_json(),
-                 "bounds": {"depth": depth, "max_set": args.max_set}},
-                inputs,
-                "witness found",
-            )
-        verdict = check_class(args.cls, logic, inventory, depth=depth,
-                              max_set=args.max_set, oracle_max=config.oracle_max)
-        if args.recheck and verdict.fails:
-            again = check_class(args.cls, logic, inventory, depth=depth,
-                                max_set=args.max_set, oracle_max=config.oracle_max)
-            if not again.fails:
-                raise LawError("witness failed the recheck pass")
-        return (
-            _exit_for(verdict),
-            payload_to_json(verdict),
-            inputs,
-            f"{args.cls}: {verdict.status}",
-        )
 
-    if cmd == "interpret":
-        tau = load_translation(args.translation)
-        source = load_logic(args.source)
-        target = load_logic(args.target)
-        paths = _inventory_paths(args.inventory)
-        inventory = [load_algebra(p) for p in paths]
-        verdict = check_interpretation_bounded(tau, source, target, inventory,
-                                               depth_cap=config.depth_default)
-        if args.recheck and verdict.fails:
-            again = check_interpretation_bounded(tau, source, target, inventory,
-                                                 depth_cap=config.depth_default)
-            if not again.fails:
-                raise LawError("witness failed the recheck pass")
-        inputs = {p: file_fingerprint(p)
-                  for p in [args.translation, args.source, args.target] + paths}
-        return (_exit_for(verdict), payload_to_json(verdict), inputs,
-                f"interpretation: {verdict.status}")
-
-    if cmd == "gallery":
-        params = {}
-        for item in args.param:
-            if "=" not in item:
-                raise LawError(f"bad --param {item!r}, expected k=v")
-            k, v = item.split("=", 1)
-            params[k] = int(v)
-        entry = gallery_mod.build(args.name, params)
-        os.makedirs(args.out, exist_ok=True)
-        files = {}
-        if entry.logic is not None:
-            path = os.path.join(args.out, f"{entry.name}.logic.json")
-            dump_json(path, logic_to_json(entry.logic))
-            files["logic"] = os.path.basename(path)
-        for i, m in enumerate(entry.matrices):
-            path = os.path.join(args.out, f"{entry.name}.matrix{i}.json")
-            dump_json(path, matrix_to_json(m))
-            files[f"matrix{i}"] = os.path.basename(path)
-        for i, alg in enumerate(entry.inventory):
-            path = os.path.join(args.out, f"{entry.name}.inv{i}.json")
-            dump_json(path, algebra_to_json(alg))
-            files[f"inventory{i}"] = os.path.basename(path)
-        manifest = {
-            "name": entry.name,
-            "params": dict(entry.params),
-            "provenance": entry.provenance,
-            "files": files,
-            "expectations": payload_to_json(list(entry.expectations)),
-        }
-        manifest_path = os.path.join(args.out, f"{entry.name}.manifest.json")
-        dump_json(manifest_path, manifest)
-        return (
-            0,
-            {"written": sorted(list(files.values()) + [os.path.basename(manifest_path)])},
-            {},
-            f"gallery entry {entry.name} written to {args.out}",
-        )
-
-    if cmd == "oracle":
-        alg = load_algebra(args.algebra)
-        congruences = congruences_bruteforce(alg, cap=config.oracle_max)
-        return (
-            0,
-            {"congruences": [partition_to_json(p) for p in congruences]},
-            {args.algebra: file_fingerprint(args.algebra)},
-            f"{len(congruences)} congruences",
-        )
-
-    raise LawError(f"unknown command {cmd!r}")
+def _oracle(args, config: Config, inputs: _Inputs):
+    congruences = congruences_bruteforce(inputs.load(load_algebra, args.algebra),
+                                         cap=config.oracle_max)
+    return (0, {"congruences": [partition_to_json(p) for p in congruences]},
+            f"{len(congruences)} congruences")
 
 
 def main() -> None:

@@ -6,7 +6,10 @@ CLI can map it to a single diagnostic exit code.
 
 
 class LawError(Exception):
-    """Base class for workbench errors."""
+    """Base class for workbench errors. `path` is set when the message
+    already names the input file the error was found in."""
+
+    path: str | None = None
 
 
 class TermError(LawError):

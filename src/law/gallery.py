@@ -5,6 +5,7 @@ every expectation through the core modules."""
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -31,21 +32,24 @@ from .logics import (
 )
 from .matrices import Matrix, leibniz_congruence, matrix_product
 from .partitions import Partition
+from .serialize import algebra_to_json, dump_json, logic_to_json, matrix_to_json, payload_to_json
 from .terms import App, Signature, Term, Var, enumerate_terms, parse_term, substitute
 
 X, Y = Var("x"), Var("y")
 
-GALLERY_NAMES = (
-    "basic-assertional",
-    "basic-proto",
-    "basic-equiv",
-    "nabla",
-    "delta",
-    "ba-star",
-    "ba-star-logic",
-    "two-valued-pair",
-    "pointed-set",
-)
+#: Every entry name and the parameters its construction reads.
+GALLERY_PARAMS = {
+    "basic-assertional": ("n",),
+    "basic-proto": ("k", "unary_params"),
+    "basic-equiv": ("k",),
+    "nabla": (),
+    "delta": ("d",),
+    "ba-star": (),
+    "ba-star-logic": ("n",),
+    "two-valued-pair": (),
+    "pointed-set": ("n",),
+}
+GALLERY_NAMES = tuple(GALLERY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,16 @@ def nabla_hat(max_depth: int = 2, params: Sequence[str] = ("z1",)) -> list[Term]
 
 
 def build(name: str, params: Optional[Mapping[str, int]] = None) -> GalleryEntry:
-    """Construct a gallery entry; see GALLERY_NAMES for the vocabulary."""
+    """Construct a gallery entry; see GALLERY_PARAMS for the vocabulary.
+    A name or a parameter the entry does not know raises UnknownName."""
     params = dict(params or {})
+    if name not in GALLERY_PARAMS:
+        raise UnknownName(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
+    known = GALLERY_PARAMS[name]
+    for key in sorted(params):
+        if key not in known:
+            raise UnknownName(f"gallery entry {name!r} has no parameter {key!r}; "
+                              f"known: {', '.join(known) or 'none'}")
     if name == "basic-assertional":
         logic = rules_logic(
             POINTED_SIG, [Rule((), App("⊤", (X,)))], name="basic-assertional"
@@ -318,23 +330,47 @@ def build(name: str, params: Optional[Mapping[str, int]] = None) -> GalleryEntry
             "one-element designated sets",
         )
 
-    if name == "pointed-set":
-        n = params.get("n", 2)
-        alg = pointed_set(n)
-        # every equivalence is a congruence of a constant map, so the Leibniz
-        # congruence of the point's singleton is the point/rest split
-        blocks = [[0]] + ([list(range(1, n))] if n > 1 else [])
-        return GalleryEntry(
-            name,
-            tuple(sorted(params.items())),
-            None,
-            (Matrix(alg, (0,)),),
-            (alg,),
-            ({"kind": "leibniz_blocks", "matrix": 0, "blocks": blocks},),
-            "pointed set with its point designated",
-        )
+    # name == "pointed-set"
+    n = params.get("n", 2)
+    alg = pointed_set(n)
+    # every equivalence is a congruence of a constant map, so the Leibniz
+    # congruence of the point's singleton is the point/rest split
+    blocks = [[0]] + ([list(range(1, n))] if n > 1 else [])
+    return GalleryEntry(
+        name,
+        tuple(sorted(params.items())),
+        None,
+        (Matrix(alg, (0,)),),
+        (alg,),
+        ({"kind": "leibniz_blocks", "matrix": 0, "blocks": blocks},),
+        "pointed set with its point designated",
+    )
 
-    raise UnknownName(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
+
+def write_entry(entry: GalleryEntry, out: str) -> list[str]:
+    """Write `entry` into directory `out`, creating it if needed: its logic
+    as `<name>.logic.json`, its matrices as `<name>.matrixI.json`, its
+    inventory as `<name>.invI.json`, and a `<name>.manifest.json` that names
+    those files. Returns the written file names, sorted."""
+    docs = {}  # manifest key -> (file name, JSON document)
+    if entry.logic is not None:
+        docs["logic"] = (f"{entry.name}.logic.json", logic_to_json(entry.logic))
+    for i, m in enumerate(entry.matrices):
+        docs[f"matrix{i}"] = (f"{entry.name}.matrix{i}.json", matrix_to_json(m))
+    for i, alg in enumerate(entry.inventory):
+        docs[f"inventory{i}"] = (f"{entry.name}.inv{i}.json", algebra_to_json(alg))
+    manifest = {
+        "name": entry.name,
+        "params": dict(entry.params),
+        "provenance": entry.provenance,
+        "files": {key: file for key, (file, _) in docs.items()},
+        "expectations": payload_to_json(list(entry.expectations)),
+    }
+    docs["manifest"] = (f"{entry.name}.manifest.json", manifest)
+    os.makedirs(out, exist_ok=True)
+    for file, data in docs.values():
+        dump_json(os.path.join(out, file), data)
+    return sorted(file for file, _ in docs.values())
 
 
 # ---------------------------------------------------------------------------

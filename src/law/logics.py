@@ -450,6 +450,8 @@ def filter_bounds(
     cell_budget: int = DEFAULTS.closure_cell_budget,
 ) -> dict:
     """Metadata describing the filter notion used on this algebra."""
+    if logic.signature != alg.signature:
+        raise SignatureMismatch("algebra signature differs from the logic's")
     meta = {
         "filter_notion": filter_notion(logic),
         "variable_budget": logic.variable_budget,

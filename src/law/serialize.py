@@ -46,12 +46,8 @@ def file_fingerprint(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shapes: a value of the wrong JSON type raises _Shape naming its field, and
+# shapes: a value of the wrong JSON type raises LawError naming its field, and
 # the loaders add the file
-
-
-class _Shape(LawError):
-    """A JSON value of the wrong type."""
 
 
 _TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
@@ -61,7 +57,7 @@ _TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an in
 def _expect(value: Any, kind: type, what: str) -> Any:
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         got = _TYPE_NAMES.get(type(value), type(value).__name__)
-        raise _Shape(f"{what} must be {_TYPE_NAMES[kind]}, got {got}")
+        raise LawError(f"{what} must be {_TYPE_NAMES[kind]}, got {got}")
     return value
 
 
@@ -265,13 +261,20 @@ def load_json(path: str) -> Any:
 
 
 def _load(path: str, from_json: Callable[..., Any], *args: Any) -> Any:
-    data = load_json(path)
+    """`from_json` of the document at `path`. A decoding error becomes a
+    LawError that names the innermost file it was found in: an error in the
+    algebra file of a matrix names that file, not the matrix's."""
     try:
-        return from_json(data, *args)
+        return from_json(load_json(path), *args)
     except KeyError as exc:
-        raise LawError(f"{path}: missing field {exc.args[0]!r}") from None
-    except _Shape as exc:
-        raise LawError(f"{path}: {exc}") from None
+        message = f"missing field {exc.args[0]!r}"
+    except (LawError, ValueError) as exc:
+        if getattr(exc, "path", None) is not None:
+            raise
+        message = str(exc)
+    located = LawError(f"{path}: {message}")
+    located.path = path
+    raise located
 
 
 def load_algebra(path: str) -> FiniteAlgebra:

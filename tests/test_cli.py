@@ -10,7 +10,7 @@ import pytest
 
 import law
 from law.cli import run
-from law.algebra import FiniteAlgebra, one_element
+from law.algebra import FiniteAlgebra, direct_product, one_element
 from law.gallery import bool2, bool4, build, imp2, pointed_set
 from law.serialize import (
     algebra_from_json,
@@ -220,14 +220,14 @@ def test_config_flag_overrides(tmp_path):
     assert code == 2
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     # the child imports law from wherever this process found it, so the run
     # needs neither an install nor PYTHONPATH
     src = os.path.dirname(os.path.dirname(law.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-m", "law", "gallery", "ba-star", "--out", "/tmp/law-ba-star"],
+        [sys.executable, "-m", "law", "gallery", "ba-star", "--out", str(tmp_path / "ba-star")],
         capture_output=True,
         text=True,
         env=env,
@@ -327,3 +327,50 @@ def test_filters_on_an_algebra_over_256_elements_exit_2(tmp_path):
     assert code == 2
     error = json.loads(out)["error"]
     assert error.startswith("CapExceeded: ") and "257" in error
+
+
+def test_gallery_refuses_an_unknown_param(tmp_path):
+    out_dir = os.path.join(tmp_path, "out")
+    code, out, _ = invoke(["gallery", "pointed-set", "--param", "m=5", "--out", out_dir])
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        "UnknownName: gallery entry 'pointed-set' has no parameter 'm'; known: n")
+    assert not os.path.exists(out_dir)
+
+
+@pytest.mark.parametrize("item", ["n4", "n=x", "n=2.5"])
+def test_gallery_refuses_a_malformed_param(tmp_path, item):
+    code, out, err = invoke(["gallery", "pointed-set", "--param", item,
+                             "--out", os.path.join(tmp_path, "out")])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith("LawError: bad --param ") and repr(item) in error
+    assert repr(item) in err
+
+
+def _kleene9():
+    """A 9-element algebra of the Boolean signature: the square of the
+    3-element Kleene chain."""
+    k3 = FiniteAlgebra(
+        bool2().signature, 3,
+        {"and": [min(a, b) for a in range(3) for b in range(3)],
+         "or": [max(a, b) for a in range(3) for b in range(3)],
+         "not": [2 - a for a in range(3)]},
+    )
+    return direct_product([k3, k3])
+
+
+@pytest.mark.parametrize(
+    "alg, error",
+    [(_kleene9(), "CapExceeded: carrier 9 exceeds the filter sweep cap 6"),
+     (pointed_set(2), "SignatureMismatch: algebra signature differs from the logic's")],
+    ids=["nine-elements", "pointed-set"],
+)
+@pytest.mark.parametrize("command", [["filters"], ["suszko", "--filter", "0"]],
+                         ids=["filters", "suszko"])
+def test_filter_sweep_errors_come_before_the_bounds(tmp_path, alg, error, command):
+    logic_path = write(tmp_path, "pair.json", logic_to_json(build("two-valued-pair").logic))
+    alg_path = write(tmp_path, "alg.json", algebra_to_json(alg))
+    code, out, _ = invoke([command[0], "-l", logic_path, "-a", alg_path, *command[1:]])
+    assert code == 2
+    assert json.loads(out)["error"] == error

@@ -2,6 +2,8 @@
 products of logics."""
 
 import itertools
+import json
+import os
 
 import pytest
 
@@ -16,10 +18,12 @@ from law.gallery import (
     nabla_hat,
     product_of_logics,
     verify_entry,
+    write_entry,
 )
 from law.hierarchy import derive_theorems, nabla_theorem_oracle
 from law.logics import entails, matrices_logic
 from law.matrices import Matrix
+from law.serialize import load_matrix
 from law.terms import App, Var, enumerate_terms, parse_term, to_sexpr
 
 X, Y = Var("x"), Var("y")
@@ -195,3 +199,30 @@ def test_pointed_set_entry_params():
     entry = build("pointed-set", {"n": 4})
     assert entry.matrices[0].algebra.size == 4
     assert verify_entry(entry) == []
+
+
+@pytest.mark.parametrize(
+    "name, params, known",
+    [("pointed-set", {"m": 5}, "known: n"),
+     ("basic-proto", {"k": 1, "n": 2}, "known: k, unary_params"),
+     ("nabla", {"n": 1}, "known: none")],
+    ids=["pointed-set", "basic-proto", "no-params"],
+)
+def test_build_refuses_unknown_params(name, params, known):
+    with pytest.raises(UnknownName) as info:
+        build(name, params)
+    assert repr(name) in str(info.value) and known in str(info.value)
+
+
+def test_write_entry_writes_every_file_and_a_manifest(tmp_path):
+    out = os.path.join(tmp_path, "new", "dir")
+    entry = build("pointed-set", {"n": 3})
+    written = write_entry(entry, out)
+    assert written == ["pointed-set.inv0.json", "pointed-set.manifest.json",
+                       "pointed-set.matrix0.json"]
+    assert sorted(os.listdir(out)) == written
+    manifest = json.load(open(os.path.join(out, "pointed-set.manifest.json")))
+    assert manifest["params"] == {"n": 3}
+    assert manifest["files"] == {"matrix0": "pointed-set.matrix0.json",
+                                 "inventory0": "pointed-set.inv0.json"}
+    assert load_matrix(os.path.join(out, "pointed-set.matrix0.json")) == entry.matrices[0]

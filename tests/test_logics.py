@@ -304,3 +304,10 @@ def test_bounded_filters_refuse_algebras_over_256_elements():
         deductive_filters(logic, one_element(sig))
     with pytest.raises(CapExceeded, match="257"):
         filter_bounds(logic, one_element(sig))
+
+
+def test_filter_bounds_refuse_an_algebra_of_another_signature():
+    with pytest.raises(SignatureMismatch):
+        filter_bounds(build("two-valued-pair").logic, pointed_set(2))
+    with pytest.raises(SignatureMismatch):
+        filter_bounds(build("nabla").logic, pointed_set(2))

@@ -141,3 +141,40 @@ def test_loaders_name_the_file_and_a_field_of_the_wrong_shape(tmp_path, loader, 
     with pytest.raises(LawError) as info:
         loader(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "loader, data, message",
+    [(load_algebra, {"signature": {"f": 2}, "size": 2, "ops": {"f": [0, 1]}},
+      "operation table must nest to the arity"),
+     (load_algebra, {"signature": {"f": 1}, "size": 2, "ops": {"f": [0, 1, 1]}},
+      "table for 'f' has 3 cells, expected 2"),
+     (load_logic, {"signature": {"→": 2}, "kind": "rules",
+                   "rules": [{"premises": [], "conclusion": "(→ x)"}]},
+      "'→' expects 2 arguments, got 1")],
+    ids=["algebra-nesting", "algebra-cells", "logic-conclusion"],
+)
+def test_loaders_name_the_file_for_a_decoding_error(tmp_path, loader, data, message):
+    path = os.path.join(tmp_path, "undecodable.json")
+    dump_json(path, data)
+    with pytest.raises(LawError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "contents, message",
+    [(json.dumps({"signature": {"f": 1}, "size": 2, "ops": {"f": [0, 1, 1]}}),
+      "table for 'f' has 3 cells, expected 2"),
+     ("{nope", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")],
+    ids=["bad-table", "bad-json"],
+)
+def test_a_matrix_names_its_algebra_file_once(tmp_path, contents, message):
+    alg_path = os.path.join(tmp_path, "b.json")
+    with open(alg_path, "w", encoding="utf-8") as fh:
+        fh.write(contents)
+    matrix_path = os.path.join(tmp_path, "m.json")
+    dump_json(matrix_path, {"algebra": {"path": "b.json"}, "filter": [1]})
+    with pytest.raises(LawError) as info:
+        load_matrix(matrix_path)
+    assert str(info.value) == f"{alg_path}: {message}"
