@@ -174,8 +174,9 @@ def _with_filter_bounds(args, config: Config, inputs: _Inputs, sweep):
     second, so the sweep's carrier cap and signature check report first."""
     logic = inputs.load(load_logic, args.logic)
     alg = inputs.load(load_algebra, args.algebra)
-    caps = {"depth_cap": config.depth_default, "cell_budget": config.closure_cell_budget}
-    result, summary = sweep(logic, alg, oracle_max=config.oracle_max, **caps)
+    caps = {"oracle_max": config.oracle_max, "depth_cap": config.depth_default,
+            "cell_budget": config.closure_cell_budget}
+    result, summary = sweep(logic, alg, **caps)
     result["bounds"] = filter_bounds(logic, alg, **caps)
     return 0, result, summary
 
@@ -197,10 +198,11 @@ def _suszko(args, config: Config, inputs: _Inputs):
 
 
 def _parse_filter(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(","))
+    items = text.split(",") if text.strip() else []
+    try:
+        return tuple(map(int, items))
+    except ValueError as exc:  # int() names the item
+        raise LawError(f"bad --filter {text!r}: {exc}") from None
 
 
 def _product(args, config: Config, inputs: _Inputs):
@@ -246,22 +248,23 @@ def _check(args, config: Config, inputs: _Inputs):
     logic = inputs.load(load_logic, args.logic)
     inventory = _inventory(args.inventory, inputs)
     depth = config.depth_default if args.depth is None else args.depth
+    caps = {"oracle_max": config.oracle_max, "cell_budget": config.closure_cell_budget}
     if args.cls != "protoalgebraic":
         return _verdict_report(
             args.recheck,
             lambda: check_class(args.cls, logic, inventory, depth=depth,
-                                max_set=args.max_set, oracle_max=config.oracle_max),
+                                max_set=args.max_set, **caps),
             args.cls,
         )
     bounds = {"depth": depth, "max_set": args.max_set}
     witness = find_protoalgebraic_witness(
         logic, depth=depth, max_set=args.max_set,
-        inventory=inventory, depth_cap=config.depth_default,
+        inventory=inventory, depth_cap=config.depth_default, **caps,
     )
     if witness is None:
         return 1, {"status": "unknown_within_bounds", "bounds": bounds}, "no witness within bounds"
     if args.recheck:
-        consequence = consequence_presentation(logic, inventory, config.depth_default)
+        consequence = consequence_presentation(logic, inventory, config.depth_default, **caps)
         if not verify_protoalgebraic_witness(consequence, witness.terms):
             raise LawError("witness failed the recheck pass")
     return 0, {"status": "holds", "witness": witness.to_json(), "bounds": bounds}, "witness found"
@@ -274,8 +277,9 @@ def _interpret(args, config: Config, inputs: _Inputs):
     inventory = _inventory(args.inventory, inputs)
     return _verdict_report(
         args.recheck,
-        lambda: check_interpretation_bounded(tau, source, target, inventory,
-                                             depth_cap=config.depth_default),
+        lambda: check_interpretation_bounded(
+            tau, source, target, inventory, depth_cap=config.depth_default,
+            oracle_max=config.oracle_max, cell_budget=config.closure_cell_budget),
         "interpretation",
     )
 

@@ -39,7 +39,10 @@ def load_config(path: str | None = None) -> Config:
     if not path:
         return DEFAULTS
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise LawError(f"config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise LawError(f"config {path}: expected a JSON object")
     known = Config.__dataclass_fields__

@@ -18,17 +18,18 @@ from .config import DEFAULTS
 from .errors import UnknownName
 from .logics import (
     FilterFamily,
+    FilterLattice,
     LogicPresentation,
     MATRICES,
     RULES,
     Rule,
-    deductive_filters,
     entails,
+    filter_lattice,
     filter_notion,
     models_presentation,
     reduced_filters_on,
 )
-from .matrices import Matrix, leibniz_congruence, submatrices
+from .matrices import submatrices
 from .partitions import Partition
 from .terms import App, Signature, Term, Var, depth, enumerate_terms, substitute, to_sexpr, variables
 from .translations import inventory_fingerprint
@@ -232,6 +233,8 @@ def consequence_presentation(
     logic: LogicPresentation,
     inventory: Optional[Sequence[FiniteAlgebra]],
     depth_cap: int,
+    oracle_max: int = DEFAULTS.oracle_max,
+    cell_budget: int = DEFAULTS.closure_cell_budget,
 ) -> LogicPresentation:
     """Matrix presentation deciding consequence for `logic`.
 
@@ -243,7 +246,8 @@ def consequence_presentation(
         return logic
     if inventory is None:
         raise ValueError("a rule presentation needs an inventory to decide consequence")
-    return models_presentation(logic, inventory, depth_cap=depth_cap)
+    return models_presentation(logic, inventory, oracle_max=oracle_max,
+                               depth_cap=depth_cap, cell_budget=cell_budget)
 
 
 def standard_bounds(
@@ -305,16 +309,17 @@ def find_protoalgebraic_witness(
     max_set: int = 2,
     inventory: Optional[Sequence[FiniteAlgebra]] = None,
     depth_cap: int = DEFAULTS.depth_default,
+    oracle_max: int = DEFAULTS.oracle_max,
+    cell_budget: int = DEFAULTS.closure_cell_budget,
 ) -> Optional[WitnessSet]:
     """Search for a set of terms in x, y certifying protoalgebraicity.
 
     Singletons first, then larger sets, in enumeration order; the first hit
     is returned. Absence within the bounds is not a disproof.
     """
-    consequence = consequence_presentation(logic, inventory, depth_cap)
-    candidates = [
-        t for t in enumerate_terms(logic.signature, ("x", "y"), depth)
-    ]
+    consequence = consequence_presentation(logic, inventory, depth_cap,
+                                           oracle_max=oracle_max, cell_budget=cell_budget)
+    candidates = list(enumerate_terms(logic.signature, ("x", "y"), depth))
     for size in range(1, max_set + 1):
         for combo in itertools.combinations(candidates, size):
             if verify_protoalgebraic_witness(consequence, combo):
@@ -348,15 +353,20 @@ def monotonicity_probe_on_filters(
     alg: FiniteAlgebra, filters: Sequence[Sequence[int]], **bounds
 ) -> Verdict:
     """Compare Leibniz congruences along inclusions within a given filter list."""
-    filt = sorted(tuple(sorted(set(f))) for f in filters)
-    omegas = {f: leibniz_congruence(Matrix(alg, f)) for f in filt}
+    filt = tuple(tuple(sorted(set(f))) for f in filters)
+    return _monotonicity_probe(FilterLattice(alg, filt), bounds)
+
+
+def _monotonicity_probe(lattice: FilterLattice, bounds: dict) -> Verdict:
+    filt = sorted(lattice.filters)
     for small, large in itertools.product(filt, repeat=2):
         if small == large or not set(small) <= set(large):
             continue
-        if not omegas[small].refines(omegas[large]):
+        omega_small, omega_large = lattice.omega(small), lattice.omega(large)
+        if not omega_small.refines(omega_large):
             return fails(
-                {"algebra": alg, "filter_small": small, "filter_large": large,
-                 "omega_small": omegas[small], "omega_large": omegas[large]},
+                {"algebra": lattice.algebra, "filter_small": small, "filter_large": large,
+                 "omega_small": omega_small, "omega_large": omega_large},
                 **bounds,
             )
     return holds(**bounds)
@@ -372,13 +382,11 @@ def leibniz_monotonicity_probe(
     Leibniz congruences are not ordered by refinement; a necessary condition
     for protoalgebraicity, so a failure is conclusive."""
     bounds = standard_bounds(logic, inventory, depth_cap)
-    out = holds(**bounds)
     for alg in sorted(inventory, key=lambda a: a.sort_key()):
-        filters = deductive_filters(logic, alg, depth_cap=depth_cap, oracle_max=oracle_max)
-        verdict = monotonicity_probe_on_filters(alg, filters, **bounds)
+        verdict = _monotonicity_probe(filter_lattice(logic, alg, oracle_max, depth_cap), bounds)
         if verdict.fails:
             return verdict
-    return out
+    return holds(**bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +401,15 @@ def check_class(
     max_set: int = 2,
     family_size_cap: int = 5,
     oracle_max: int = DEFAULTS.oracle_max,
+    cell_budget: int = DEFAULTS.closure_cell_budget,
 ) -> Verdict:
     """Bounded, inventory-relative test for one hierarchy class."""
     if class_name not in CLASS_NAMES:
         raise UnknownName(f"unknown class {class_name!r}; choose from {CLASS_NAMES}")
     inv = sorted(inventory, key=lambda a: a.sort_key())
     bounds = standard_bounds(logic, inv, depth)
-    reduced = {
-        alg: reduced_filters_on(logic, alg, depth_cap=depth, oracle_max=oracle_max)
-        for alg in inv
-    }
+    caps = {"oracle_max": oracle_max, "depth_cap": depth, "cell_budget": cell_budget}
+    reduced = {alg: reduced_filters_on(logic, alg, **caps) for alg in inv}
 
     if class_name == "has_theorems":
         t = theorem_search(logic, depth)
@@ -414,9 +421,7 @@ def check_class(
                 if len(m.filter) != 1:
                     return fails({"reason": "non-singleton reduced filter", "model": m}, **bounds)
         t = theorem_search(logic, depth)
-        if t is None:
-            return unknown(**bounds)
-        return holds(t, **bounds)
+        return holds(t, **bounds) if t is not None else unknown(**bounds)
 
     if class_name == "truth_equational":
         # uniqueness of the nonempty reduced truth set per algebra
@@ -433,13 +438,8 @@ def check_class(
 
     if class_name == "truth_minimal":
         for alg in inv:
-            mats = reduced[alg]
-            for small, large in itertools.product(mats, repeat=2):
-                if (
-                    small.filter
-                    and small.filter != large.filter
-                    and set(small.filter) < set(large.filter)
-                ):
+            for small, large in itertools.product(reduced[alg], repeat=2):
+                if small.filter and set(small.filter) < set(large.filter):
                     return fails(
                         {"reason": "reduced filter properly inside another",
                          "algebra": alg, "filters": (small.filter, large.filter)},
@@ -449,28 +449,18 @@ def check_class(
 
     if class_name == "param_truth_equational":
         skipped = [a for a in inv if a.size > family_size_cap]
-        for alg in inv:
-            if alg.size > family_size_cap:
-                continue
-            filters = [
-                f
-                for f in deductive_filters(logic, alg, depth_cap=depth, oracle_max=oracle_max)
-                if f
-            ]
-            omegas = {f: leibniz_congruence(Matrix(alg, f)) for f in filters}
+        for alg in (a for a in inv if a.size <= family_size_cap):
+            lattice = filter_lattice(logic, alg, **caps)
+            filters = [f for f in lattice.filters if f]
             for f in filters:
-                omega_f = omegas[f]
+                omega_f = lattice.omega(f)
                 for k in range(1, len(filters) + 1):
                     for family in itertools.combinations(filters, k):
                         meet = Partition.total(alg.size)
                         for g in family:
-                            meet = meet.meet(omegas[g])
-                        if not meet.refines(omega_f):
-                            continue
-                        common = set(range(alg.size))
-                        for g in family:
-                            common &= set(g)
-                        if not common <= set(f):
+                            meet = meet.meet(lattice.omega(g))
+                        common = set(family[0]).intersection(*family)
+                        if meet.refines(omega_f) and not common <= set(f):
                             return fails(
                                 {"reason": "family congruences meet below the filter's "
                                            "congruence but the intersection escapes it",
@@ -484,15 +474,14 @@ def check_class(
 
     if class_name == "equivalential":
         witness = find_protoalgebraic_witness(
-            logic, depth=depth, max_set=max_set, inventory=inv, depth_cap=depth
+            logic, depth=depth, max_set=max_set, inventory=inv, **caps
         )
         if witness is None:
             return unknown(**bounds)
         for alg in inv:
             for m in reduced[alg]:
                 for sub in submatrices(m):
-                    others = reduced_filters_on(logic, sub.algebra, depth_cap=depth)
-                    if sub not in others:
+                    if sub not in reduced_filters_on(logic, sub.algebra, **caps):
                         return fails(
                             {"reason": "submatrix of a reduced model is not reduced",
                              "model": m, "submatrix": sub, "witness": witness},

@@ -19,8 +19,10 @@ and the finished closure is one row-major blob per algebra. Defining
 algebras therefore have at most 256 elements. The subset sweep works on the
 same byte lanes, as ints with one lane per row.
 
-Verdicts derived from the bounded notion are never reported as exact; use
-`filter_bounds` for the metadata to attach.
+Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
+filters with their Leibniz congruences, and every public filter function
+reads it. Verdicts derived from the bounded notion are never reported as
+exact; use `filter_bounds` for the metadata to attach.
 """
 
 from __future__ import annotations
@@ -239,14 +241,6 @@ _LANES = 256  # a closure cell is one byte
 
 
 @dataclass(frozen=True)
-class _ClosureKey:
-    logic: LogicPresentation
-    algebra: FiniteAlgebra
-    depth_cap: int
-    cell_budget: int
-
-
-@dataclass(frozen=True)
 class _Closure:
     blobs: tuple[bytes, ...]            # row-major rows per distinct algebra, one byte per cell
     widths: tuple[int, ...]             # columns per block, parallel to blobs
@@ -259,9 +253,8 @@ class _Closure:
         return self.blobs[self.c_block][self.c_col :: self.widths[self.c_block]]
 
 
-@functools.lru_cache(maxsize=64)
-def _joint_closure(key: _ClosureKey) -> _Closure:
-    logic, alg = key.logic, key.algebra
+def _joint_closure(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
+                   cell_budget: int) -> _Closure:
     n = alg.size
     distinct = sorted({m.algebra for m in logic.matrices}, key=lambda a: a.sort_key())
     block_algs = distinct if alg in distinct else distinct + [alg]
@@ -304,10 +297,10 @@ def _joint_closure(key: _ClosureKey) -> _Closure:
 
     depth_effective = 0
     old = 0  # rows that predate the previous level's new ones
-    for level in range(1, key.depth_cap + 1):
+    for level in range(1, depth_cap + 1):
         count = len(rows[0])
         projected = sum(count**arity if arity else 1 for _, arity in syms) * cols_total
-        if projected > key.cell_budget:
+        if projected > cell_budget:
             break
         fresh.clear()
         tails = {}  # first tail row -> each block's tail rows, concatenated
@@ -339,7 +332,7 @@ def _joint_closure(key: _ClosureKey) -> _Closure:
                         outs.append(bytes(map(b.table(sym).__getitem__, cells)))
                 absorb(outs)
         if not fresh:
-            depth_effective = key.depth_cap  # fixpoint: deeper terms add nothing
+            depth_effective = depth_cap  # fixpoint: deeper terms add nothing
             break
         old = count
         for bi, brows in enumerate(rows):
@@ -350,18 +343,8 @@ def _joint_closure(key: _ClosureKey) -> _Closure:
                     c_block, c_col, depth_effective)
 
 
-def _bounded_filter_subsets(
-    logic: LogicPresentation,
-    alg: FiniteAlgebra,
-    depth_cap: int,
-    cell_budget: int,
-) -> tuple[list[tuple[int, ...]], int]:
-    n = alg.size
-    if n > logic.variable_budget:
-        raise CapExceeded(
-            f"bounded filters need {n} canonical variables, budget is {logic.variable_budget}"
-        )
-    closure = _joint_closure(_ClosureKey(logic, alg, depth_cap, cell_budget))
+def _bounded_filter_subsets(logic: LogicPresentation, closure: _Closure,
+                            n: int) -> list[tuple[int, ...]]:
     # Sets of rows are ints with one byte lane per row, 1 for a member:
     # of_value[v] holds the rows of canonical value v, and each column of
     # every matrix gives the rows it leaves undesignated.
@@ -394,7 +377,7 @@ def _bounded_filter_subsets(
         # active column
         if outside & cover == outside:
             results.append(subset)
-    return results, closure.depth_effective
+    return results
 
 
 def _indicator(members: Container[int]) -> bytes:
@@ -408,14 +391,66 @@ def _lanes(cells: bytes, table: bytes) -> int:
 
 
 def _subsets_sorted(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for k in range(n + 1):
-        out.extend(itertools.combinations(range(n), k))
-    return out
+    return [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
 
 
 # ---------------------------------------------------------------------------
-# the public filter interface
+# the filter lattice, cached per (logic, algebra, depth cap, cell budget)
+
+
+@dataclass(frozen=True, eq=False)
+class FilterLattice:
+    """Filters on one algebra, with the Leibniz congruence of each computed
+    on first use. `depth_effective` is the bounded closure's depth; None for
+    an exact sweep or a given family."""
+
+    algebra: FiniteAlgebra
+    filters: tuple[tuple[int, ...], ...]
+    depth_effective: Optional[int] = None
+    _omegas: dict = field(default_factory=dict, init=False, repr=False)
+
+    def omega(self, f: tuple[int, ...]) -> Partition:
+        """The Leibniz congruence of the matrix with filter `f`."""
+        got = self._omegas.get(f)
+        if got is None:
+            got = self._omegas[f] = leibniz_congruence(Matrix(self.algebra, f))
+        return got
+
+    def suszko(self, f: tuple[int, ...]) -> Partition:
+        """Meet of the Leibniz congruences of the filters containing `f`."""
+        above = (self.omega(g) for g in self.filters if set(f).issubset(g))
+        return functools.reduce(Partition.meet, above, Partition.total(self.algebra.size))
+
+
+@functools.lru_cache(maxsize=64)
+def _sweep(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
+           cell_budget: int) -> FilterLattice:
+    if logic.kind == RULES:
+        return FilterLattice(alg, tuple(s for s in _subsets_sorted(alg.size)
+                                        if _closed_under_rules(logic, alg, frozenset(s))))
+    closure = _joint_closure(logic, alg, depth_cap, cell_budget)
+    filters = _bounded_filter_subsets(logic, closure, alg.size)
+    return FilterLattice(alg, tuple(filters), closure.depth_effective)
+
+
+def filter_lattice(logic: LogicPresentation, alg: FiniteAlgebra,
+                   oracle_max: int = DEFAULTS.oracle_max,
+                   depth_cap: int = DEFAULTS.depth_default,
+                   cell_budget: int = DEFAULTS.closure_cell_budget) -> FilterLattice:
+    """The lattice of `deductive_filters`, shared by all callers with the same
+    logic, algebra and caps, so read-only. Checks the carrier cap, the
+    signature and the variable budget first. The exact rule sweep ignores the
+    depth cap and cell budget, so it is kept once per algebra."""
+    if alg.size > oracle_max:
+        raise CapExceeded(f"carrier {alg.size} exceeds the filter sweep cap {oracle_max}")
+    if logic.signature != alg.signature:
+        raise SignatureMismatch("algebra signature differs from the logic's")
+    if logic.kind == MATRICES and alg.size > logic.variable_budget:
+        raise CapExceeded(f"bounded filters need {alg.size} canonical variables, "
+                          f"budget is {logic.variable_budget}")
+    if logic.kind == RULES:
+        return _sweep(logic, alg, 0, 0)
+    return _sweep(logic, alg, depth_cap, cell_budget)
 
 
 def deductive_filters(
@@ -431,16 +466,7 @@ def deductive_filters(
     for matrix presentations. The empty set appears exactly when nothing
     forces a theorem value into every filter.
     """
-    if alg.size > oracle_max:
-        raise CapExceeded(f"carrier {alg.size} exceeds the filter sweep cap {oracle_max}")
-    if logic.signature != alg.signature:
-        raise SignatureMismatch("algebra signature differs from the logic's")
-    if logic.kind == RULES:
-        return [
-            s for s in _subsets_sorted(alg.size) if _closed_under_rules(logic, alg, frozenset(s))
-        ]
-    subsets, _ = _bounded_filter_subsets(logic, alg, depth_cap, cell_budget)
-    return subsets
+    return list(filter_lattice(logic, alg, oracle_max, depth_cap, cell_budget).filters)
 
 
 def filter_bounds(
@@ -448,31 +474,24 @@ def filter_bounds(
     alg: FiniteAlgebra,
     depth_cap: int = DEFAULTS.depth_default,
     cell_budget: int = DEFAULTS.closure_cell_budget,
+    oracle_max: int = DEFAULTS.oracle_max,
 ) -> dict:
-    """Metadata describing the filter notion used on this algebra."""
-    if logic.signature != alg.signature:
-        raise SignatureMismatch("algebra signature differs from the logic's")
-    meta = {
-        "filter_notion": filter_notion(logic),
-        "variable_budget": logic.variable_budget,
-    }
+    """Metadata describing the filter notion used on this algebra; reads the
+    filter lattice of a matrix presentation, under the same carrier cap."""
+    meta = {"filter_notion": filter_notion(logic), "variable_budget": logic.variable_budget}
     if logic.kind == MATRICES:
-        if alg.size > logic.variable_budget:
-            raise CapExceeded(
-                f"bounded filters need {alg.size} canonical variables, "
-                f"budget is {logic.variable_budget}"
-            )
         meta["depth_cap"] = depth_cap
-        closure = _joint_closure(_ClosureKey(logic, alg, depth_cap, cell_budget))
-        meta["depth_effective"] = closure.depth_effective
+        lattice = filter_lattice(logic, alg, oracle_max, depth_cap, cell_budget)
+        meta["depth_effective"] = lattice.depth_effective
+    elif logic.signature != alg.signature:
+        raise SignatureMismatch("algebra signature differs from the logic's")
     return meta
 
 
 def is_deductive_filter(
     logic: LogicPresentation, alg: FiniteAlgebra, subset: Iterable[int], **kw
 ) -> bool:
-    target = tuple(sorted(set(subset)))
-    return target in deductive_filters(logic, alg, **kw)
+    return tuple(sorted(set(subset))) in filter_lattice(logic, alg, **kw).filters
 
 
 def suszko_congruence(
@@ -483,33 +502,21 @@ def suszko_congruence(
 ) -> Partition:
     """Meet of the Leibniz congruences of all filters extending the given one."""
     target = tuple(sorted(set(filter)))
-    filters = deductive_filters(logic, alg, **kw)
-    if target not in filters:
+    lattice = filter_lattice(logic, alg, **kw)
+    if target not in lattice.filters:
+        bad = next((x for x in target if not 0 <= x < alg.size), None)
+        if bad is not None:
+            raise NotAFilter(f"{list(target)}: element {bad} is not in the carrier 0..{alg.size - 1}")
         raise NotAFilter(f"{list(target)} is not a deductive filter on this algebra")
-    target_set = set(target)
-    out = Partition.total(alg.size)
-    for g in filters:
-        if target_set <= set(g):
-            out = out.meet(leibniz_congruence(Matrix(alg, g)))
-    return out
+    return lattice.suszko(target)
 
 
 def reduced_filters_on(
     logic: LogicPresentation, alg: FiniteAlgebra, **kw
 ) -> list[Matrix]:
     """Matrices on `alg` whose filter has identity Suszko congruence."""
-    filters = deductive_filters(logic, alg, **kw)
-    omegas = {g: leibniz_congruence(Matrix(alg, g)) for g in filters}
-    out = []
-    for g in filters:
-        gset = set(g)
-        meet = Partition.total(alg.size)
-        for h in filters:
-            if gset <= set(h):
-                meet = meet.meet(omegas[h])
-        if meet.is_identity():
-            out.append(Matrix(alg, g))
-    return out
+    lattice = filter_lattice(logic, alg, **kw)
+    return [Matrix(alg, g) for g in lattice.filters if lattice.suszko(g).is_identity()]
 
 
 def models_presentation(
@@ -522,9 +529,8 @@ def models_presentation(
     Used to decide consequence for rule-presented logics; the result is a
     bounded stand-in and is flagged as such by its notion.
     """
-    mats: list[Matrix] = []
-    for alg in sorted(inventory, key=lambda a: a.sort_key()):
-        mats.extend(reduced_filters_on(logic, alg, **kw))
+    inv = sorted(inventory, key=lambda a: a.sort_key())
+    mats = [m for alg in inv for m in reduced_filters_on(logic, alg, **kw)]
     if not mats:
         raise ValueError("inventory produced no reduced models")
     return matrices_logic(

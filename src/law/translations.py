@@ -13,13 +13,11 @@ from .logics import (
     LogicPresentation,
     RULES,
     Rule,
-    deductive_filters,
+    filter_lattice,
     filter_notion,
     is_model,
     reduced_filters_on,
-    suszko_congruence,
 )
-from .matrices import Matrix
 from .terms import App, Signature, Term, Var, check_term, substitute, variables
 from .verdicts import Verdict, fails, holds
 
@@ -99,6 +97,8 @@ def check_interpretation_bounded(
     target_logic: LogicPresentation,
     inventory: Sequence[FiniteAlgebra],
     depth_cap: int = DEFAULTS.depth_default,
+    oracle_max: int = DEFAULTS.oracle_max,
+    cell_budget: int = DEFAULTS.closure_cell_budget,
 ) -> Verdict:
     """Bounded test that reducts of reduced target models are reduced source
     models over the inventory.
@@ -120,9 +120,8 @@ def check_interpretation_bounded(
         "filter_notion": f"{filter_notion(source_logic)}/{filter_notion(target_logic)}",
         "variable_budget": target_logic.variable_budget,
     }
-    reduced: list[Matrix] = []
-    for alg in inv:
-        reduced.extend(reduced_filters_on(target_logic, alg, depth_cap=depth_cap))
+    caps = {"oracle_max": oracle_max, "depth_cap": depth_cap, "cell_budget": cell_budget}
+    reduced = [m for alg in inv for m in reduced_filters_on(target_logic, alg, **caps)]
 
     if source_logic.kind == RULES:
         for model in reduced:
@@ -140,16 +139,14 @@ def check_interpretation_bounded(
 
     for model in reduced:
         reduct = tau_reduct(tau, model.algebra)
-        source_filters = deductive_filters(source_logic, reduct, depth_cap=depth_cap)
-        if model.filter not in source_filters:
+        lattice = filter_lattice(source_logic, reduct, **caps)
+        if model.filter not in lattice.filters:
             return fails(
                 {"reason": "reduct filter is not a source filter",
                  "model": model, "reduct": reduct},
                 **bounds,
             )
-        if not suszko_congruence(
-            source_logic, reduct, model.filter, depth_cap=depth_cap
-        ).is_identity():
+        if not lattice.suszko(model.filter).is_identity():
             return fails(
                 {"reason": "reduct is not Suszko-reduced for the source logic",
                  "model": model, "reduct": reduct},

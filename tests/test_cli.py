@@ -374,3 +374,87 @@ def test_filter_sweep_errors_come_before_the_bounds(tmp_path, alg, error, comman
     code, out, _ = invoke([command[0], "-l", logic_path, "-a", alg_path, *command[1:]])
     assert code == 2
     assert json.loads(out)["error"] == error
+
+
+def _imp_chain7():
+    """A 7-element →-algebra: the Gödel implication on the chain 0 < .. < 6."""
+    return FiniteAlgebra(Signature({"→": 2}), 7,
+                         {"→": [6 if a <= b else b for a in range(7) for b in range(7)]})
+
+
+def test_config_oracle_max_reaches_every_sweep(tmp_path):
+    cfg = write(tmp_path, "cfg.json", {"oracle_max": 7})
+    nabla = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
+    inv = write(tmp_path, "imp7.json", algebra_to_json(_imp_chain7()))
+    for cls in ("truth_minimal", "equivalential", "protoalgebraic"):
+        code, out, _ = invoke(["--config", cfg, "check", cls, "-l", nabla, "-i", inv])
+        assert (code, json.loads(out)["result"]["status"]) == (0, "holds"), cls
+    tau = Translation(Signature({"⊤": 1}), imp2().signature,
+                      {"⊤": parse_term(imp2().signature, "(→ x1 x1)")})
+    imp = write(tmp_path, "imp.json", logic_to_json(matrices_logic([Matrix(imp2(), (1,))])))
+    code, out, _ = invoke([
+        "--config", cfg, "interpret",
+        "-t", write(tmp_path, "tau.json", translation_to_json(tau)),
+        "--from", write(tmp_path, "assertional.json",
+                        logic_to_json(build("basic-assertional").logic)),
+        "--to", imp, "-i", inv,
+    ])
+    assert (code, json.loads(out)["result"]["status"]) == (0, "holds")
+    # the filter bounds read the same lattice, under the same cap
+    code, out, _ = invoke(["--config", cfg, "filters", "-l", imp, "-a", inv])
+    assert (code, json.loads(out)["result"]["bounds"]["depth_effective"]) == (0, 2)
+
+
+def test_config_closure_cell_budget_reaches_check_and_interpret(tmp_path):
+    # a budget of one cell stops the closure before depth 1, so on B4 every
+    # subset counts as a filter of ba-star-logic
+    cfg = write(tmp_path, "cfg.json", {"closure_cell_budget": 1})
+    logic = write(tmp_path, "ba.json", logic_to_json(build("ba-star-logic").logic))
+    b4 = write(tmp_path, "b4.json", algebra_to_json(bool4()))
+    code, out, _ = invoke(["--config", cfg, "filters", "-l", logic, "-a", b4])
+    result = json.loads(out)["result"]
+    assert (len(result["filters"]), result["bounds"]["depth_effective"]) == (16, 0)
+    _, default, _ = invoke(["check", "truth_minimal", "-l", logic, "-i", b4])
+    assert json.loads(default)["result"]["witness"]["filters"] == [[3], [0, 3]]
+    code, out, _ = invoke(["--config", cfg, "check", "truth_minimal", "-l", logic, "-i", b4])
+    assert code == 1
+    assert json.loads(out)["result"]["witness"]["filters"] == [[0], [0, 1]]
+
+    tau = Translation(Signature({"⊤": 1}), imp2().signature,
+                      {"⊤": parse_term(imp2().signature, "(→ x1 x1)")})
+    argv = [
+        "interpret", "-t", write(tmp_path, "tau.json", translation_to_json(tau)),
+        "--from", write(tmp_path, "assertional.json",
+                        logic_to_json(build("basic-assertional").logic)),
+        "--to", write(tmp_path, "imp.json", logic_to_json(matrices_logic([Matrix(imp2(), (1,))]))),
+        "-i", write(tmp_path, "imp2.json", algebra_to_json(imp2())),
+    ]
+    assert invoke(argv)[0] == 0
+    assert invoke(["--config", cfg, *argv])[0] == 1
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [("x", "LawError: bad --filter 'x': invalid literal for int() with base 10: 'x'"),
+     ("1,7", "NotAFilter: [1, 7]: element 7 is not in the carrier 0..1")],
+    ids=["not-an-integer", "out-of-range"],
+)
+def test_suszko_names_a_bad_filter_item(tmp_path, value, error):
+    logic = write(tmp_path, "pair.json", logic_to_json(build("two-valued-pair").logic))
+    alg = write(tmp_path, "b2.json", algebra_to_json(bool2()))
+    code, out, err = invoke(["suszko", "-l", logic, "-a", alg, "--filter", value])
+    assert code == 2
+    assert json.loads(out)["error"] == error
+    assert error.split(": ", 1)[1] in err
+
+
+def test_config_with_a_json_syntax_error_names_the_file(tmp_path):
+    cfg = os.path.join(tmp_path, "cfg.json")
+    with open(cfg, "w") as fh:
+        fh.write("{oops")
+    alg = write(tmp_path, "b2.json", algebra_to_json(bool2()))
+    code, out, err = invoke(["--config", cfg, "oracle", "congruences", "-a", alg])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith(f"LawError: config {cfg}: Expecting property name")
+    assert cfg in err

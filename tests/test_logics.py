@@ -1,17 +1,18 @@
 """Logic presentations: models, entailment, filters, Suszko congruences."""
 
+import collections
 import itertools
 import random
 
 import pytest
 
-from law.algebra import FiniteAlgebra, one_element, term_values
+from law import logics
+from law.algebra import FiniteAlgebra, congruences_bruteforce, one_element, term_values
 from law.config import DEFAULTS
 from law.errors import CapExceeded, NotAFilter, SignatureMismatch
-from law.gallery import bool2, build, imp2, pointed_set, product_of_logics
+from law.gallery import GALLERY_NAMES, bool2, build, imp2, pointed_set, product_of_logics
 from law.logics import (
     Rule,
-    _ClosureKey,
     _joint_closure,
     deductive_filters,
     entails,
@@ -25,7 +26,7 @@ from law.logics import (
     rules_logic,
     suszko_congruence,
 )
-from law.matrices import Matrix, leibniz_congruence
+from law.matrices import Matrix, is_compatible, leibniz_congruence
 from law.terms import Signature, Var, enumerate_terms, parse_term
 
 BOOL = bool2().signature
@@ -288,7 +289,7 @@ def _closure_cases():
 @pytest.mark.parametrize("logic, alg, depth_cap, budget", _closure_cases())
 def test_closure_rows_are_the_joint_evaluations_of_bounded_terms(logic, alg, depth_cap, budget):
     budget = budget or DEFAULTS.closure_cell_budget
-    closure = _joint_closure(_ClosureKey(logic, alg, depth_cap, budget))
+    closure = _joint_closure(logic, alg, depth_cap, budget)
     rows = _closure_rows(closure)
     assert len(rows) == len(set(rows))
     assert set(rows) == _term_rows(logic, alg, closure.depth_effective)
@@ -311,3 +312,109 @@ def test_filter_bounds_refuse_an_algebra_of_another_signature():
         filter_bounds(build("two-valued-pair").logic, pointed_set(2))
     with pytest.raises(SignatureMismatch):
         filter_bounds(build("nabla").logic, pointed_set(2))
+
+
+# ---------------------------------------------------------------------------
+# the filter lattice against the definitions, and its cache
+
+
+def _largest_compatible(congruences, f):
+    """Omega(F) by definition: the largest congruence compatible with F."""
+    compatible = [c for c in congruences if is_compatible(c, f)]
+    largest = min(compatible, key=lambda c: c.num_blocks)
+    assert all(c.refines(largest) for c in compatible)
+    return largest
+
+
+def _related(p):
+    return {(a, b) for a in range(p.size) for b in range(p.size)
+            if p.block_ids[a] == p.block_ids[b]}
+
+
+def _lattice_cases():
+    for name in GALLERY_NAMES:
+        entry = build(name)
+        if entry.logic is not None:
+            yield pytest.param(entry.logic, entry.inventory, id=name)
+    luk = FiniteAlgebra(IMP, 3, {"→": [min(2, 2 - a + b) for a in range(3) for b in range(3)]})
+    rng = random.Random(6)
+    inventory = [luk]
+    for size in (1, 2, 2, 3, 3, 3, 3):
+        inventory.append(FiniteAlgebra(IMP, size, {"→": [rng.randrange(size)
+                                                         for _ in range(size * size)]}))
+    yield pytest.param(matrices_logic([Matrix(luk, (2,))]), inventory, id="luk3-random")
+
+
+@pytest.mark.parametrize("logic, inventory", _lattice_cases())
+def test_suszko_and_reduced_filters_agree_with_the_definitions(logic, inventory):
+    """The Suszko congruence of F relates a and b iff every Omega(G), G a
+    filter containing F, does; F is reduced iff that relation is equality."""
+    for alg in inventory:
+        congruences = congruences_bruteforce(alg)
+        filters = deductive_filters(logic, alg)
+        omega = {g: _related(_largest_compatible(congruences, g)) for g in filters}
+        diagonal = {(a, a) for a in range(alg.size)}
+        want_reduced = []
+        for f in filters:
+            want = set(itertools.product(range(alg.size), repeat=2))
+            for g in filters:
+                if set(f) <= set(g):
+                    want &= omega[g]
+            assert _related(suszko_congruence(logic, alg, f)) == want
+            if want == diagonal:
+                want_reduced.append(f)
+        assert [m.filter for m in reduced_filters_on(logic, alg)] == want_reduced
+
+
+def test_filter_lattice_is_swept_once_per_key(monkeypatch):
+    calls = collections.Counter()
+    for name in ("_joint_closure", "_bounded_filter_subsets", "_closed_under_rules"):
+        def counted(*args, real=getattr(logics, name), name=name, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(logics, name, counted)
+    logics._sweep.cache_clear()
+    for logic, alg in ((PAIR, bool2()), (NABLA, imp2())):
+        def every_reader():
+            filters = deductive_filters(logic, alg)
+            return (filters, filter_bounds(logic, alg),
+                    [suszko_congruence(logic, alg, f) for f in filters],
+                    [m.filter for m in reduced_filters_on(logic, alg)],
+                    is_deductive_filter(logic, alg, filters[0]))
+        first = every_reader()
+        swept = calls.copy()
+        assert swept
+        assert every_reader() == first
+        assert calls == swept
+    # the exact rule sweep ignores the closure caps, so they share one entry
+    swept = calls.copy()
+    assert deductive_filters(NABLA, imp2(), depth_cap=1) == deductive_filters(
+        NABLA, imp2(), depth_cap=2, cell_budget=10)
+    assert calls == swept
+
+
+def test_filter_bounds_keeps_the_carrier_cap(monkeypatch):
+    pointed = matrices_logic([Matrix(pointed_set(2), (0,))])
+    sweeps = []
+    real = logics._bounded_filter_subsets
+    monkeypatch.setattr(logics, "_bounded_filter_subsets",
+                        lambda *a: sweeps.append(a) or real(*a))
+    logics._sweep.cache_clear()
+    with pytest.raises(CapExceeded, match="filter sweep cap 6"):
+        filter_bounds(pointed, pointed_set(7))
+    assert not sweeps
+    assert filter_bounds(pointed, pointed_set(7), oracle_max=7)["depth_effective"] == 3
+    assert len(sweeps) == 1
+
+
+def test_returned_lists_are_fresh():
+    filters = deductive_filters(PAIR, bool2())
+    filters.append((7,))
+    filters[0] = (5,)
+    assert deductive_filters(PAIR, bool2()) == [(), (0,), (1,), (0, 1)]
+    reduced = reduced_filters_on(NABLA, imp2())
+    reduced.clear()
+    assert [m.filter for m in reduced_filters_on(NABLA, imp2())] == [(1,)]
+    bounds = filter_bounds(PAIR, bool2())
+    bounds["depth_effective"] = -1
+    assert filter_bounds(PAIR, bool2())["depth_effective"] == DEFAULTS.depth_default
