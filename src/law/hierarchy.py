@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, term_values
 from .config import DEFAULTS
-from .errors import UnknownName
+from .errors import SignatureMismatch, UnknownName
 from .logics import (
     FilterFamily,
     FilterLattice,
@@ -409,11 +409,39 @@ def check_class(
     inv = sorted(inventory, key=lambda a: a.sort_key())
     bounds = standard_bounds(logic, inv, depth)
     caps = {"oracle_max": oracle_max, "depth_cap": depth, "cell_budget": cell_budget}
-    reduced = {alg: reduced_filters_on(logic, alg, **caps) for alg in inv}
+    if any(alg.signature != logic.signature for alg in inv):
+        raise SignatureMismatch("algebra signature differs from the logic's")
 
     if class_name == "has_theorems":
         t = theorem_search(logic, depth)
         return holds(t, **bounds) if t is not None else unknown(**bounds)
+
+    if class_name == "param_truth_equational":
+        skipped = [a for a in inv if a.size > family_size_cap]
+        for alg in (a for a in inv if a.size <= family_size_cap):
+            lattice = filter_lattice(logic, alg, **caps)
+            filters = [f for f in lattice.filters if f]
+            for f in filters:
+                omega_f = lattice.omega(f)
+                for k in range(1, len(filters) + 1):
+                    for family in itertools.combinations(filters, k):
+                        meet = Partition.total(alg.size)
+                        for g in family:
+                            meet = meet.meet(lattice.omega(g))
+                        common = set(family[0]).intersection(*family)
+                        if meet.refines(omega_f) and not common <= set(f):
+                            return fails(
+                                {"reason": "family congruences meet below the filter's "
+                                           "congruence but the intersection escapes it",
+                                 "family": FilterFamily(alg, family),
+                                 "filter": f},
+                                **bounds,
+                            )
+        if skipped:
+            return holds(**dict(bounds, skipped_algebras=len(skipped)))
+        return holds(**bounds)
+
+    reduced = {alg: reduced_filters_on(logic, alg, **caps) for alg in inv}
 
     if class_name == "assertional":
         for alg in inv:
@@ -445,31 +473,6 @@ def check_class(
                          "algebra": alg, "filters": (small.filter, large.filter)},
                         **bounds,
                     )
-        return holds(**bounds)
-
-    if class_name == "param_truth_equational":
-        skipped = [a for a in inv if a.size > family_size_cap]
-        for alg in (a for a in inv if a.size <= family_size_cap):
-            lattice = filter_lattice(logic, alg, **caps)
-            filters = [f for f in lattice.filters if f]
-            for f in filters:
-                omega_f = lattice.omega(f)
-                for k in range(1, len(filters) + 1):
-                    for family in itertools.combinations(filters, k):
-                        meet = Partition.total(alg.size)
-                        for g in family:
-                            meet = meet.meet(lattice.omega(g))
-                        common = set(family[0]).intersection(*family)
-                        if meet.refines(omega_f) and not common <= set(f):
-                            return fails(
-                                {"reason": "family congruences meet below the filter's "
-                                           "congruence but the intersection escapes it",
-                                 "family": FilterFamily(alg, family),
-                                 "filter": f},
-                                **bounds,
-                            )
-        if skipped:
-            return holds(**dict(bounds, skipped_algebras=len(skipped)))
         return holds(**bounds)
 
     if class_name == "equivalential":

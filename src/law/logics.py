@@ -12,17 +12,21 @@ Two filter notions, always flagged:
   deduplicated by their joint evaluations so the caps stay feasible.
 
 The bounded closure is pure Python over `bytes`: a row holds one byte per
-column, an operation meets all rows of its last argument in one big-int
-lane computation and one `bytes.translate`, rounds are semi-naive (each
-level only tries argument tuples touching the previous level's new rows),
-and the finished closure is one row-major blob per algebra. Defining
-algebras therefore have at most 256 elements. The subset sweep works on the
-same byte lanes, as ints with one lane per row.
+column over the columns of every algebra, and an operation meets all rows of
+its last argument, in every algebra at once, in one big-int lane computation
+and one `bytes.translate`: each lane is tagged with its algebra and indexes
+one table built from every algebra's operation table. Rounds are semi-naive
+(each level only tries argument tuples touching the previous level's new
+rows), and the finished closure is one row-major blob. Defining algebras
+therefore have at most 256 elements. The subset sweep works on the same
+byte lanes, as ints with one lane per row.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
-reads it. Verdicts derived from the bounded notion are never reported as
-exact; use `filter_bounds` for the metadata to attach.
+reads it. The cache holds up to 1024 lattices, more than a gallery
+inventory's algebras, so repeated scans over one inventory hit it. Verdicts
+derived from the bounded notion are never reported as exact; use
+`filter_bounds` for the metadata to attach.
 """
 
 from __future__ import annotations
@@ -226,31 +230,45 @@ def _closed_under_rules(logic: LogicPresentation, alg: FiniteAlgebra, subset: fr
 # canonical value outside G while staying designated at every assignment
 # that keeps the G-valued premise rows designated.
 #
-# Within a block (the columns of one algebra) a row is `bytes`, one byte per
-# column. An operation meets every row of the last argument at once: the
-# head rows, each repeated once per tail row, and the concatenated tail rows
-# are read as big-endian ints, so each byte is a lane holding the table index
-# ((h1*n + h2)*n + ..)*n + t. No lane carries while n**arity <= 256, and
+# A row is one `bytes` over the columns of every block (the columns of one
+# algebra), one byte per column. An operation meets every row of its last
+# argument at once, with each byte a lane tagged with its block: for base B,
+# the largest block size, the lane holds ((block*B + h1)*B + ..)*B + t, an
+# index into one table built from every block's operation table. The tags
+# plus the tail rows are one big-endian int per (arity, first tail row) per
+# level; each head row, repeated once per tail row and weighted by its power
+# of B, adds one more. No lane carries while blocks * B**arity <= 256, and
 # `bytes.translate` with the table padded to 256 maps the lanes to values.
-# Wider tables go cell by cell. Rounds are semi-naive (Bancilhon and
-# Ramakrishnan, 1986): level L only tries argument tuples that touch a row
-# new at level L-1, since the rest were tried one level up; the budget still
-# counts every tuple. The finished closure keeps one row-major blob per block.
+# Wider joint tables go cell by cell over the same indices. Rounds are
+# semi-naive (Bancilhon and Ramakrishnan, 1986): level L only tries argument
+# tuples that touch a row new at level L-1, since the rest were tried one
+# level up; the budget still counts every tuple. The finished closure is one
+# row-major blob, and a column is read by stride.
 
 _LANES = 256  # a closure cell is one byte
 
 
 @dataclass(frozen=True)
 class _Closure:
-    blobs: tuple[bytes, ...]            # row-major rows per distinct algebra, one byte per cell
-    widths: tuple[int, ...]             # columns per block, parallel to blobs
+    blob: bytes                         # row-major rows, one byte per cell
+    offsets: tuple[int, ...]            # first column of each block, then the row width
     block_algs: tuple[FiniteAlgebra, ...]
-    c_block: int                        # block index holding the canonical column
-    c_col: int                          # column index of the canonical valuation
+    c_col: int                          # column of the canonical valuation
     depth_effective: int
 
-    def canonical_values(self) -> bytes:
-        return self.blobs[self.c_block][self.c_col :: self.widths[self.c_block]]
+    def column(self, c: int) -> bytes:
+        return self.blob[c :: self.offsets[-1]]
+
+
+def _joint_table(block_algs: Sequence[FiniteAlgebra], sym: str, arity: int) -> bytes | list[int]:
+    """`sym`'s value at every tagged lane index, as a translation table when
+    the lanes fit a byte, else as a list."""
+    base = max(b.size for b in block_algs)
+    table = [0] * (len(block_algs) * base**arity)
+    for bi, b in enumerate(block_algs):
+        for args, value in zip(itertools.product(range(b.size), repeat=arity), b.table(sym)):
+            table[functools.reduce(lambda i, d: i * base + d, args, bi)] = value
+    return bytes(table).ljust(_LANES, b"\0") if len(table) <= _LANES else table
 
 
 def _joint_closure(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
@@ -265,30 +283,26 @@ def _joint_closure(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
             )
     canonical = tuple(range(n))
     inputs = [list(itertools.product(range(b.size), repeat=n)) for b in distinct]
-    if alg in distinct:
-        c_block = distinct.index(alg)
-        c_col = inputs[c_block].index(canonical)
-    else:
+    if alg not in distinct:
         inputs.append([canonical])
-        c_block, c_col = len(block_algs) - 1, 0
-    widths = [len(cols) for cols in inputs]
-    cols_total = sum(widths)
-    offsets = list(itertools.accumulate(widths, initial=0))
+    c_block = block_algs.index(alg)
+    offsets = tuple(itertools.accumulate(map(len, inputs), initial=0))
+    c_col = offsets[c_block] + inputs[c_block].index(canonical)
+    width = offsets[-1]
+    base = max(b.size for b in block_algs)
+    tags = [bi for bi, cols in enumerate(inputs) for _ in cols]  # each column's block
     syms = sorted(logic.signature.symbols)
-    lanes = [{sym: bytes(b.table(sym)).ljust(_LANES, b"\0")
-              for sym, arity in syms if b.size**arity <= _LANES} for b in block_algs]
+    tables = {sym: _joint_table(block_algs, sym, arity) for sym, arity in syms}
 
-    # depth-0 rows: one per canonical variable; `rows` holds each block's rows
-    rows = [[bytes(inp[i] for inp in cols) for i in range(n)] for cols in inputs]
-    seen = set(map(b"".join, zip(*rows)))
+    # depth-0 rows: one per canonical variable
+    rows = [bytes(inp[i] for cols in inputs for inp in cols) for i in range(n)]
+    seen = set(rows)
 
-    fresh: list[bytes] = []  # the current level's new rows, all blocks joined
+    fresh: list[bytes] = []  # the current level's new rows
 
-    def absorb(outs: list[bytes]) -> None:
-        """Keep the unseen rows among the candidates: one bytes per block,
-        rows back to back."""
-        parts = [[o[i : i + w] for i in range(0, len(o), w)] for o, w in zip(outs, widths)]
-        keys = parts[0] if len(parts) == 1 else list(map(b"".join, zip(*parts)))
+    def absorb(out: bytes) -> None:
+        """Keep the unseen rows among the candidates, back to back in `out`."""
+        keys = [out[i : i + width] for i in range(0, len(out), width)]
         if not seen.issuperset(keys):
             for k in keys:
                 if k not in seen:
@@ -298,49 +312,47 @@ def _joint_closure(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
     depth_effective = 0
     old = 0  # rows that predate the previous level's new ones
     for level in range(1, depth_cap + 1):
-        count = len(rows[0])
-        projected = sum(count**arity if arity else 1 for _, arity in syms) * cols_total
+        count = len(rows)
+        projected = sum(count**arity if arity else 1 for _, arity in syms) * width
         if projected > cell_budget:
             break
         fresh.clear()
-        tails = {}  # first tail row -> each block's tail rows, concatenated
+        tails = {}  # (arity, first tail row) -> tags plus tail rows: an int, or cells
         for sym, arity in syms:
+            table = tables[sym]
             if arity == 0:
                 if level == 1:
-                    absorb([bytes([b.table(sym)[0]]) * w for b, w in zip(block_algs, widths)])
+                    absorb(bytes(map(table.__getitem__, tags)))
                 continue
+            wide = isinstance(table, list)
+            weights = [base**k for k in range(arity - 1, 0, -1)]
             for head in itertools.product(range(count), repeat=arity - 1):
-                start = 0 if any(h >= old for h in head) else old
-                if start not in tails:
-                    tails[start] = [b"".join(r[start:]) for r in rows]
+                start = 0 if max(head, default=-1) >= old else old
                 copies = count - start
-                outs = []
-                for bi, b in enumerate(block_algs):
-                    tail, nb, brows = tails[start][bi], b.size, rows[bi]
-                    lane = lanes[bi].get(sym)
-                    if lane is not None:
-                        idx = 0
-                        for h in head:
-                            idx = idx * nb + int.from_bytes(brows[h] * copies, "big")
-                        idx = idx * nb + int.from_bytes(tail, "big")
-                        outs.append(idx.to_bytes(len(tail), "big").translate(lane))
+                idx = tails.get((arity, start))
+                if idx is None:
+                    cells, scale = b"".join(rows[start:]), base**arity
+                    if wide:
+                        idx = [t * scale + v for t, v in zip(tags * copies, cells)]
                     else:
-                        cells = [0] * len(tail)
-                        for h in head:
-                            cells = [i * nb + v for i, v in zip(cells, brows[h] * copies)]
-                        cells = [i * nb + v for i, v in zip(cells, tail)]
-                        outs.append(bytes(map(b.table(sym).__getitem__, cells)))
-                absorb(outs)
+                        idx = (int.from_bytes(bytes(t * scale for t in tags) * copies, "big")
+                               + int.from_bytes(cells, "big"))
+                    tails[arity, start] = idx
+                if wide:
+                    for h, weight in zip(head, weights):
+                        idx = [i + v * weight for i, v in zip(idx, rows[h] * copies)]
+                    absorb(bytes(map(table.__getitem__, idx)))
+                else:
+                    for h, weight in zip(head, weights):
+                        idx += int.from_bytes(rows[h] * copies, "big") * weight
+                    absorb(idx.to_bytes(copies * width, "big").translate(table))
         if not fresh:
             depth_effective = depth_cap  # fixpoint: deeper terms add nothing
             break
         old = count
-        for bi, brows in enumerate(rows):
-            lo, hi = offsets[bi], offsets[bi + 1]
-            brows.extend(k[lo:hi] for k in fresh)
+        rows.extend(fresh)
         depth_effective = level
-    return _Closure(tuple(map(b"".join, rows)), tuple(widths), tuple(block_algs),
-                    c_block, c_col, depth_effective)
+    return _Closure(b"".join(rows), offsets, tuple(block_algs), c_col, depth_effective)
 
 
 def _bounded_filter_subsets(logic: LogicPresentation, closure: _Closure,
@@ -348,15 +360,14 @@ def _bounded_filter_subsets(logic: LogicPresentation, closure: _Closure,
     # Sets of rows are ints with one byte lane per row, 1 for a member:
     # of_value[v] holds the rows of canonical value v, and each column of
     # every matrix gives the rows it leaves undesignated.
-    c_vals = closure.canonical_values()
+    c_vals = closure.column(closure.c_col)
     of_value = [_lanes(c_vals, _indicator({v})) for v in range(n)]
     columns: dict[int, None] = {}
     for m in logic.matrices:
         bi = closure.block_algs.index(m.algebra)
-        blob, w = closure.blobs[bi], closure.widths[bi]
         undesignated = _indicator(set(range(m.algebra.size)) - m.filter_set())
-        for c in range(w):
-            columns[_lanes(blob[c::w], undesignated)] = None
+        for c in range(closure.offsets[bi], closure.offsets[bi + 1]):
+            columns[_lanes(closure.column(c), undesignated)] = None
     # kills[v]: bit j set when a row of canonical value v kills column j,
     # i.e. leaves it undesignated, so no G holding v can use that column
     kills = [sum(1 << j for j, col in enumerate(columns) if col & rows) for rows in of_value]
@@ -422,7 +433,7 @@ class FilterLattice:
         return functools.reduce(Partition.meet, above, Partition.total(self.algebra.size))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1024)  # lattices hold no closures: about 0.8 kB each
 def _sweep(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
            cell_budget: int) -> FilterLattice:
     if logic.kind == RULES:

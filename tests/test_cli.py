@@ -405,6 +405,20 @@ def test_config_oracle_max_reaches_every_sweep(tmp_path):
     assert (code, json.loads(out)["result"]["bounds"]["depth_effective"]) == (0, 2)
 
 
+def test_check_has_theorems_sweeps_no_filters(tmp_path):
+    # a theorem search reads no filter, so the 7 elements pass the sweep cap
+    # of 6; an inventory of another signature is still refused
+    nabla = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
+    inv = write(tmp_path, "imp7.json", algebra_to_json(_imp_chain7()))
+    code, out, _ = invoke(["check", "has_theorems", "-l", nabla, "-i", inv])
+    result = json.loads(out)["result"]
+    assert (code, result["status"], result["witness"]) == (0, "holds", "(→ x x)")
+    pointed = write(tmp_path, "pointed.json", algebra_to_json(pointed_set(2)))
+    code, out, _ = invoke(["check", "has_theorems", "-l", nabla, "-i", pointed])
+    assert (code, json.loads(out)["error"]) == (
+        2, "SignatureMismatch: algebra signature differs from the logic's")
+
+
 def test_config_closure_cell_budget_reaches_check_and_interpret(tmp_path):
     # a budget of one cell stops the closure before depth 1, so on B4 every
     # subset counts as a filter of ba-star-logic

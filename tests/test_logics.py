@@ -11,6 +11,7 @@ from law.algebra import FiniteAlgebra, congruences_bruteforce, one_element, term
 from law.config import DEFAULTS
 from law.errors import CapExceeded, NotAFilter, SignatureMismatch
 from law.gallery import GALLERY_NAMES, bool2, build, imp2, pointed_set, product_of_logics
+from law.hierarchy import check_class
 from law.logics import (
     Rule,
     _joint_closure,
@@ -239,11 +240,10 @@ def test_product_logic_filters_decompose():
 
 def _closure_rows(closure):
     """The closure's rows, each a tuple of one bytes per block."""
-    per_block = [
-        [blob[i : i + w] for i in range(0, len(blob), w)]
-        for blob, w in zip(closure.blobs, closure.widths)
-    ]
-    return list(zip(*per_block))
+    width = closure.offsets[-1]
+    blocks = list(itertools.pairwise(closure.offsets))
+    return [tuple(closure.blob[i + lo : i + hi] for lo, hi in blocks)
+            for i in range(0, len(closure.blob), width)]
 
 
 def _term_rows(logic, alg, depth):
@@ -285,6 +285,22 @@ def _closure_cases():
     alg = FiniteAlgebra(IMP, 3, {"→": [1, 2, 0, 0, 0, 1, 2, 2, 1]})
     yield pytest.param(l3, alg, 3, 10_000, id="budget-stopped")
 
+    # three blocks: Ł3, the two-element implication and the target
+    two = matrices_logic([Matrix(luk, (2,)), Matrix(imp2(), (1,))])
+    alg = FiniteAlgebra(IMP, 2, {"→": [1, 0, 0, 1]})
+    yield pytest.param(two, alg, 3, None, id="two-defining-algebras")
+
+    ternary = Signature({"m": 3})
+    three = FiniteAlgebra(ternary, 3, {"m": [rng.randrange(3) for _ in range(27)]})
+    alg = FiniteAlgebra(ternary, 2, {"m": [0, 0, 0, 1, 0, 1, 1, 1]})
+    yield pytest.param(matrices_logic([Matrix(three, (0,))]), alg, 2, None, id="ternary-symbol")
+
+    # 12 * 12 and 2 * 2 cells each fit a byte, the joint 2 * 12 * 12 does not
+    twelve = FiniteAlgebra(IMP, 12, {"→": [(a * b + 1) % 12 for a in range(12) for b in range(12)]})
+    alg = FiniteAlgebra(IMP, 2, {"→": [1, 1, 0, 1]})
+    yield pytest.param(matrices_logic([Matrix(twelve, (0,))]), alg, 2, None,
+                       id="joint-table-over-256")
+
 
 @pytest.mark.parametrize("logic, alg, depth_cap, budget", _closure_cases())
 def test_closure_rows_are_the_joint_evaluations_of_bounded_terms(logic, alg, depth_cap, budget):
@@ -295,6 +311,31 @@ def test_closure_rows_are_the_joint_evaluations_of_bounded_terms(logic, alg, dep
     assert set(rows) == _term_rows(logic, alg, closure.depth_effective)
     if budget < DEFAULTS.closure_cell_budget:
         assert closure.depth_effective == 2
+
+
+def _random_closure_case(rng):
+    """1-3 defining matrices over 2-5 elements, symbols of arity 0-3, and a
+    target algebra of 1-2 elements that may or may not be a defining one."""
+    sig = Signature({f"f{i}": rng.randrange(4) for i in range(rng.randint(1, 2))})
+
+    def algebra(n):
+        return FiniteAlgebra(sig, n, {s: [rng.randrange(n) for _ in range(n**a)]
+                                      for s, a in sig.symbols})
+
+    mats = [Matrix(algebra(rng.randint(2, 5)), (0,)) for _ in range(rng.randint(1, 3))]
+    alg = mats[0].algebra if rng.random() < 0.2 and mats[0].algebra.size <= 2 else algebra(
+        rng.randint(1, 2))
+    return matrices_logic(mats), alg, rng.randint(1, 2)
+
+
+def test_random_closures_are_the_joint_evaluations_of_bounded_terms():
+    rng = random.Random(8)
+    for _ in range(30):
+        logic, alg, depth_cap = _random_closure_case(rng)
+        closure = _joint_closure(logic, alg, depth_cap, DEFAULTS.closure_cell_budget)
+        rows = _closure_rows(closure)
+        assert len(rows) == len(set(rows))
+        assert set(rows) == _term_rows(logic, alg, closure.depth_effective)
 
 
 def test_bounded_filters_refuse_algebras_over_256_elements():
@@ -391,6 +432,16 @@ def test_filter_lattice_is_swept_once_per_key(monkeypatch):
     assert deductive_filters(NABLA, imp2(), depth_cap=1) == deductive_filters(
         NABLA, imp2(), depth_cap=2, cell_budget=10)
     assert calls == swept
+
+
+def test_repeated_inventory_scans_sweep_each_algebra_once():
+    # basic-proto's inventory has 65 algebras: a cache smaller than that
+    # evicts every lattice before the second scan reads it
+    entry = build("basic-proto")
+    logics._sweep.cache_clear()
+    for _ in range(2):
+        check_class("truth_equational", entry.logic, entry.inventory)
+    assert logics._sweep.cache_info().misses == len(set(entry.inventory)) == 65
 
 
 def test_filter_bounds_keeps_the_carrier_cap(monkeypatch):
