@@ -17,7 +17,7 @@ from .partitions import Partition, all_partitions
 from .terms import App, Signature, Term, Var, check_term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FiniteAlgebra:
     """A total interpretation of a signature on the carrier {0..size-1}."""
 
@@ -27,6 +27,7 @@ class FiniteAlgebra:
     name: str = field(default="", compare=False)
     _hash: int = field(init=False, compare=False)
     _ops: dict = field(init=False, compare=False, repr=False)
+    _neighbours: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
 
     def __init__(
         self,
@@ -44,7 +45,7 @@ class FiniteAlgebra:
             cells = tab[sym]
             if len(cells) != size**arity:
                 raise ValueError(f"table for {sym!r} has {len(cells)} cells, expected {size**arity}")
-            if any(not 0 <= c < size for c in cells):
+            if min(cells) < 0 or max(cells) >= size:
                 raise ValueError(f"table for {sym!r} has out-of-range entries")
         frozen = tuple(sorted(tab.items()))
         object.__setattr__(self, "signature", signature)
@@ -53,6 +54,7 @@ class FiniteAlgebra:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash((signature, size, frozen)))
         object.__setattr__(self, "_ops", dict(frozen))
+        object.__setattr__(self, "_neighbours", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -74,6 +76,28 @@ class FiniteAlgebra:
         for a in args:
             idx = idx * self.size + a
         return self._ops[sym][idx]
+
+    def neighbours(self) -> tuple[int, ...]:
+        """Every element's row of neighbours, rows concatenated in element
+        order. Row a holds a, then every value a reaches through one symbol
+        at one argument position in one context of the other arguments, in
+        (symbol, position, context) order, so equal offsets in two rows are
+        the same operation applied at the same place. Built on first use and
+        kept with the algebra."""
+        if self._neighbours is None:
+            n = self.size
+            rows = [[a] for a in range(n)]
+            for sym, arity in self.signature.symbols:
+                table = self._ops[sym]
+                for pos in range(arity):
+                    # the cells whose argument at `pos` is a: runs of `own`
+                    # cells, one run in every stride of n * own
+                    own = n ** (arity - 1 - pos)
+                    for a, row in enumerate(rows):
+                        for start in range(a * own, len(table), n * own):
+                            row.extend(table[start : start + own])
+            object.__setattr__(self, "_neighbours", tuple(itertools.chain.from_iterable(rows)))
+        return self._neighbours
 
     def carrier(self) -> range:
         return range(self.size)
@@ -195,28 +219,12 @@ def nonindexed_product(
 
 
 def is_congruence(alg: FiniteAlgebra, theta: Partition) -> bool:
-    """Single-coordinate replacement test; equivalent to the full condition
-    for equivalence relations by chaining one coordinate at a time."""
+    """Single-coordinate replacement test: one pass of the refinement engine
+    splits no block. Equivalent to the full condition for equivalence
+    relations by chaining one coordinate at a time."""
     if theta.size != alg.size:
         raise ValueError("partition carrier mismatch")
-    n = alg.size
-    ids = theta.block_ids
-    for sym, arity in alg.signature.symbols:
-        if arity == 0:
-            continue
-        table = alg.table(sym)
-        for pos in range(arity):
-            for ctx in itertools.product(range(n), repeat=arity - 1):
-                seen: dict[int, int] = {}
-                for a in range(n):
-                    args = ctx[:pos] + (a,) + ctx[pos:]
-                    idx = 0
-                    for x in args:
-                        idx = idx * n + x
-                    out = ids[table[idx]]
-                    if seen.setdefault(ids[a], out) != out:
-                        return False
-    return True
+    return _split(alg, theta.block_ids)[1] == theta.num_blocks
 
 
 def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
@@ -243,75 +251,60 @@ def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
 def congruences_bruteforce(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max) -> list[Partition]:
     """Testing oracle: check the full congruence condition on every partition.
 
-    Deliberately checks every pair of componentwise-related tuples rather than
-    reusing the single-coordinate shortcut, so the refinement engine has an
+    For every symbol, the block of f(xs) must be a function of the blocks of
+    all of xs at once: pairing each argument tuple's block tuple with the
+    block of its value gives no more pairs than there are block tuples. This
+    reads the operation tables directly, not the single-coordinate shortcut
+    or the neighbour rows of the refinement engine, so the engine has an
     independent cross-check.
     """
     if alg.size > cap:
         raise CapExceeded(f"carrier {alg.size} exceeds oracle cap {cap}")
-    n = alg.size
     out = []
-    for p in all_partitions(n):
+    for p in all_partitions(alg.size):
         ids = p.block_ids
-        good = True
         for sym, arity in alg.signature.symbols:
-            table = alg.table(sym)
-            for xs in itertools.product(range(n), repeat=arity):
-                for ys in itertools.product(range(n), repeat=arity):
-                    if any(ids[x] != ids[y] for x, y in zip(xs, ys)):
-                        continue
-                    ix = iy = 0
-                    for x in xs:
-                        ix = ix * n + x
-                    for y in ys:
-                        iy = iy * n + y
-                    if ids[table[ix]] != ids[table[iy]]:
-                        good = False
-                        break
-                if not good:
-                    break
-            if not good:
+            keys = list(itertools.product(ids, repeat=arity))
+            if len(set(zip(keys, map(ids.__getitem__, alg.table(sym))))) != len(set(keys)):
                 break
-        if good:
+        else:
             out.append(p)
     return sorted(out, key=lambda q: q.block_ids)
+
+
+def _split(alg: FiniteAlgebra, ids: Sequence[int]) -> tuple[list[int], int]:
+    """One refinement pass: renumber the elements by their rows of
+    `alg.neighbours()` read through `ids`, in first-occurrence order, and
+    count the blocks. Each row starts with the element's own block, so the
+    result refines `ids`."""
+    rows = alg.neighbours()
+    width = len(rows) // alg.size
+    mapped = tuple(map(ids.__getitem__, rows))
+    numbering: dict[tuple[int, ...], int] = {}
+    fresh = [
+        numbering.setdefault(mapped[i : i + width], len(numbering))
+        for i in range(0, len(mapped), width)
+    ]
+    return fresh, len(numbering)
 
 
 def largest_congruence_below(alg: FiniteAlgebra, p: Partition) -> Partition:
     """Coarsest congruence refining `p`, by iterated signature splitting.
 
-    Each pass tags every element with the blocks reached through every symbol,
-    argument position, and concrete context, then splits blocks whose members
-    disagree; at the fixpoint single-coordinate replacement stays inside
-    blocks, which chains to the full congruence property.
+    Each pass tags every element with its row of neighbours (`neighbours`,
+    built once per algebra) read as blocks, then splits blocks whose members
+    disagree. Passes only refine, so a pass that keeps the block count is the
+    fixpoint: single-coordinate replacement stays inside blocks, which chains
+    to the full congruence property.
     """
     if p.size != alg.size:
         raise ValueError("partition carrier mismatch")
-    n = alg.size
-    ids = p.block_ids
-    positions = []
-    for sym, arity in alg.signature.symbols:
-        if arity == 0:
-            continue
-        table = alg.table(sym)
-        strides = [n ** (arity - 1 - i) for i in range(arity)]
-        for pos in range(arity):
-            ctx_strides = strides[:pos] + strides[pos + 1 :]
-            own = strides[pos]
-            bases = []
-            for ctx in itertools.product(range(n), repeat=arity - 1):
-                bases.append(sum(c * s for c, s in zip(ctx, ctx_strides)))
-            positions.append((table, own, bases))
+    ids, count = p.block_ids, p.num_blocks
     while True:
-        keys: list[list[int]] = [[b] for b in ids]
-        for table, own, bases in positions:
-            for base in bases:
-                for a in range(n):
-                    keys[a].append(ids[table[base + a * own]])
-        fresh = Partition(tuple(tuple(k) for k in keys))  # type: ignore[arg-type]
-        if fresh.block_ids == ids:
-            return fresh
-        ids = fresh.block_ids
+        ids, fresh_count = _split(alg, ids)
+        if fresh_count == count:
+            return Partition(ids)
+        count = fresh_count
 
 
 def is_congruence_uniform(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max) -> bool:

@@ -483,7 +483,7 @@ def check_class(
             return unknown(**bounds)
         for alg in inv:
             for m in reduced[alg]:
-                for sub in submatrices(m):
+                for sub in submatrices(m, cap=oracle_max + 2):
                     if sub not in reduced_filters_on(logic, sub.algebra, **caps):
                         return fails(
                             {"reason": "submatrix of a reduced model is not reduced",

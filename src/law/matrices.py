@@ -19,7 +19,7 @@ from .errors import CapExceeded, SignatureMismatch
 from .partitions import Partition
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Matrix:
     """An algebra together with a designated filter, stored sorted."""
 
@@ -81,17 +81,20 @@ def reduce_matrix(m: Matrix) -> tuple[Matrix, Partition]:
 
 
 def subuniverses(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max + 2) -> list[tuple[int, ...]]:
-    """All nonempty subsets closed under every operation, sorted by (size, elements)."""
+    """All nonempty subsets closed under every operation, sorted by (size, elements).
+
+    Visits the subsets X of the carrier as bit masks in ascending order, so
+    Sg(X minus its top element t) is known when X comes: Sg(X) is that
+    subuniverse when it holds t, and otherwise the closure of it with t.
+    """
     if alg.size > cap:
         raise CapExceeded(f"carrier {alg.size} exceeds subuniverse cap {cap}")
-    n = alg.size
-    closed: set[tuple[int, ...]] = set()
-    for mask_bits in itertools.product((0, 1), repeat=n):
-        seed = {i for i, b in enumerate(mask_bits) if b}
-        if not seed:
-            continue
-        closed.add(subuniverse_closure(alg, seed))
-    return sorted(closed, key=lambda s: (len(s), s))
+    generated = [subuniverse_closure(alg, ())]
+    for mask in range(1, 1 << alg.size):
+        top = mask.bit_length() - 1
+        below = generated[mask ^ (1 << top)]
+        generated.append(below if top in below else subuniverse_closure(alg, below + (top,)))
+    return sorted(set(generated[1:]), key=lambda s: (len(s), s))
 
 
 def subuniverse_closure(alg: FiniteAlgebra, seed: Iterable[int]) -> tuple[int, ...]:

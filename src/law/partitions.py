@@ -20,7 +20,7 @@ def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Partition:
     """Block-id array, block ids numbered by first occurrence."""
 

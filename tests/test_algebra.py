@@ -39,6 +39,86 @@ def coarsest_below(alg, seed):
     return best
 
 
+def _congruences_pairwise(alg):
+    """Reference oracle: every partition under which every pair of
+    componentwise-related argument tuples has related values."""
+    n = alg.size
+    out = []
+    for p in all_partitions(n):
+        ids = p.block_ids
+        good = True
+        for sym, arity in alg.signature.symbols:
+            table = alg.table(sym)
+            for xs in itertools.product(range(n), repeat=arity):
+                for ys in itertools.product(range(n), repeat=arity):
+                    if any(ids[x] != ids[y] for x, y in zip(xs, ys)):
+                        continue
+                    ix = iy = 0
+                    for x in xs:
+                        ix = ix * n + x
+                    for y in ys:
+                        iy = iy * n + y
+                    if ids[table[ix]] != ids[table[iy]]:
+                        good = False
+                        break
+                if not good:
+                    break
+            if not good:
+                break
+        if good:
+            out.append(p)
+    return sorted(out, key=lambda q: q.block_ids)
+
+
+def _refine_reference(alg, p):
+    """Reference engine: tag every element with its block and the blocks it
+    reaches through every symbol, argument position and context, split,
+    repeat until nothing splits."""
+    n = alg.size
+    ids = p.block_ids
+    positions = []
+    for sym, arity in alg.signature.symbols:
+        if arity == 0:
+            continue
+        table = alg.table(sym)
+        strides = [n ** (arity - 1 - i) for i in range(arity)]
+        for pos in range(arity):
+            ctx_strides = strides[:pos] + strides[pos + 1 :]
+            bases = [
+                sum(c * s for c, s in zip(ctx, ctx_strides))
+                for ctx in itertools.product(range(n), repeat=arity - 1)
+            ]
+            positions.append((table, strides[pos], bases))
+    while True:
+        keys = [[b] for b in ids]
+        for table, own, bases in positions:
+            for base in bases:
+                for a in range(n):
+                    keys[a].append(ids[table[base + a * own]])
+        fresh = Partition(tuple(tuple(k) for k in keys))
+        if fresh.block_ids == ids:
+            return fresh
+        ids = fresh.block_ids
+
+
+def _random_algebra(rng, sig, n):
+    return FiniteAlgebra(
+        sig, n, {sym: [rng.randrange(n) for _ in range(n**arity)] for sym, arity in sig.symbols}
+    )
+
+
+RANDOM_SIGNATURES = [
+    Signature({"c": 0}),
+    Signature({"c": 0, "d": 0}),
+    Signature({"f": 1}),
+    Signature({"f": 1, "h": 1}),
+    Signature({"g": 2}),
+    Signature({"c": 0, "f": 1, "g": 2}),
+    Signature({"t": 3}),
+    Signature({"c": 0, "t": 3}),
+]
+
+
 def test_eval_truth_tables():
     b2 = bool2()
     t = parse_term(BOOL, "(and x y)")
@@ -204,6 +284,53 @@ def test_engine_agrees_on_random_seeds_size4():
         prod = direct_product([alg, alg])
         for p in all_partitions(4):
             assert largest_congruence_below(prod, p) == coarsest_below(prod, p)
+
+
+def test_oracle_agrees_with_the_pairwise_loop():
+    # the semantics benchmark's algebras at tiny size, iso classes only
+    plans = [(Signature({"⊤": 1}), 3), (Signature({"→": 2}), 2), (BOOL, 1)]
+    algebras = [
+        alg for sig, top in plans for n in range(1, top + 1)
+        for alg in enumerate_algebras(sig, n, iso_prune=True)
+    ]
+    rng = random.Random(19)
+    while len(algebras) < 330:
+        sig = rng.choice(RANDOM_SIGNATURES)
+        n = rng.randint(1, 5)
+        if n**3 > 64 and ("t", 3) in sig.symbols:
+            continue  # the pairwise loop is quadratic in the table
+        algebras.append(_random_algebra(rng, sig, n))
+    for alg in algebras:
+        assert congruences_bruteforce(alg) == _congruences_pairwise(alg), alg
+
+
+def test_engine_agrees_with_the_reference_beyond_the_oracle_cap():
+    rng = random.Random(23)
+    algebras = [one_element(sig) for sig in RANDOM_SIGNATURES]
+    algebras += [_random_algebra(rng, sig, n) for sig in RANDOM_SIGNATURES[:2] for n in (1, 3, 6)]
+    for n in range(1, 7):
+        for sig in RANDOM_SIGNATURES[2:6]:
+            algebras.append(_random_algebra(rng, sig, n))
+    algebras.append(_random_algebra(rng, Signature({"t": 3}), 4))
+    for alg in algebras:
+        for p in all_partitions(alg.size):
+            assert largest_congruence_below(alg, p) == _refine_reference(alg, p), (alg, p)
+    binary = Signature({"g": 2})
+    products = []
+    for sizes in [(2, 2), (2, 3), (4, 4), (2, 2, 2), (3, 5), (4, 2, 8), (8, 8)]:
+        factors = [_random_algebra(rng, binary, n) for n in sizes]
+        products.append(direct_product(factors, cap=64))
+    products.append(direct_product([_random_algebra(rng, RANDOM_SIGNATURES[5], 4)] * 3, cap=64))
+    for a, b in [(3, 3), (4, 8), (8, 8), (5, 6)]:
+        products.append(nonindexed_product(
+            _random_algebra(rng, Signature({"f": 1, "g": 2}), a),
+            _random_algebra(rng, Signature({"h": 1, "k": 2, "c": 0}), b),
+            cap=64,
+        ))
+    for prod in products:
+        for _ in range(25):
+            p = Partition([rng.randrange(rng.randint(1, 4)) for _ in range(prod.size)])
+            assert largest_congruence_below(prod, p) == _refine_reference(prod, p), (prod, p)
 
 
 def test_is_congruence_uniform():

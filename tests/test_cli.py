@@ -405,6 +405,19 @@ def test_config_oracle_max_reaches_every_sweep(tmp_path):
     assert (code, json.loads(out)["result"]["bounds"]["depth_effective"]) == (0, 2)
 
 
+def test_config_oracle_max_reaches_the_submatrix_sweep(tmp_path):
+    # Ł3 × Ł3 has 9 elements: within an oracle_max of 9, above the default
+    # subuniverse cap of oracle_max + 2 = 8
+    l3 = FiniteAlgebra(Signature({"→": 2}), 3,
+                       {"→": [min(2, 2 - a + b) for a in range(3) for b in range(3)]})
+    cfg = write(tmp_path, "cfg.json", {"oracle_max": 9})
+    nabla = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
+    inv = write(tmp_path, "imp9.json", algebra_to_json(direct_product([l3, l3])))
+    code, out, _ = invoke(["--config", cfg, "check", "equivalential", "-l", nabla, "-i", inv,
+                           "--depth", "2"])
+    assert (code, json.loads(out)["result"]["status"]) == (0, "holds")
+
+
 def test_check_has_theorems_sweeps_no_filters(tmp_path):
     # a theorem search reads no filter, so the 7 elements pass the sweep cap
     # of 6; an inventory of another signature is still refused

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from law.algebra import congruences_bruteforce, one_element
+from law.algebra import FiniteAlgebra, congruences_bruteforce, enumerate_algebras, one_element
 from law.errors import SignatureMismatch
 from law.gallery import bool2, bool4, imp2, pointed_set
 from law.matrices import (
@@ -20,6 +20,7 @@ from law.matrices import (
     subuniverses,
 )
 from law.partitions import Partition
+from law.terms import Signature
 
 BOOL = bool2().signature
 
@@ -100,6 +101,34 @@ def test_subuniverses_of_bool4():
     subs = subuniverses(b4)
     assert subs == [(0, 3), (0, 1, 2, 3)]
     assert subs == brute_subuniverses(b4)
+
+
+def _check_subuniverses(alg, f):
+    want = brute_subuniverses(alg)
+    assert subuniverses(alg) == want, alg
+    subs = submatrices(Matrix(alg, f))
+    assert [len(s) for s in want] == [sm.algebra.size for sm in subs]
+    for sub, sm in zip(want, subs):
+        assert sm.filter == tuple(i for i, x in enumerate(sub) if x in f)
+        for sym, arity in alg.signature.symbols:
+            for args in itertools.product(range(len(sub)), repeat=arity):
+                value = alg.apply(sym, [sub[a] for a in args])
+                assert sub[sm.algebra.apply(sym, args)] == value
+
+
+def test_subuniverses_match_the_closure_of_every_subset():
+    rng = random.Random(5)
+    imp = Signature({"→": 2})
+    for n in (1, 2, 3):
+        for alg in enumerate_algebras(imp, n, iso_prune=True):
+            _check_subuniverses(alg, [x for x in range(n) if rng.random() < 0.5])
+    sigs = [Signature({"c": 0, "t": 3}), Signature({"c": 0, "d": 0, "f": 1}),
+            Signature({"c": 0, "g": 2, "t": 3}), Signature({"t": 3})]
+    for _ in range(120):
+        sig, n = rng.choice(sigs), rng.randint(1, 5)
+        tables = {sym: [rng.randrange(n) for _ in range(n**arity)] for sym, arity in sig.symbols}
+        _check_subuniverses(FiniteAlgebra(sig, n, tables),
+                            [x for x in range(n) if rng.random() < 0.5])
 
 
 def test_submatrices():
