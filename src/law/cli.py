@@ -21,13 +21,7 @@ from . import gallery as gallery_mod
 from .algebra import FiniteAlgebra, congruences_bruteforce
 from .config import Config, load_config
 from .errors import LawError
-from .hierarchy import (
-    CLASS_NAMES,
-    check_class,
-    consequence_presentation,
-    find_protoalgebraic_witness,
-    verify_protoalgebraic_witness,
-)
+from .hierarchy import CLASS_NAMES, check_class
 from .logics import deductive_filters, filter_bounds, suszko_congruence
 from .matrices import leibniz_congruence, matrix_product, reduce_matrix
 from .serialize import (
@@ -74,8 +68,8 @@ def _parser() -> argparse.ArgumentParser:
     prod.add_argument("-l", "--logic", action="append", default=[])
     prod.add_argument("-m", "--matrix", action="append", default=[])
 
-    chk = command("check", _check, "bounded class check or witness search")
-    chk.add_argument("cls", metavar="CLASS", choices=CLASS_NAMES + ("protoalgebraic",))
+    chk = command("check", _check, "bounded hierarchy class check")
+    chk.add_argument("cls", metavar="CLASS", choices=CLASS_NAMES)
     chk.add_argument("-l", "--logic", required=True)
     chk.add_argument("-i", "--inventory", action="append", required=True,
                      help="algebra JSON file or directory of them (repeatable)")
@@ -248,26 +242,12 @@ def _check(args, config: Config, inputs: _Inputs):
     logic = inputs.load(load_logic, args.logic)
     inventory = _inventory(args.inventory, inputs)
     depth = config.depth_default if args.depth is None else args.depth
-    caps = {"oracle_max": config.oracle_max, "cell_budget": config.closure_cell_budget}
-    if args.cls != "protoalgebraic":
-        return _verdict_report(
-            args.recheck,
-            lambda: check_class(args.cls, logic, inventory, depth=depth,
-                                max_set=args.max_set, **caps),
-            args.cls,
-        )
-    bounds = {"depth": depth, "max_set": args.max_set}
-    witness = find_protoalgebraic_witness(
-        logic, depth=depth, max_set=args.max_set,
-        inventory=inventory, depth_cap=config.depth_default, **caps,
+    return _verdict_report(
+        args.recheck,
+        lambda: check_class(args.cls, logic, inventory, depth=depth, max_set=args.max_set,
+                            oracle_max=config.oracle_max, cell_budget=config.closure_cell_budget),
+        args.cls,
     )
-    if witness is None:
-        return 1, {"status": "unknown_within_bounds", "bounds": bounds}, "no witness within bounds"
-    if args.recheck:
-        consequence = consequence_presentation(logic, inventory, config.depth_default, **caps)
-        if not verify_protoalgebraic_witness(consequence, witness.terms):
-            raise LawError("witness failed the recheck pass")
-    return 0, {"status": "holds", "witness": witness.to_json(), "bounds": bounds}, "witness found"
 
 
 def _interpret(args, config: Config, inputs: _Inputs):

@@ -42,9 +42,13 @@ CLASS_NAMES = (
     "truth_equational",
     "truth_minimal",
     "param_truth_equational",
+    "protoalgebraic",
     "equivalential",
     "has_theorems",
 )
+
+#: Largest carrier whose filter families `param_truth_equational` enumerates.
+FAMILY_SIZE_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -377,13 +381,15 @@ def leibniz_monotonicity_probe(
     inventory: Sequence[FiniteAlgebra],
     depth_cap: int = DEFAULTS.depth_default,
     oracle_max: int = DEFAULTS.oracle_max,
+    cell_budget: int = DEFAULTS.closure_cell_budget,
 ) -> Verdict:
     """Fails when some inventory algebra carries filters F within G whose
     Leibniz congruences are not ordered by refinement; a necessary condition
-    for protoalgebraicity, so a failure is conclusive."""
+    for protoalgebraicity, so a failure on exact filters is conclusive."""
     bounds = standard_bounds(logic, inventory, depth_cap)
     for alg in sorted(inventory, key=lambda a: a.sort_key()):
-        verdict = _monotonicity_probe(filter_lattice(logic, alg, oracle_max, depth_cap), bounds)
+        lattice = filter_lattice(logic, alg, oracle_max, depth_cap, cell_budget)
+        verdict = _monotonicity_probe(lattice, bounds)
         if verdict.fails:
             return verdict
     return holds(**bounds)
@@ -399,7 +405,6 @@ def check_class(
     inventory: Sequence[FiniteAlgebra],
     depth: int = DEFAULTS.depth_default,
     max_set: int = 2,
-    family_size_cap: int = 5,
     oracle_max: int = DEFAULTS.oracle_max,
     cell_budget: int = DEFAULTS.closure_cell_budget,
 ) -> Verdict:
@@ -417,8 +422,8 @@ def check_class(
         return holds(t, **bounds) if t is not None else unknown(**bounds)
 
     if class_name == "param_truth_equational":
-        skipped = [a for a in inv if a.size > family_size_cap]
-        for alg in (a for a in inv if a.size <= family_size_cap):
+        skipped = [a for a in inv if a.size > FAMILY_SIZE_CAP]
+        for alg in (a for a in inv if a.size <= FAMILY_SIZE_CAP):
             lattice = filter_lattice(logic, alg, **caps)
             filters = [f for f in lattice.filters if f]
             for f in filters:
@@ -440,6 +445,22 @@ def check_class(
         if skipped:
             return holds(**dict(bounds, skipped_algebras=len(skipped)))
         return holds(**bounds)
+
+    if class_name in ("protoalgebraic", "equivalential"):
+        # equivalential is protoalgebraic plus the submatrix loop below
+        bounds["max_set"] = max_set
+        if logic.kind == RULES:
+            # protoalgebraic iff Ω is monotone on the filters (Blok and
+            # Pigozzi); only exact filters make a non-monotone pair conclusive
+            probe = leibniz_monotonicity_probe(logic, inv, **caps)
+            if probe.fails:
+                return fails(probe.witness, **bounds)
+        witness = find_protoalgebraic_witness(logic, depth=depth, max_set=max_set,
+                                              inventory=inv, **caps)
+        if witness is None:
+            return unknown(**bounds)
+        if class_name == "protoalgebraic":
+            return holds(witness, **bounds)
 
     reduced = {alg: reduced_filters_on(logic, alg, **caps) for alg in inv}
 
@@ -476,11 +497,6 @@ def check_class(
         return holds(**bounds)
 
     if class_name == "equivalential":
-        witness = find_protoalgebraic_witness(
-            logic, depth=depth, max_set=max_set, inventory=inv, **caps
-        )
-        if witness is None:
-            return unknown(**bounds)
         for alg in inv:
             for m in reduced[alg]:
                 for sub in submatrices(m, cap=oracle_max + 2):

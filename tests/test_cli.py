@@ -123,7 +123,12 @@ def test_check_protoalgebraic_unknown(tmp_path):
         ["check", "protoalgebraic", "-l", logic_path, "-i", inv_dir, "--depth", "3"]
     )
     assert code == 1
-    assert json.loads(out)["result"]["status"] == "unknown_within_bounds"
+    result = json.loads(out)["result"]
+    assert result["status"] == "fails"
+    # on the 3-element pointed set the Leibniz operator is not monotone
+    w = result["witness"]
+    assert (w["algebra"]["size"], w["filter_small"], w["filter_large"]) == (3, [0], [0, 1])
+    assert (w["omega_small"], w["omega_large"]) == ([[0], [1, 2]], [[0, 1], [2]])
 
 
 def test_check_protoalgebraic_found(tmp_path):
@@ -135,6 +140,32 @@ def test_check_protoalgebraic_found(tmp_path):
     )
     assert code == 0
     assert json.loads(out)["result"]["witness"]["terms"] == ["(→ x y)"]
+
+
+def test_check_protoalgebraic_bounds_match_other_classes(tmp_path):
+    logic_path = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
+    inv_path = write(tmp_path, "imp2.json", algebra_to_json(imp2()))
+    bounds = {}
+    for cls in ("protoalgebraic", "equivalential", "truth_minimal"):
+        code, out, _ = invoke(["check", cls, "-l", logic_path, "-i", inv_path])
+        assert code == 0
+        bounds[cls] = set(json.loads(out)["result"]["bounds"])
+    named = {"filter_notion", "variable_budget", "depth", "inventory", "max_set"}
+    assert bounds["protoalgebraic"] == bounds["equivalential"] == named
+    assert bounds["truth_minimal"] == named - {"max_set"}
+
+
+def test_check_equivalential_fails_on_pointed_sets(tmp_path):
+    logic_path = write(
+        tmp_path, "assertional.json", logic_to_json(build("basic-assertional").logic)
+    )
+    inv_dir = os.path.join(tmp_path, "pointed")
+    os.makedirs(inv_dir)
+    for n in (1, 2, 3):
+        write(inv_dir, f"p{n}.json", algebra_to_json(pointed_set(n)))
+    code, out, _ = invoke(["check", "equivalential", "-l", logic_path, "-i", inv_dir])
+    assert code == 1
+    assert json.loads(out)["result"]["status"] == "fails"
 
 
 def test_interpret_subcommand(tmp_path):

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from law.algebra import one_element
+from law.algebra import congruences_bruteforce, one_element
+from law.config import DEFAULTS
 from law.errors import UnknownName
 from law.gallery import GALLERY_NAMES, bool4, build, imp2, nabla_hat, pointed_set
 from law.hierarchy import (
@@ -24,8 +25,9 @@ from law.hierarchy import (
     verify_order_alg_witness,
     verify_protoalgebraic_witness,
 )
-from law.logics import Rule, matrices_logic, rules_logic
+from law.logics import RULES, Rule, _closed_under_rules, matrices_logic, rules_logic
 from law.matrices import Matrix
+from law.partitions import Partition
 from law.terms import App, Signature, Var, enumerate_terms, parse_term, substitute, to_sexpr
 
 IMP = imp2().signature
@@ -180,6 +182,65 @@ def test_check_class_equivalential():
     v2 = check_class("equivalential", NABLA.logic, NABLA.inventory)
     assert v2.holds
     assert v2.bounds_dict()["inventory"]
+
+
+def _rule_presented_cases():
+    cases = []
+    for name in GALLERY_NAMES:
+        entry = build(name)
+        if entry.logic is not None and entry.logic.kind == RULES:
+            cases.append(pytest.param(entry.logic, entry.inventory, id=name))
+    pointed = [pointed_set(n) for n in (1, 2, 3, 4)]
+    cases.append(pytest.param(ASSERTIONAL.logic, pointed, id="basic-assertional-pointed-1-4"))
+    return cases
+
+
+RULE_PRESENTED = _rule_presented_cases()
+
+
+def nonmonotone_pairs(logic, inventory):
+    """Oracle: every (algebra, F, G) with F properly inside G, both filters,
+    and Omega(F) not below Omega(G). Filters come from the rule test on every
+    subset, Omega(F) is the coarsest brute-force congruence compatible with F."""
+    bad = set()
+    for alg in inventory:
+        n = alg.size
+        subsets = (s for k in range(n + 1) for s in itertools.combinations(range(n), k))
+        filters = [s for s in subsets if _closed_under_rules(logic, alg, frozenset(s))]
+        congruences = congruences_bruteforce(alg)
+
+        def omega(f):
+            seed = Partition.seed_from_subset(n, f)
+            return min((c for c in congruences if c.refines(seed)), key=lambda c: c.num_blocks)
+
+        for small, large in itertools.permutations(filters, 2):
+            if set(small) < set(large) and not omega(small).refines(omega(large)):
+                bad.add((alg, small, large))
+    return bad
+
+
+@pytest.mark.parametrize("logic, inventory", RULE_PRESENTED)
+def test_protoalgebraic_verdict_agrees_with_independent_paths(logic, inventory):
+    v = check_class("protoalgebraic", logic, inventory)
+    bad = nonmonotone_pairs(logic, inventory)
+    assert v.fails == bool(bad)
+    if v.fails:
+        w = v.witness
+        assert (w["algebra"], w["filter_small"], w["filter_large"]) in bad
+        assert check_class("equivalential", logic, inventory).fails
+    elif v.holds:
+        assert v.witness == find_protoalgebraic_witness(
+            logic, depth=DEFAULTS.depth_default, inventory=inventory)
+
+
+@pytest.mark.parametrize("name", ["ba-star-logic", "two-valued-pair"])
+def test_bounded_filters_give_no_protoalgebraic_fails(name):
+    # the probe fails on the bounded sweep, but those filters over-approximate
+    # the real ones, so the pair is no certificate and the verdict stays open
+    entry = build(name)
+    assert leibniz_monotonicity_probe(entry.logic, entry.inventory, depth_cap=1).fails
+    for cls in ("protoalgebraic", "equivalential"):
+        assert check_class(cls, entry.logic, entry.inventory, depth=1).unknown, cls
 
 
 def test_check_class_unknown_name():
