@@ -5,17 +5,31 @@ inside the search bounds is reported as unknown, never as a refutation; a
 Fails verdict always carries a finite witness that re-verifies. Reduced
 models over a finite inventory stand in for the class of all reduced models,
 and every verdict records that through its bounds.
+
+The witness searches over matrices (theorems and injective theorems of a
+matrix presentation, protoalgebraic sets of any presentation through its
+consequence matrices) read one stream of term classes from the joint closure
+of `logics`: terms with equal values in every matrix are interchangeable in
+entailment, and each class stands for its first term, so the first class
+that qualifies gives the same term as a search over terms. A class is
+decided by its designation mask, never by evaluating a term. The stream
+grows only as far as a search reads; when the closure cell budget stops it
+short of the search depth before a hit, the search raises CapExceeded. A
+rule presentation's theorems come from forward chaining, which is
+syntactic, so its theorem searches test the enumerated terms.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import FiniteAlgebra, term_values
 from .config import DEFAULTS
-from .errors import SignatureMismatch, UnknownName
+from .errors import CapExceeded, SignatureMismatch, TermError, UnknownName
 from .logics import (
     FilterFamily,
     FilterLattice,
@@ -23,13 +37,15 @@ from .logics import (
     MATRICES,
     RULES,
     Rule,
+    _JointClosure,
+    _distinct,
     entails,
     filter_lattice,
     filter_notion,
     models_presentation,
     reduced_filters_on,
 )
-from .matrices import submatrices
+from .matrices import Matrix, submatrices
 from .partitions import Partition
 from .terms import App, Signature, Term, Var, depth, enumerate_terms, substitute, to_sexpr, variables
 from .translations import inventory_fingerprint
@@ -274,19 +290,36 @@ def standard_bounds(
 def theorem_search(
     logic: LogicPresentation,
     depth_cap: int = DEFAULTS.depth_default,
-    pool: Sequence[str] = ("x",),
 ) -> Optional[Term]:
-    """First depth-bounded theorem in enumeration order, if any."""
-    is_theorem = _theorem_test(logic, pool, depth_cap)
-    terms = enumerate_terms(logic.signature, pool, depth_cap)
-    return next((t for t in terms if is_theorem(t)), None)
-
-
-def _theorem_test(logic: LogicPresentation, pool: Sequence[str], cap: int) -> Callable[[Term], bool]:
-    """Theoremhood by saturation for a rule presentation, else by truth tables."""
+    """First theorem in x of depth <= `depth_cap`, in enumeration order, if
+    any: by saturation for a rule presentation, else the first term class
+    designated in every matrix column."""
     if logic.kind == RULES:
-        return derive_theorems(logic, pool, cap).__contains__
-    return lambda t: entails(logic, (), t)
+        theorems = derive_theorems(logic, ("x",), depth_cap)
+        return next((t for t in enumerate_terms(logic.signature, ("x",), depth_cap)
+                     if t in theorems), None)
+    closure = _term_classes(logic.signature, [m.algebra for m in logic.matrices], ("x",))
+    hit = next(_theorem_classes(closure, logic.matrices, depth_cap), None)
+    return None if hit is None else closure.term(hit)
+
+
+def _term_classes(sig: Signature, algebras: Iterable[FiniteAlgebra], names: Sequence[str],
+                  cell_budget: int = DEFAULTS.closure_cell_budget) -> _JointClosure:
+    """The joint closure over `names` and the distinct `algebras`, at depth 0:
+    its classes stand for their first terms in `enumerate_terms` order."""
+    for v in names:
+        if v in sig:
+            raise TermError(f"variable {v!r} clashes with a symbol name")
+    return _JointClosure(sig, _distinct(algebras), names, cell_budget)
+
+
+def _theorem_classes(closure: _JointClosure, matrices: Sequence[Matrix],
+                     depth: int) -> Iterator[int]:
+    """The classes of depth <= `depth` designated in every column of
+    `matrices`, in order, growing the closure as they are read."""
+    mask = closure.designation(matrices)
+    every = closure.lanes(matrices, lambda d, col: True)
+    return (i for i in closure.classes(depth) if mask(i) == every)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +351,35 @@ def find_protoalgebraic_witness(
 ) -> Optional[WitnessSet]:
     """Search for a set of terms in x, y certifying protoalgebraicity.
 
-    Singletons first, then larger sets, in enumeration order; the first hit
-    is returned. Absence within the bounds is not a disproof.
+    The candidates are the classes of terms of depth <= `depth` over the
+    consequence matrices, each standing for its first term. A set qualifies
+    when each member's diagonal is designated at every column, and no column
+    designates x and every member but not y: the two conditions of
+    `verify_protoalgebraic_witness`, read off designation masks. Singletons
+    first, growing the classes only as far as needed, then larger sets in
+    combination order; the first hit is the first hit of the same search
+    over terms. Absence within the bounds is not a disproof.
     """
     consequence = consequence_presentation(logic, inventory, depth_cap,
                                            oracle_max=oracle_max, cell_budget=cell_budget)
-    candidates = list(enumerate_terms(logic.signature, ("x", "y"), depth))
-    for size in range(1, max_set + 1):
-        for combo in itertools.combinations(candidates, size):
-            if verify_protoalgebraic_witness(consequence, combo):
-                return WitnessSet("protoalgebraic", tuple(combo))
+    if consequence.variable_budget < 2:
+        raise CapExceeded(f"2 variables exceed the budget {consequence.variable_budget}")
+    mats = consequence.matrices
+    closure = _term_classes(logic.signature, [m.algebra for m in mats], ("x", "y"), cell_budget)
+    mask = closure.designation(mats)
+    diagonal = closure.lanes(mats, lambda d, col: col[0] == col[1])
+    escape = closure.lanes(mats, lambda d, col: col[0] in d and col[1] not in d)
+    members = []  # (class, mask) of every class with a designated diagonal
+    for i in closure.classes(depth):
+        m = mask(i)
+        if m & diagonal == diagonal:
+            if not escape & m:
+                return WitnessSet("protoalgebraic", (closure.term(i),))
+            members.append((i, m))
+    for size in range(2, max_set + 1):
+        for combo in itertools.combinations(members, size):
+            if not functools.reduce(operator.and_, (m for _, m in combo), escape):
+                return WitnessSet("protoalgebraic", tuple(closure.term(i) for i, _ in combo))
     return None
 
 
@@ -522,15 +574,24 @@ def find_injective_theorem(
     depth_cap: int = DEFAULTS.depth_default,
 ) -> Optional[Term]:
     """First depth-bounded theorem in x whose term function is injective on
-    every reduced inventory model."""
+    every reduced inventory model: for a matrix presentation, the first
+    theorem class whose slice on each model's algebra has no repeated
+    value."""
     inv = sorted(inventory, key=lambda a: a.sort_key())
     models = [m for alg in inv for m in reduced_filters_on(logic, alg, depth_cap=depth_cap)]
-    is_theorem = _theorem_test(logic, ("x",), max(depth, depth_cap))
-    for t in enumerate_terms(logic.signature, ("x",), depth):
-        if not is_theorem(t):
-            continue
-        if all(_injective_on(m.algebra, t) for m in models):
-            return t
+    if logic.kind == RULES:
+        theorems = derive_theorems(logic, ("x",), max(depth, depth_cap))
+        return next((t for t in enumerate_terms(logic.signature, ("x",), depth)
+                     if t in theorems and all(_injective_on(m.algebra, t) for m in models)),
+                    None)
+    algs = {m.algebra for m in models}
+    closure = _term_classes(logic.signature, [m.algebra for m in logic.matrices] + list(algs),
+                            ("x",))
+    spans = [(closure.offsets[bi], closure.offsets[bi + 1])
+             for bi, b in enumerate(closure.block_algs) if b in algs]
+    for i in _theorem_classes(closure, logic.matrices, depth):
+        if all(len(set(closure.rows[i][lo:hi])) == hi - lo for lo, hi in spans):
+            return closure.term(i)
     return None
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,28 @@ def test_check_protoalgebraic_bounds_match_other_classes(tmp_path):
     named = {"filter_notion", "variable_budget", "depth", "inventory", "max_set"}
     assert bounds["protoalgebraic"] == bounds["equivalential"] == named
     assert bounds["truth_minimal"] == named - {"max_set"}
+
+
+def test_check_protoalgebraic_on_ba_star_logic_at_the_default_depth(tmp_path):
+    # the depth-3 terms in x, y number 182,712 and fall into 16 classes
+    logic = write(tmp_path, "ba.json", logic_to_json(build("ba-star-logic").logic))
+    b4 = write(tmp_path, "b4.json", algebra_to_json(bool4()))
+    start = time.perf_counter()
+    code, out, _ = invoke(["check", "protoalgebraic", "-l", logic, "-i", b4])
+    assert time.perf_counter() - start < 0.5
+    result = json.loads(out)["result"]
+    assert (code, result["status"], result["bounds"]["depth"]) == (1, "unknown_within_bounds", 3)
+
+
+def test_check_protoalgebraic_exits_2_when_the_budget_stops_the_term_classes(tmp_path):
+    # two-valued-pair has no theorem, so no class qualifies; a budget of 40
+    # cells admits level 1 of the x, y classes over B2 and refuses level 2
+    cfg = write(tmp_path, "cfg.json", {"closure_cell_budget": 40})
+    logic = write(tmp_path, "pair.json", logic_to_json(build("two-valued-pair").logic))
+    b2 = write(tmp_path, "b2.json", algebra_to_json(bool2()))
+    code, out, _ = invoke(["--config", cfg, "check", "protoalgebraic", "-l", logic, "-i", b2])
+    assert (code, json.loads(out)["error"]) == (
+        2, "CapExceeded: closure cell budget 40 stops the term classes at depth 1 of 3")
 
 
 def test_check_equivalential_fails_on_pointed_sets(tmp_path):

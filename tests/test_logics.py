@@ -14,7 +14,8 @@ from law.gallery import GALLERY_NAMES, bool2, build, imp2, pointed_set, product_
 from law.hierarchy import check_class
 from law.logics import (
     Rule,
-    _joint_closure,
+    _JointClosure,
+    _distinct,
     deductive_filters,
     entails,
     filter_bounds,
@@ -240,26 +241,37 @@ def test_product_logic_filters_decompose():
 
 def _closure_rows(closure):
     """The closure's rows, each a tuple of one bytes per block."""
-    width = closure.offsets[-1]
     blocks = list(itertools.pairwise(closure.offsets))
-    return [tuple(closure.blob[i + lo : i + hi] for lo, hi in blocks)
-            for i in range(0, len(closure.blob), width)]
+    return [tuple(row[lo:hi] for lo, hi in blocks) for row in closure.rows]
 
 
-def _term_rows(logic, alg, depth):
-    """Joint evaluations of the terms of depth <= `depth` over the canonical
-    variables: in each defining algebra at every assignment, in the target
-    algebra at the canonical one (variable i sent to element i)."""
-    names = [f"v{i}" for i in range(alg.size)]
-    canonical = sum(i * alg.size ** (alg.size - 1 - i) for i in range(alg.size))
-    blocks = sorted({m.algebra for m in logic.matrices}, key=lambda a: a.sort_key())
-    rows = set()
-    for t in enumerate_terms(logic.signature, names, depth):
+def _sweep_closure(logic, alg, depth_cap, budget):
+    """The filter sweep's closure of `alg` under `logic`, over one canonical
+    variable per element, and its effective depth."""
+    closure = _JointClosure(logic.signature, _distinct(m.algebra for m in logic.matrices),
+                            [f"v{i}" for i in range(alg.size)], budget, target=alg)
+    return closure, closure.grow_to(depth_cap)
+
+
+def _assert_classes(closure, sig, algebras, names, depth, target=None):
+    """The closure's rows are the joint evaluations of the terms over `names`
+    of depth <= `depth`: in each algebra at every assignment and, when
+    `target` is no such algebra, in `target` at the canonical one (variable i
+    sent to element i). Each row comes once, in the order of the first term
+    with that row in `enumerate_terms`, and that term is the one `term`
+    rebuilds."""
+    blocks = sorted(set(algebras), key=lambda a: a.sort_key())
+    first = {}
+    for t in enumerate_terms(sig, names, depth):
         row = tuple(bytes(term_values(b, t, names)) for b in blocks)
-        if alg not in blocks:
-            row += (bytes([term_values(alg, t, names)[canonical]]),)
-        rows.add(row)
-    return rows
+        if target is not None and target not in blocks:
+            canonical = sum(i * target.size ** (target.size - 1 - i) for i in range(target.size))
+            row += (bytes([term_values(target, t, names)[canonical]]),)
+        first.setdefault(row, t)
+    rows = _closure_rows(closure)
+    assert rows == list(first)
+    for i, row in enumerate(rows):
+        assert closure.term(i) == first[row]
 
 
 def _closure_cases():
@@ -305,12 +317,11 @@ def _closure_cases():
 @pytest.mark.parametrize("logic, alg, depth_cap, budget", _closure_cases())
 def test_closure_rows_are_the_joint_evaluations_of_bounded_terms(logic, alg, depth_cap, budget):
     budget = budget or DEFAULTS.closure_cell_budget
-    closure = _joint_closure(logic, alg, depth_cap, budget)
-    rows = _closure_rows(closure)
-    assert len(rows) == len(set(rows))
-    assert set(rows) == _term_rows(logic, alg, closure.depth_effective)
+    closure, depth_effective = _sweep_closure(logic, alg, depth_cap, budget)
+    _assert_classes(closure, logic.signature, [m.algebra for m in logic.matrices],
+                    [f"v{i}" for i in range(alg.size)], depth_effective, target=alg)
     if budget < DEFAULTS.closure_cell_budget:
-        assert closure.depth_effective == 2
+        assert depth_effective == 2
 
 
 def _random_closure_case(rng):
@@ -332,10 +343,17 @@ def test_random_closures_are_the_joint_evaluations_of_bounded_terms():
     rng = random.Random(8)
     for _ in range(30):
         logic, alg, depth_cap = _random_closure_case(rng)
-        closure = _joint_closure(logic, alg, depth_cap, DEFAULTS.closure_cell_budget)
-        rows = _closure_rows(closure)
-        assert len(rows) == len(set(rows))
-        assert set(rows) == _term_rows(logic, alg, closure.depth_effective)
+        algebras = [m.algebra for m in logic.matrices]
+        closure, depth_effective = _sweep_closure(logic, alg, depth_cap,
+                                                  DEFAULTS.closure_cell_budget)
+        _assert_classes(closure, logic.signature, algebras,
+                        [f"v{i}" for i in range(alg.size)], depth_effective, target=alg)
+        # the witness searches' closures: x, or x and y, and no canonical column
+        for names in (("x",), ("x", "y")):
+            closure = _JointClosure(logic.signature, _distinct(algebras), names,
+                                    DEFAULTS.closure_cell_budget)
+            depth_effective = closure.grow_to(depth_cap)
+            _assert_classes(closure, logic.signature, algebras, names, depth_effective)
 
 
 def test_bounded_filters_refuse_algebras_over_256_elements():
@@ -409,7 +427,7 @@ def test_suszko_and_reduced_filters_agree_with_the_definitions(logic, inventory)
 
 def test_filter_lattice_is_swept_once_per_key(monkeypatch):
     calls = collections.Counter()
-    for name in ("_joint_closure", "_bounded_filter_subsets", "_closed_under_rules"):
+    for name in ("_JointClosure", "_bounded_filter_subsets", "_closed_under_rules"):
         def counted(*args, real=getattr(logics, name), name=name, **kw):
             calls[name] += 1
             return real(*args, **kw)
