@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .config import DEFAULTS
+from .config import DEFAULTS, ENUM_CELL_BUDGET
 from .errors import CapExceeded, NotACongruence, SignatureMismatch, TermError
 from .partitions import Partition, all_partitions
 from .terms import App, Signature, Term, Var, check_term
@@ -347,7 +347,7 @@ def _canonical_tables(alg: FiniteAlgebra) -> tuple:
 def enumerate_algebras(
     sig: Signature,
     n: int,
-    cell_budget: int = DEFAULTS.enum_cell_budget,
+    cell_budget: int = ENUM_CELL_BUDGET,
     iso_prune: bool = False,
 ) -> Iterator[FiniteAlgebra]:
     """All algebras of size n over `sig`, tables in row-major counter order.

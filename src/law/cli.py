@@ -168,10 +168,8 @@ def _with_filter_bounds(args, config: Config, inputs: _Inputs, sweep):
     second, so the sweep's carrier cap and signature check report first."""
     logic = inputs.load(load_logic, args.logic)
     alg = inputs.load(load_algebra, args.algebra)
-    caps = {"oracle_max": config.oracle_max, "depth_cap": config.depth_default,
-            "cell_budget": config.closure_cell_budget}
-    result, summary = sweep(logic, alg, **caps)
-    result["bounds"] = filter_bounds(logic, alg, **caps)
+    result, summary = sweep(logic, alg, **config.caps())
+    result["bounds"] = filter_bounds(logic, alg, **config.caps())
     return 0, result, summary
 
 
@@ -241,11 +239,10 @@ def _verdict_report(recheck: bool, check: Callable[[], Verdict], label: str):
 def _check(args, config: Config, inputs: _Inputs):
     logic = inputs.load(load_logic, args.logic)
     inventory = _inventory(args.inventory, inputs)
-    depth = config.depth_default if args.depth is None else args.depth
+    config = config.override(depth_default=args.depth)
     return _verdict_report(
         args.recheck,
-        lambda: check_class(args.cls, logic, inventory, depth=depth, max_set=args.max_set,
-                            oracle_max=config.oracle_max, cell_budget=config.closure_cell_budget),
+        lambda: check_class(args.cls, logic, inventory, args.max_set, config),
         args.cls,
     )
 
@@ -257,9 +254,7 @@ def _interpret(args, config: Config, inputs: _Inputs):
     inventory = _inventory(args.inventory, inputs)
     return _verdict_report(
         args.recheck,
-        lambda: check_interpretation_bounded(
-            tau, source, target, inventory, depth_cap=config.depth_default,
-            oracle_max=config.oracle_max, cell_budget=config.closure_cell_budget),
+        lambda: check_interpretation_bounded(tau, source, target, inventory, config),
         "interpretation",
     )
 

@@ -1,4 +1,12 @@
-"""Caps and defaults, overridable via a JSON config file (LAW_CONFIG) or CLI flags."""
+"""Caps and defaults, overridable via a JSON config file (LAW_CONFIG) or CLI flags.
+
+A `Config` is the one carrier of the caps of every inventory-level call:
+the checks, witness searches and sweeps of `hierarchy`, `translations` and
+`gallery` take one `config` and pass it down, so a verdict always ran under
+the caps it was given. `Config.caps()` maps it onto the keyword caps of the
+per-algebra filter readers of `logics`. The module constants below are
+fixed defaults that no config overrides.
+"""
 
 from __future__ import annotations
 
@@ -12,19 +20,29 @@ from .errors import LawError
 #: Rounds that would exceed it are skipped and the effective depth recorded.
 CLOSURE_CELL_BUDGET = 1 << 23
 
+#: Variables admitted in consequence queries, unless a logic names its own.
+VARIABLE_BUDGET = 8
+
+#: Total table cells across an algebra enumeration.
+ENUM_CELL_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class Config:
     oracle_max: int = 6          # carrier cap for brute-force sweeps (2^n subsets, all partitions)
     product_max: int = 64        # carrier cap for product algebras
     depth_default: int = 3       # default term-depth cap for bounded checks
-    variable_budget: int = 8     # variables admitted in consequence queries
-    enum_cell_budget: int = 1 << 20   # total table cells across an algebra enumeration
     closure_cell_budget: int = CLOSURE_CELL_BUDGET
 
     def override(self, **kwargs) -> "Config":
         clean = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **clean) if clean else self
+
+    def caps(self) -> dict:
+        """The keyword caps of the per-algebra filter readers of `logics`
+        (`filter_lattice`, `deductive_filters`, `filter_bounds`, ...)."""
+        return {"oracle_max": self.oracle_max, "depth_cap": self.depth_default,
+                "cell_budget": self.closure_cell_budget}
 
 
 DEFAULTS = Config()

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .algebra import FiniteAlgebra, enumerate_algebras, one_element
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import UnknownName
 from .hierarchy import (
     consequence_presentation,
@@ -381,7 +381,7 @@ def companions(
     logic: LogicPresentation,
     which: str,
     inventory: Optional[Sequence[FiniteAlgebra]] = None,
-    depth_cap: int = DEFAULTS.depth_default,
+    config: Config = DEFAULTS,
 ) -> LogicPresentation:
     """`theoremless`: extend the defining matrices with an empty-filter copy
     of each defining algebra. `plus`: drop empty-filter matrices. Rule
@@ -389,7 +389,7 @@ def companions(
     inventory, which makes the result bounded."""
     if which not in ("theoremless", "plus"):
         raise UnknownName(f"companion must be 'theoremless' or 'plus', not {which!r}")
-    base = consequence_presentation(logic, inventory, depth_cap)
+    base = consequence_presentation(logic, inventory, config)
     mats = list(base.matrices)
     if which == "theoremless":
         for alg in sorted({m.algebra for m in mats}, key=lambda a: a.sort_key()):
@@ -427,9 +427,9 @@ def product_of_logics(
 # self-verification
 
 
-def verify_entry(entry: GalleryEntry, depth_cap: int = DEFAULTS.depth_default) -> list[str]:
-    """Run every expectation; return a list of failure descriptions (empty
-    when the entry verifies)."""
+def verify_entry(entry: GalleryEntry, config: Config = DEFAULTS) -> list[str]:
+    """Run every expectation under the caps of `config`; return a list of
+    failure descriptions (empty when the entry verifies)."""
     problems = []
     for exp in entry.expectations:
         kind = exp["kind"]
@@ -453,16 +453,16 @@ def verify_entry(entry: GalleryEntry, depth_cap: int = DEFAULTS.depth_default) -
                 ) != exp["filter_large"]:
                     problems.append(f"{entry.name}: wrong monotonicity witness {w}")
         elif kind == "monotonicity_fails_somewhere":
-            verdict = leibniz_monotonicity_probe(entry.logic, entry.inventory, depth_cap)
+            verdict = leibniz_monotonicity_probe(entry.logic, entry.inventory, config)
             if not verdict.fails:
                 problems.append(f"{entry.name}: expected a monotonicity failure")
         elif kind == "proto_witness_verifies":
             terms = tuple(parse_term(entry.logic.signature, s) for s in exp["terms"])
-            consequence = consequence_presentation(entry.logic, entry.inventory, depth_cap)
+            consequence = consequence_presentation(entry.logic, entry.inventory, config)
             if not verify_protoalgebraic_witness(consequence, terms):
                 problems.append(f"{entry.name}: witness {exp['terms']} does not verify")
         elif kind == "injective_theorem":
-            t = find_injective_theorem(entry.logic, entry.inventory, exp["depth"])
+            t = find_injective_theorem(entry.logic, entry.inventory, exp["depth"], config)
             want = parse_term(entry.logic.signature, exp["term"])
             if t != want:
                 problems.append(f"{entry.name}: injective theorem {t!r} != {want!r}")
@@ -474,15 +474,15 @@ def verify_entry(entry: GalleryEntry, depth_cap: int = DEFAULTS.depth_default) -
                     break
         elif kind == "reduced_singleton_filters":
             for alg in entry.inventory:
-                mats = reduced_filters_on(entry.logic, alg, depth_cap=depth_cap)
+                mats = reduced_filters_on(entry.logic, alg, **config.caps())
                 if [m.filter for m in mats] != [(0,)]:
                     problems.append(f"{entry.name}: reduced filters on {alg!r} not [{{point}}]")
         elif kind == "theorem_exists":
-            if theorem_search(entry.logic, exp["depth"]) is None:
+            if theorem_search(entry.logic, exp["depth"], config) is None:
                 problems.append(f"{entry.name}: no theorem found")
         elif kind == "reduced_contains":
             for alg in entry.inventory:
-                got = {m.filter for m in reduced_filters_on(entry.logic, alg, depth_cap=depth_cap)}
+                got = {m.filter for m in reduced_filters_on(entry.logic, alg, **config.caps())}
                 for f in exp["filters"]:
                     if tuple(f) not in got:
                         problems.append(f"{entry.name}: reduced filters miss {f}")

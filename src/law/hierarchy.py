@@ -4,7 +4,9 @@ Every check here is inventory-relative and three-valued. A missing witness
 inside the search bounds is reported as unknown, never as a refutation; a
 Fails verdict always carries a finite witness that re-verifies. Reduced
 models over a finite inventory stand in for the class of all reduced models,
-and every verdict records that through its bounds.
+and every verdict records that through its bounds. Every check and search
+takes one `Config` and runs its filter sweeps, consequence matrices and term
+classes under that config's caps; a search's own `depth` is its argument.
 
 The witness searches over matrices (theorems and injective theorems of a
 matrix presentation, protoalgebraic sets of any presentation through its
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import FiniteAlgebra, term_values
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import CapExceeded, SignatureMismatch, TermError, UnknownName
 from .logics import (
     FilterFamily,
@@ -115,19 +117,13 @@ def _occurrence_depths(t: Term, at: int = 0, acc: Optional[dict[str, int]] = Non
     return acc
 
 
-def _depth_prefixes(sig: Signature, pool: Sequence[str], cap: int) -> list[list[Term]]:
-    """prefixes[d] lists every pool term of depth <= d, sharing one stream."""
-    ordered = list(enumerate_terms(sig, pool, cap))
-    prefixes: list[list[Term]] = []
-    for d in range(cap + 1):
-        prefixes.append([t for t in ordered if depth(t) <= d])
-    return prefixes
-
-
-def _axiom_instances(rule: Rule, prefixes: list[list[Term]], cap: int) -> Iterable[Term]:
+def _axiom_instances(rule: Rule, sig: Signature, pool: Sequence[str], cap: int) -> Iterable[Term]:
+    """The instances of an axiom of depth <= `cap` over pool terms: each
+    variable ranges over the pool terms that fit below its deepest
+    occurrence."""
     occ = _occurrence_depths(rule.conclusion)
     names = sorted(occ)
-    choices = [prefixes[max(cap - occ[v], 0)] for v in names]
+    choices = [enumerate_terms(sig, pool, max(cap - occ[v], 0)) for v in names]
     for images in itertools.product(*choices):
         t = substitute(rule.conclusion, dict(zip(names, images)))
         if depth(t) <= cap:
@@ -145,11 +141,10 @@ def _saturate(
     such terms (see `chain_entails`). Stops once `goal` is derived."""
     if logic.kind != RULES:
         raise ValueError("forward chaining needs a rule presentation")
-    prefixes = _depth_prefixes(logic.signature, pool, _axiom_pool_depth(logic, cap))
     derived: set[Term] = set(gamma)
     for rule in logic.rules:
         if not rule.premises:
-            derived.update(_axiom_instances(rule, prefixes, cap))
+            derived.update(_axiom_instances(rule, logic.signature, pool, cap))
     if goal in derived:
         return derived
     proper = [r for r in logic.rules if r.premises]
@@ -190,18 +185,6 @@ def derive_theorems(
     fixed pool, by saturation. Sound; complete only relative to the caps
     (derivations that pass through deeper terms are missed)."""
     return frozenset(_saturate(logic, (), pool, depth_cap))
-
-
-def _axiom_pool_depth(logic: LogicPresentation, cap: int) -> int:
-    """Deepest substitution image any axiom instantiation can use."""
-    needed = 0
-    for rule in logic.rules:
-        if rule.premises:
-            continue
-        occ = _occurrence_depths(rule.conclusion)
-        for k in occ.values():
-            needed = max(needed, cap - k)
-    return max(needed, 0)
 
 
 def _premise_matches(rule: Rule, pool: set[Term]) -> Iterable[dict[str, Term]]:
@@ -252,9 +235,7 @@ def chain_entails(
 def consequence_presentation(
     logic: LogicPresentation,
     inventory: Optional[Sequence[FiniteAlgebra]],
-    depth_cap: int,
-    oracle_max: int = DEFAULTS.oracle_max,
-    cell_budget: int = DEFAULTS.closure_cell_budget,
+    config: Config = DEFAULTS,
 ) -> LogicPresentation:
     """Matrix presentation deciding consequence for `logic`.
 
@@ -266,20 +247,19 @@ def consequence_presentation(
         return logic
     if inventory is None:
         raise ValueError("a rule presentation needs an inventory to decide consequence")
-    return models_presentation(logic, inventory, oracle_max=oracle_max,
-                               depth_cap=depth_cap, cell_budget=cell_budget)
+    return models_presentation(logic, inventory, config)
 
 
 def standard_bounds(
     logic: LogicPresentation,
     inventory: Optional[Sequence[FiniteAlgebra]],
-    depth_cap: int,
+    depth: int,
     **extra,
 ) -> dict:
     out = {
         "filter_notion": filter_notion(logic),
         "variable_budget": logic.variable_budget,
-        "depth": depth_cap,
+        "depth": depth,
     }
     if inventory is not None:
         out["inventory"] = inventory_fingerprint(list(inventory))
@@ -289,28 +269,31 @@ def standard_bounds(
 
 def theorem_search(
     logic: LogicPresentation,
-    depth_cap: int = DEFAULTS.depth_default,
+    depth: int = DEFAULTS.depth_default,
+    config: Config = DEFAULTS,
 ) -> Optional[Term]:
-    """First theorem in x of depth <= `depth_cap`, in enumeration order, if
-    any: by saturation for a rule presentation, else the first term class
+    """First theorem in x of depth <= `depth`, in enumeration order, if any:
+    by saturation for a rule presentation, else the first term class
     designated in every matrix column."""
     if logic.kind == RULES:
-        theorems = derive_theorems(logic, ("x",), depth_cap)
-        return next((t for t in enumerate_terms(logic.signature, ("x",), depth_cap)
+        theorems = derive_theorems(logic, ("x",), depth)
+        return next((t for t in enumerate_terms(logic.signature, ("x",), depth)
                      if t in theorems), None)
-    closure = _term_classes(logic.signature, [m.algebra for m in logic.matrices], ("x",))
-    hit = next(_theorem_classes(closure, logic.matrices, depth_cap), None)
+    closure = _term_classes(logic.signature, [m.algebra for m in logic.matrices], ("x",),
+                            config)
+    hit = next(_theorem_classes(closure, logic.matrices, depth), None)
     return None if hit is None else closure.term(hit)
 
 
 def _term_classes(sig: Signature, algebras: Iterable[FiniteAlgebra], names: Sequence[str],
-                  cell_budget: int = DEFAULTS.closure_cell_budget) -> _JointClosure:
-    """The joint closure over `names` and the distinct `algebras`, at depth 0:
-    its classes stand for their first terms in `enumerate_terms` order."""
+                  config: Config) -> _JointClosure:
+    """The joint closure over `names` and the distinct `algebras`, at depth 0,
+    under the config's cell budget: its classes stand for their first terms
+    in `enumerate_terms` order."""
     for v in names:
         if v in sig:
             raise TermError(f"variable {v!r} clashes with a symbol name")
-    return _JointClosure(sig, _distinct(algebras), names, cell_budget)
+    return _JointClosure(sig, _distinct(algebras), names, config.closure_cell_budget)
 
 
 def _theorem_classes(closure: _JointClosure, matrices: Sequence[Matrix],
@@ -345,9 +328,7 @@ def find_protoalgebraic_witness(
     depth: int = 2,
     max_set: int = 2,
     inventory: Optional[Sequence[FiniteAlgebra]] = None,
-    depth_cap: int = DEFAULTS.depth_default,
-    oracle_max: int = DEFAULTS.oracle_max,
-    cell_budget: int = DEFAULTS.closure_cell_budget,
+    config: Config = DEFAULTS,
 ) -> Optional[WitnessSet]:
     """Search for a set of terms in x, y certifying protoalgebraicity.
 
@@ -360,12 +341,11 @@ def find_protoalgebraic_witness(
     combination order; the first hit is the first hit of the same search
     over terms. Absence within the bounds is not a disproof.
     """
-    consequence = consequence_presentation(logic, inventory, depth_cap,
-                                           oracle_max=oracle_max, cell_budget=cell_budget)
+    consequence = consequence_presentation(logic, inventory, config)
     if consequence.variable_budget < 2:
         raise CapExceeded(f"2 variables exceed the budget {consequence.variable_budget}")
     mats = consequence.matrices
-    closure = _term_classes(logic.signature, [m.algebra for m in mats], ("x", "y"), cell_budget)
+    closure = _term_classes(logic.signature, [m.algebra for m in mats], ("x", "y"), config)
     mask = closure.designation(mats)
     diagonal = closure.lanes(mats, lambda d, col: col[0] == col[1])
     escape = closure.lanes(mats, lambda d, col: col[0] in d and col[1] not in d)
@@ -431,16 +411,14 @@ def _monotonicity_probe(lattice: FilterLattice, bounds: dict) -> Verdict:
 def leibniz_monotonicity_probe(
     logic: LogicPresentation,
     inventory: Sequence[FiniteAlgebra],
-    depth_cap: int = DEFAULTS.depth_default,
-    oracle_max: int = DEFAULTS.oracle_max,
-    cell_budget: int = DEFAULTS.closure_cell_budget,
+    config: Config = DEFAULTS,
 ) -> Verdict:
     """Fails when some inventory algebra carries filters F within G whose
     Leibniz congruences are not ordered by refinement; a necessary condition
     for protoalgebraicity, so a failure on exact filters is conclusive."""
-    bounds = standard_bounds(logic, inventory, depth_cap)
+    bounds = standard_bounds(logic, inventory, config.depth_default)
     for alg in sorted(inventory, key=lambda a: a.sort_key()):
-        lattice = filter_lattice(logic, alg, oracle_max, depth_cap, cell_budget)
+        lattice = filter_lattice(logic, alg, **config.caps())
         verdict = _monotonicity_probe(lattice, bounds)
         if verdict.fails:
             return verdict
@@ -455,22 +433,22 @@ def check_class(
     class_name: str,
     logic: LogicPresentation,
     inventory: Sequence[FiniteAlgebra],
-    depth: int = DEFAULTS.depth_default,
     max_set: int = 2,
-    oracle_max: int = DEFAULTS.oracle_max,
-    cell_budget: int = DEFAULTS.closure_cell_budget,
+    config: Config = DEFAULTS,
 ) -> Verdict:
-    """Bounded, inventory-relative test for one hierarchy class."""
+    """Bounded, inventory-relative test for one hierarchy class, at the
+    config's default depth."""
     if class_name not in CLASS_NAMES:
         raise UnknownName(f"unknown class {class_name!r}; choose from {CLASS_NAMES}")
     inv = sorted(inventory, key=lambda a: a.sort_key())
+    depth = config.depth_default
     bounds = standard_bounds(logic, inv, depth)
-    caps = {"oracle_max": oracle_max, "depth_cap": depth, "cell_budget": cell_budget}
+    caps = config.caps()
     if any(alg.signature != logic.signature for alg in inv):
         raise SignatureMismatch("algebra signature differs from the logic's")
 
     if class_name == "has_theorems":
-        t = theorem_search(logic, depth)
+        t = theorem_search(logic, depth, config)
         return holds(t, **bounds) if t is not None else unknown(**bounds)
 
     if class_name == "param_truth_equational":
@@ -504,11 +482,10 @@ def check_class(
         if logic.kind == RULES:
             # protoalgebraic iff Ω is monotone on the filters (Blok and
             # Pigozzi); only exact filters make a non-monotone pair conclusive
-            probe = leibniz_monotonicity_probe(logic, inv, **caps)
+            probe = leibniz_monotonicity_probe(logic, inv, config)
             if probe.fails:
                 return fails(probe.witness, **bounds)
-        witness = find_protoalgebraic_witness(logic, depth=depth, max_set=max_set,
-                                              inventory=inv, **caps)
+        witness = find_protoalgebraic_witness(logic, depth, max_set, inv, config)
         if witness is None:
             return unknown(**bounds)
         if class_name == "protoalgebraic":
@@ -521,7 +498,7 @@ def check_class(
             for m in reduced[alg]:
                 if len(m.filter) != 1:
                     return fails({"reason": "non-singleton reduced filter", "model": m}, **bounds)
-        t = theorem_search(logic, depth)
+        t = theorem_search(logic, depth, config)
         return holds(t, **bounds) if t is not None else unknown(**bounds)
 
     if class_name == "truth_equational":
@@ -551,7 +528,7 @@ def check_class(
     if class_name == "equivalential":
         for alg in inv:
             for m in reduced[alg]:
-                for sub in submatrices(m, cap=oracle_max + 2):
+                for sub in submatrices(m, cap=config.oracle_max + 2):
                     if sub not in reduced_filters_on(logic, sub.algebra, **caps):
                         return fails(
                             {"reason": "submatrix of a reduced model is not reduced",
@@ -571,22 +548,22 @@ def find_injective_theorem(
     logic: LogicPresentation,
     inventory: Sequence[FiniteAlgebra],
     depth: int = 2,
-    depth_cap: int = DEFAULTS.depth_default,
+    config: Config = DEFAULTS,
 ) -> Optional[Term]:
     """First depth-bounded theorem in x whose term function is injective on
     every reduced inventory model: for a matrix presentation, the first
     theorem class whose slice on each model's algebra has no repeated
     value."""
     inv = sorted(inventory, key=lambda a: a.sort_key())
-    models = [m for alg in inv for m in reduced_filters_on(logic, alg, depth_cap=depth_cap)]
+    models = [m for alg in inv for m in reduced_filters_on(logic, alg, **config.caps())]
     if logic.kind == RULES:
-        theorems = derive_theorems(logic, ("x",), max(depth, depth_cap))
+        theorems = derive_theorems(logic, ("x",), max(depth, config.depth_default))
         return next((t for t in enumerate_terms(logic.signature, ("x",), depth)
                      if t in theorems and all(_injective_on(m.algebra, t) for m in models)),
                     None)
     algs = {m.algebra for m in models}
     closure = _term_classes(logic.signature, [m.algebra for m in logic.matrices] + list(algs),
-                            ("x",))
+                            ("x",), config)
     spans = [(closure.offsets[bi], closure.offsets[bi + 1])
              for bi, b in enumerate(closure.block_algs) if b in algs]
     for i in _theorem_classes(closure, logic.matrices, depth):
@@ -604,15 +581,15 @@ def verify_order_alg_witness(
     delta: Sequence[Term],
     inequalities: Sequence[tuple[Term, Term]],
     inventory: Sequence[FiniteAlgebra],
-    depth_cap: int = DEFAULTS.depth_default,
+    config: Config = DEFAULTS,
 ) -> Verdict:
     """Check that the delta-induced relation is a partial order on every
     reduced inventory model and that filter membership matches the
     inequalities under that order."""
     inv = sorted(inventory, key=lambda a: a.sort_key())
-    bounds = standard_bounds(logic, inv, depth_cap)
+    bounds = standard_bounds(logic, inv, config.depth_default)
     for alg in inv:
-        for m in reduced_filters_on(logic, alg, depth_cap=depth_cap):
+        for m in reduced_filters_on(logic, alg, **config.caps()):
             des = m.filter_set()
             n = alg.size
             rows = [term_values(alg, d, ("x", "y")) for d in delta]

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .algebra import FiniteAlgebra, term_values
-from .config import DEFAULTS
+from .config import DEFAULTS, VARIABLE_BUDGET, Config
 from .errors import CapExceeded, NotAFilter, SignatureMismatch
 from .matrices import Matrix, leibniz_congruence
 from .partitions import Partition
@@ -96,7 +96,7 @@ class LogicPresentation:
     kind: str
     rules: tuple[Rule, ...] = ()
     matrices: tuple[Matrix, ...] = ()
-    variable_budget: int = DEFAULTS.variable_budget
+    variable_budget: int = VARIABLE_BUDGET
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -640,7 +640,7 @@ def reduced_filters_on(
 def models_presentation(
     logic: LogicPresentation,
     inventory: Sequence[FiniteAlgebra],
-    **kw,
+    config: Config = DEFAULTS,
 ) -> LogicPresentation:
     """Matrix presentation collecting the reduced models over an inventory.
 
@@ -648,7 +648,7 @@ def models_presentation(
     bounded stand-in and is flagged as such by its notion.
     """
     inv = sorted(inventory, key=lambda a: a.sort_key())
-    mats = [m for alg in inv for m in reduced_filters_on(logic, alg, **kw)]
+    mats = [m for alg in inv for m in reduced_filters_on(logic, alg, **config.caps())]
     if not mats:
         raise ValueError("inventory produced no reduced models")
     return matrices_logic(

@@ -23,6 +23,7 @@ import os
 from typing import Any, Callable
 
 from .algebra import FiniteAlgebra
+from .config import VARIABLE_BUDGET
 from .errors import LawError
 from .logics import LogicPresentation, MATRICES, RULES, Rule, matrices_logic, rules_logic
 from .matrices import Matrix
@@ -181,7 +182,7 @@ def logic_from_json(data: dict, base_dir: str = ".") -> LogicPresentation:
     data = _expect(data, dict, "the document")
     sig = _signature(data, "signature")
     kind = _field(data, "kind", str)
-    budget = _expect(data.get("variable_budget", 8), int, "field 'variable_budget'")
+    budget = _expect(data.get("variable_budget", VARIABLE_BUDGET), int, "field 'variable_budget'")
     name = str(data.get("name", ""))
     if kind == RULES:
         rules = [

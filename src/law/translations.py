@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import FiniteAlgebra, term_values
-from .config import DEFAULTS
+from .config import DEFAULTS, Config
 from .errors import SignatureMismatch, TermError
 from .logics import (
     LogicPresentation,
@@ -96,9 +96,7 @@ def check_interpretation_bounded(
     source_logic: LogicPresentation,
     target_logic: LogicPresentation,
     inventory: Sequence[FiniteAlgebra],
-    depth_cap: int = DEFAULTS.depth_default,
-    oracle_max: int = DEFAULTS.oracle_max,
-    cell_budget: int = DEFAULTS.closure_cell_budget,
+    config: Config = DEFAULTS,
 ) -> Verdict:
     """Bounded test that reducts of reduced target models are reduced source
     models over the inventory.
@@ -115,12 +113,12 @@ def check_interpretation_bounded(
         raise SignatureMismatch("translation target differs from the target logic")
     inv = sorted(inventory, key=lambda a: a.sort_key())
     bounds = {
-        "depth_cap": depth_cap,
+        "depth_cap": config.depth_default,
         "inventory": inventory_fingerprint(inv),
         "filter_notion": f"{filter_notion(source_logic)}/{filter_notion(target_logic)}",
         "variable_budget": target_logic.variable_budget,
     }
-    caps = {"oracle_max": oracle_max, "depth_cap": depth_cap, "cell_budget": cell_budget}
+    caps = config.caps()
     reduced = [m for alg in inv for m in reduced_filters_on(target_logic, alg, **caps)]
 
     if source_logic.kind == RULES:

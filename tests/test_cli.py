@@ -176,6 +176,10 @@ def test_check_protoalgebraic_exits_2_when_the_budget_stops_the_term_classes(tmp
     code, out, _ = invoke(["--config", cfg, "check", "protoalgebraic", "-l", logic, "-i", b2])
     assert (code, json.loads(out)["error"]) == (
         2, "CapExceeded: closure cell budget 40 stops the term classes at depth 1 of 3")
+    # the theorem search over x reads the same budget: level 2 fits, level 3 not
+    code, out, _ = invoke(["--config", cfg, "check", "has_theorems", "-l", logic, "-i", b2])
+    assert (code, json.loads(out)["error"]) == (
+        2, "CapExceeded: closure cell budget 40 stops the term classes at depth 2 of 3")
 
 
 def test_check_equivalential_fails_on_pointed_sets(tmp_path):
@@ -319,8 +323,9 @@ def test_check_rejects_nonpositive_depth(tmp_path, capsys, depth):
     "data, field",
     [({"oracle_max": 6, "depth_cap": 2}, "depth_cap"),
      ({"oracle_max": -1}, "oracle_max"),
-     ({"depth_default": 0}, "depth_default")],
-    ids=["unknown-field", "negative-cap", "zero-cap"],
+     ({"depth_default": 0}, "depth_default"),
+     ({"variable_budget": 4}, "variable_budget")],
+    ids=["unknown-field", "negative-cap", "zero-cap", "not-a-config-field"],
 )
 def test_config_rejects_bad_fields(tmp_path, monkeypatch, data, field):
     cfg = write(tmp_path, "cfg.json", data)

@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from law.errors import UnknownName
+from law.config import DEFAULTS
+from law.errors import CapExceeded, UnknownName
 from law.gallery import (
     GALLERY_NAMES,
     bool2,
@@ -20,7 +21,7 @@ from law.gallery import (
     verify_entry,
     write_entry,
 )
-from law.hierarchy import derive_theorems, nabla_theorem_oracle
+from law.hierarchy import derive_theorems, find_injective_theorem, nabla_theorem_oracle
 from law.logics import entails, matrices_logic
 from law.matrices import Matrix
 from law.serialize import load_matrix
@@ -32,6 +33,16 @@ X, Y = Var("x"), Var("y")
 def test_every_entry_self_verifies():
     for name in GALLERY_NAMES:
         assert verify_entry(build(name)) == [], name
+
+
+def test_the_config_reaches_the_injective_search_and_verify_entry():
+    # nabla's inventory holds a 2-element algebra, above a carrier cap of 1
+    entry = build("nabla")
+    tight = DEFAULTS.override(oracle_max=1)
+    for run in (lambda: find_injective_theorem(entry.logic, entry.inventory, 2, tight),
+                lambda: verify_entry(entry, tight)):
+        with pytest.raises(CapExceeded, match="carrier 2 exceeds the filter sweep cap 1"):
+            run()
 
 
 def test_unknown_name_and_params():
@@ -105,7 +116,7 @@ def test_nabla_entails_vs_oracle_soundness_report():
     entry = build("nabla")
     from law.hierarchy import consequence_presentation
 
-    consequence = consequence_presentation(entry.logic, entry.inventory, 3)
+    consequence = consequence_presentation(entry.logic, entry.inventory)
     semantic = set()
     oracle = set()
     for t in enumerate_terms(entry.logic.signature, ["x", "y"], 3):

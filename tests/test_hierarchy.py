@@ -87,7 +87,7 @@ def test_find_protoalgebraic_witness_matrix_presented():
 
 def test_witness_reverifies_by_contract():
     w = find_protoalgebraic_witness(NABLA.logic, depth=2, inventory=NABLA.inventory)
-    consequence = consequence_presentation(NABLA.logic, NABLA.inventory, 3)
+    consequence = consequence_presentation(NABLA.logic, NABLA.inventory)
     assert verify_protoalgebraic_witness(consequence, w.terms)
     assert not verify_protoalgebraic_witness(consequence, (X,))
 
@@ -238,9 +238,10 @@ def test_bounded_filters_give_no_protoalgebraic_fails(name):
     # the probe fails on the bounded sweep, but those filters over-approximate
     # the real ones, so the pair is no certificate and the verdict stays open
     entry = build(name)
-    assert leibniz_monotonicity_probe(entry.logic, entry.inventory, depth_cap=1).fails
+    shallow = DEFAULTS.override(depth_default=1)
+    assert leibniz_monotonicity_probe(entry.logic, entry.inventory, config=shallow).fails
     for cls in ("protoalgebraic", "equivalential"):
-        assert check_class(cls, entry.logic, entry.inventory, depth=1).unknown, cls
+        assert check_class(cls, entry.logic, entry.inventory, config=shallow).unknown, cls
 
 
 def test_check_class_unknown_name():

@@ -48,7 +48,7 @@ def reference_theorem_search(logic, depth_cap):
 
 
 def reference_protoalgebraic_witness(logic, depth, max_set, inventory=None):
-    consequence = consequence_presentation(logic, inventory, DEFAULTS.depth_default)
+    consequence = consequence_presentation(logic, inventory)
     candidates = list(enumerate_terms(logic.signature, ("x", "y"), depth))
     for size in range(1, max_set + 1):
         for combo in itertools.combinations(candidates, size):
@@ -144,12 +144,13 @@ def test_searches_agree_with_the_per_term_references():
             want = reference_protoalgebraic_witness(logic, depth, max_set, inventory)
             assert got == want, (name, depth, max_set)
             if got is not None:
-                consequence = consequence_presentation(logic, inventory, DEFAULTS.depth_default)
+                consequence = consequence_presentation(logic, inventory)
                 assert verify_protoalgebraic_witness(consequence, got.terms)
             answers += 1
         if logic.kind != RULES:
             # reduced models from depth-2 filter sweeps: cheaper, and as good
-            got = find_injective_theorem(logic, inventory, 2, depth_cap=2)
+            got = find_injective_theorem(logic, inventory, 2,
+                                         config=DEFAULTS.override(depth_default=2))
             assert got == reference_injective_theorem(logic, inventory, 2, 2), name
             answers += 1
     assert answers >= 850
@@ -199,7 +200,8 @@ def test_a_budget_stop_before_the_depth_raises():
                                           "term classes at depth 2 of 3"):
         theorem_search(logic, 3)
     with pytest.raises(CapExceeded, match="budget 40 stops the term classes at depth 1 of 2"):
-        find_protoalgebraic_witness(build("two-valued-pair").logic, depth=2, cell_budget=40)
+        find_protoalgebraic_witness(build("two-valued-pair").logic, depth=2,
+                                    config=DEFAULTS.override(closure_cell_budget=40))
 
 
 def test_a_hit_before_the_budget_stop_is_returned():
@@ -207,7 +209,7 @@ def test_a_hit_before_the_budget_stop_is_returned():
     # the budget refuses
     entry = build("nabla")
     w = find_protoalgebraic_witness(entry.logic, depth=3, inventory=entry.inventory,
-                                    cell_budget=40)
+                                    config=DEFAULTS.override(closure_cell_budget=40))
     assert [to_sexpr(t) for t in w.terms] == ["(→ x y)"]
 
 
