@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import KW_ONLY, dataclass
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import FiniteAlgebra, enumerate_algebras, one_element
 from .config import DEFAULTS, Config
-from .errors import UnknownName
+from .errors import LawError, UnknownName
 from .hierarchy import (
     consequence_presentation,
     derive_theorems,
@@ -37,33 +37,17 @@ from .terms import App, Signature, Term, Var, enumerate_terms, parse_term, subst
 
 X, Y = Var("x"), Var("y")
 
-#: Every entry name and the parameters its construction reads.
-GALLERY_PARAMS = {
-    "basic-assertional": ("n",),
-    "basic-proto": ("k", "unary_params"),
-    "basic-equiv": ("k",),
-    "nabla": (),
-    "delta": ("d",),
-    "ba-star": (),
-    "ba-star-logic": ("n",),
-    "two-valued-pair": (),
-    "pointed-set": ("n",),
-}
-GALLERY_NAMES = tuple(GALLERY_PARAMS)
-
 
 @dataclass(frozen=True)
 class GalleryEntry:
     name: str
     params: tuple[tuple[str, int], ...]
-    logic: Optional[LogicPresentation]
-    matrices: tuple[Matrix, ...]
+    _: KW_ONLY
+    logic: Optional[LogicPresentation] = None
+    matrices: tuple[Matrix, ...] = ()
     inventory: tuple[FiniteAlgebra, ...]
     expectations: tuple[dict, ...]
     provenance: str
-
-    def payload(self):
-        return self.logic if self.logic is not None else self.matrices
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +103,8 @@ def boolean_algebras_up_to(max_size: int = 4) -> list[FiniteAlgebra]:
 
 
 # ---------------------------------------------------------------------------
-# the named constructions
+# the named constructions: each takes its parameters as keywords and returns
+# the GalleryEntry fields after `params`
 
 
 def _proto_signature(k: int, unary_params: int) -> Signature:
@@ -132,6 +117,29 @@ def _arrow(i: int, a: Term, b: Term) -> Term:
     return App(f"⊸{i}", (a, b))
 
 
+def _detachment_rules(k: int) -> list[Rule]:
+    """The axioms x ⊸i x and the rule x, x ⊸0 y, …, x ⊸{k-1} y / y."""
+    rules = [Rule((), _arrow(i, X, X)) for i in range(k)]
+    rules.append(Rule([X] + [_arrow(i, X, Y) for i in range(k)], Y))
+    return rules
+
+
+def _proto_witness(*terms: str) -> dict:
+    return {"kind": "proto_witness_verifies", "terms": list(terms), "depth": 2}
+
+
+def _rank_witness(k: int) -> dict:
+    return _proto_witness(*(f"(⊸{i} x y)" for i in range(k)))
+
+
+def _small_algebras(sig: Signature) -> tuple[FiniteAlgebra, ...]:
+    """Every algebra of size 1 or 2 over `sig`."""
+    return tuple(itertools.chain.from_iterable(enumerate_algebras(sig, n) for n in (1, 2)))
+
+
+_NABLA_RULES = (Rule((), App("→", (X, X))), Rule([X, App("→", (X, Y))], Y))
+
+
 def nabla_hat(max_depth: int = 2, params: Sequence[str] = ("z1",)) -> list[Term]:
     """Implication instances phi(x, zs) → phi(y, zs) of bounded depth."""
     out = []
@@ -140,211 +148,160 @@ def nabla_hat(max_depth: int = 2, params: Sequence[str] = ("z1",)) -> list[Term]
     return out
 
 
-def build(name: str, params: Optional[Mapping[str, int]] = None) -> GalleryEntry:
-    """Construct a gallery entry; see GALLERY_PARAMS for the vocabulary.
-    A name or a parameter the entry does not know raises UnknownName."""
-    params = dict(params or {})
-    if name not in GALLERY_PARAMS:
-        raise UnknownName(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
-    known = GALLERY_PARAMS[name]
-    for key in sorted(params):
-        if key not in known:
-            raise UnknownName(f"gallery entry {name!r} has no parameter {key!r}; "
-                              f"known: {', '.join(known) or 'none'}")
-    if name == "basic-assertional":
-        logic = rules_logic(
-            POINTED_SIG, [Rule((), App("⊤", (X,)))], name="basic-assertional"
-        )
-        sizes = params.get("n", 3)
-        inventory = tuple(pointed_set(i) for i in range(1, sizes + 1))
-        return GalleryEntry(
-            name,
-            tuple(sorted(params.items())),
-            logic,
-            (),
-            inventory,
-            (
-                {"kind": "reduced_singleton_filters"},
-                {"kind": "theorem_exists", "depth": 2},
-            ),
-            "one unary symbol pinned to a point; every reduced model is a pointed set",
-        )
+def _basic_assertional(n: int) -> dict:
+    return dict(
+        logic=rules_logic(POINTED_SIG, [Rule((), App("⊤", (X,)))], name="basic-assertional"),
+        inventory=tuple(pointed_set(i) for i in range(1, n + 1)),
+        expectations=({"kind": "reduced_singleton_filters"},
+                      {"kind": "theorem_exists", "depth": 2}),
+        provenance="one unary symbol pinned to a point; every reduced model is a pointed set",
+    )
 
-    if name == "basic-proto":
-        k = params.get("k", 1)
-        unary = params.get("unary_params", 1)
-        sig = _proto_signature(k, unary)
-        rules = [Rule((), _arrow(i, X, X)) for i in range(k)]
-        rules.append(Rule([X] + [_arrow(i, X, Y) for i in range(k)], Y))
-        logic = rules_logic(sig, rules, name=f"basic-proto-{k}")
-        inventory = tuple(
-            itertools.chain.from_iterable(
-                enumerate_algebras(sig, n) for n in (1, 2)
-            )
-        )
-        return GalleryEntry(
-            name,
-            tuple(sorted(params.items())),
-            logic,
-            (),
-            inventory,
-            ({"kind": "proto_witness_verifies", "terms": ["(⊸0 x y)"], "depth": 2},),
-            "finite-rank basic protoalgebraic logic with one unary parameter symbol",
-        )
 
-    if name == "basic-equiv":
-        k = params.get("k", 1)
-        sig = Signature({f"⊸{i}": 2 for i in range(k)})
-        delta = [_arrow(i, X, Y) for i in range(k)]
-        x1, y1, x2, y2 = Var("x1"), Var("y1"), Var("x2"), Var("y2")
-        rules = [Rule((), _arrow(i, X, X)) for i in range(k)]
-        rules.append(Rule([X] + delta, Y))
-        for alpha in range(k):
-            premises = [_arrow(i, x1, y1) for i in range(k)] + [
-                _arrow(i, x2, y2) for i in range(k)
-            ]
-            for beta in range(k):
-                rules.append(
-                    Rule(
-                        premises,
-                        _arrow(beta, _arrow(alpha, x1, x2), _arrow(alpha, y1, y2)),
-                    )
-                )
-        logic = rules_logic(sig, rules, name=f"basic-equiv-{k}")
-        inventory = tuple(
-            itertools.chain.from_iterable(enumerate_algebras(sig, n) for n in (1, 2))
-        )
-        return GalleryEntry(
-            name,
-            tuple(sorted(params.items())),
-            logic,
-            (),
-            inventory,
-            ({"kind": "proto_witness_verifies", "terms": ["(⊸0 x y)"], "depth": 2},),
-            "finite-rank basic equivalential logic",
-        )
+def _basic_proto(k: int, unary_params: int) -> dict:
+    sig = _proto_signature(k, unary_params)
+    return dict(
+        logic=rules_logic(sig, _detachment_rules(k), name=f"basic-proto-{k}"),
+        inventory=_small_algebras(sig),
+        expectations=(_rank_witness(k),),
+        provenance="finite-rank basic protoalgebraic logic with one unary parameter symbol",
+    )
 
-    if name == "nabla":
-        logic = rules_logic(
-            IMP_SIG,
-            [Rule((), App("→", (X, X))), Rule([X, App("→", (X, Y))], Y)],
-            name="nabla",
-        )
-        return GalleryEntry(
-            name,
-            (),
-            logic,
-            (),
-            (one_element(IMP_SIG), imp2()),
-            (
-                {"kind": "proto_witness_verifies", "terms": ["(→ x y)"], "depth": 2},
-                {"kind": "theorem_oracle_agreement", "depth": 3},
-            ),
-            "two-rule implication logic whose theorems are the self-implications",
-        )
 
-    if name == "delta":
-        d = params.get("d", 2)
-        hat = nabla_hat(d)
-        premises = [
-            substitute(psi, {"x": App("→", (X, X)), "y": App("→", (Y, Y))}) for psi in hat
-        ]
-        rules = [Rule((), App("→", (X, X))), Rule([X, App("→", (X, Y))], Y)]
-        rules.extend(Rule(premises, psi) for psi in hat)
-        logic = rules_logic(IMP_SIG, rules, name=f"delta-depth{d}")
-        inventory = tuple(
-            itertools.chain.from_iterable(enumerate_algebras(IMP_SIG, n) for n in (1, 2))
-        )
-        return GalleryEntry(
-            name,
-            tuple(sorted(params.items())),
-            logic,
-            (),
-            inventory,
-            (
-                {"kind": "proto_witness_verifies", "terms": ["(→ x y)"], "depth": 2},
-                {"kind": "injective_theorem", "term": "(→ x x)", "depth": 2},
-            ),
-            "depth-capped extension of the implication logic forcing an injective "
-            "self-implication; the capped rule family is an approximation",
-        )
+def _basic_equiv(k: int) -> dict:
+    sig = _proto_signature(k, 0)
+    x1, y1, x2, y2 = Var("x1"), Var("y1"), Var("x2"), Var("y2")
+    premises = [_arrow(i, x1, y1) for i in range(k)] + [_arrow(i, x2, y2) for i in range(k)]
+    rules = _detachment_rules(k)
+    rules.extend(Rule(premises, _arrow(beta, _arrow(alpha, x1, x2), _arrow(alpha, y1, y2)))
+                 for alpha in range(k) for beta in range(k))
+    return dict(
+        logic=rules_logic(sig, rules, name=f"basic-equiv-{k}"),
+        inventory=_small_algebras(sig),
+        expectations=(_rank_witness(k),),
+        provenance="finite-rank basic equivalential logic",
+    )
 
-    if name == "ba-star":
-        alg = bool4()
-        f_matrix = Matrix(alg, (1, 3))
-        g_matrix = Matrix(alg, (1, 2, 3))
-        return GalleryEntry(
-            name,
-            (),
-            None,
-            (f_matrix, g_matrix),
-            (alg,),
-            (
-                {"kind": "leibniz_blocks", "matrix": 0, "blocks": [[0, 2], [1, 3]]},
-                {"kind": "leibniz_blocks", "matrix": 1, "blocks": [[0], [1], [2], [3]]},
-                {
-                    "kind": "monotonicity_fails",
-                    "filter_small": [1, 3],
-                    "filter_large": [1, 2, 3],
-                },
-            ),
-            "four-element Boolean algebra on which the Leibniz operator is not "
-            "monotone over designated sets",
-        )
 
-    if name == "ba-star-logic":
-        max_size = params.get("n", 4)
-        mats = []
-        for alg in boolean_algebras_up_to(max_size):
-            top = alg.size - 1
-            for subset in itertools.chain.from_iterable(
-                itertools.combinations(range(alg.size), k) for k in range(alg.size + 1)
-            ):
-                if top in subset:
-                    mats.append(Matrix(alg, subset))
-        logic = matrices_logic(mats, name="ba-star-logic")
-        return GalleryEntry(
-            name,
-            tuple(sorted(params.items())),
-            logic,
-            (),
-            tuple(boolean_algebras_up_to(max_size)),
-            ({"kind": "monotonicity_fails_somewhere"},),
-            "logic of Boolean algebras with any top-containing designated set, "
-            "restricted to algebras of bounded size",
-        )
+def _nabla() -> dict:
+    return dict(
+        logic=rules_logic(IMP_SIG, _NABLA_RULES, name="nabla"),
+        inventory=(one_element(IMP_SIG), imp2()),
+        expectations=(_proto_witness("(→ x y)"),
+                      {"kind": "theorem_oracle_agreement", "depth": 3}),
+        provenance="two-rule implication logic whose theorems are the self-implications",
+    )
 
-    if name == "two-valued-pair":
-        alg = bool2()
-        logic = matrices_logic(
-            [Matrix(alg, (1,)), Matrix(alg, (0,))], name="two-valued-pair"
-        )
-        return GalleryEntry(
-            name,
-            (),
-            logic,
-            (),
-            (alg,),
-            ({"kind": "reduced_contains", "filters": [[0], [1]]},),
-            "theoremless logic of the two-element Boolean algebra with both "
-            "one-element designated sets",
-        )
 
-    # name == "pointed-set"
-    n = params.get("n", 2)
+def _delta(d: int) -> dict:
+    hat = nabla_hat(d)
+    premises = [substitute(psi, {"x": App("→", (X, X)), "y": App("→", (Y, Y))}) for psi in hat]
+    rules = [*_NABLA_RULES, *(Rule(premises, psi) for psi in hat)]
+    return dict(
+        logic=rules_logic(IMP_SIG, rules, name=f"delta-depth{d}"),
+        inventory=_small_algebras(IMP_SIG),
+        expectations=(_proto_witness("(→ x y)"),
+                      {"kind": "injective_theorem", "term": "(→ x x)", "depth": 2}),
+        provenance="depth-capped extension of the implication logic forcing an injective "
+        "self-implication; the capped rule family is an approximation",
+    )
+
+
+def _ba_star() -> dict:
+    alg = bool4()
+    return dict(
+        matrices=(Matrix(alg, (1, 3)), Matrix(alg, (1, 2, 3))),
+        inventory=(alg,),
+        expectations=(
+            {"kind": "leibniz_blocks", "matrix": 0, "blocks": [[0, 2], [1, 3]]},
+            {"kind": "leibniz_blocks", "matrix": 1, "blocks": [[0], [1], [2], [3]]},
+            {"kind": "monotonicity_fails", "filter_small": [1, 3], "filter_large": [1, 2, 3]},
+        ),
+        provenance="four-element Boolean algebra on which the Leibniz operator is not "
+        "monotone over designated sets",
+    )
+
+
+def _ba_star_logic(n: int) -> dict:
+    algebras = tuple(boolean_algebras_up_to(n))
+    mats = [Matrix(alg, subset) for alg in algebras for k in range(alg.size + 1)
+            for subset in itertools.combinations(range(alg.size), k) if alg.size - 1 in subset]
+    return dict(
+        logic=matrices_logic(mats, name="ba-star-logic"),
+        inventory=algebras,
+        expectations=({"kind": "monotonicity_fails_somewhere"},),
+        provenance="logic of Boolean algebras with any top-containing designated set, "
+        "restricted to algebras of bounded size",
+    )
+
+
+def _two_valued_pair() -> dict:
+    alg = bool2()
+    return dict(
+        logic=matrices_logic([Matrix(alg, (1,)), Matrix(alg, (0,))], name="two-valued-pair"),
+        inventory=(alg,),
+        expectations=({"kind": "reduced_contains", "filters": [[0], [1]]},),
+        provenance="theoremless logic of the two-element Boolean algebra with both "
+        "one-element designated sets",
+    )
+
+
+def _pointed_set_entry(n: int) -> dict:
     alg = pointed_set(n)
     # every equivalence is a congruence of a constant map, so the Leibniz
     # congruence of the point's singleton is the point/rest split
     blocks = [[0]] + ([list(range(1, n))] if n > 1 else [])
-    return GalleryEntry(
-        name,
-        tuple(sorted(params.items())),
-        None,
-        (Matrix(alg, (0,)),),
-        (alg,),
-        ({"kind": "leibniz_blocks", "matrix": 0, "blocks": blocks},),
-        "pointed set with its point designated",
+    return dict(
+        matrices=(Matrix(alg, (0,)),),
+        inventory=(alg,),
+        expectations=({"kind": "leibniz_blocks", "matrix": 0, "blocks": blocks},),
+        provenance="pointed set with its point designated",
     )
+
+
+class _Param(NamedTuple):
+    default: int
+    least: int  # the least admissible value
+
+
+#: The one declaration of the gallery: each entry's construction and, per
+#: parameter it reads, the default and the least admissible value.
+_ENTRIES: dict[str, tuple[Callable[..., dict], dict[str, _Param]]] = {
+    "basic-assertional": (_basic_assertional, {"n": _Param(3, 1)}),
+    "basic-proto": (_basic_proto, {"k": _Param(1, 1), "unary_params": _Param(1, 0)}),
+    "basic-equiv": (_basic_equiv, {"k": _Param(1, 1)}),
+    "nabla": (_nabla, {}),
+    "delta": (_delta, {"d": _Param(2, 1)}),
+    "ba-star": (_ba_star, {}),
+    # below 4 the inventory lacks B4, where the Leibniz operator fails monotonicity
+    "ba-star-logic": (_ba_star_logic, {"n": _Param(4, 4)}),
+    "two-valued-pair": (_two_valued_pair, {}),
+    "pointed-set": (_pointed_set_entry, {"n": _Param(2, 1)}),
+}
+
+#: Every entry name and the parameters its construction reads.
+GALLERY_PARAMS = {name: tuple(spec) for name, (_, spec) in _ENTRIES.items()}
+GALLERY_NAMES = tuple(_ENTRIES)
+
+
+def build(name: str, params: Optional[Mapping[str, int]] = None) -> GalleryEntry:
+    """Construct a gallery entry; see GALLERY_PARAMS for the vocabulary.
+    A name or a parameter the entry does not know raises UnknownName, a
+    value below the parameter's least value LawError. Parameters not given
+    take their defaults; the entry's `params` are the given ones."""
+    params = dict(params or {})
+    if name not in _ENTRIES:
+        raise UnknownName(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
+    construct, spec = _ENTRIES[name]
+    for key in sorted(params):
+        if key not in spec:
+            raise UnknownName(f"gallery entry {name!r} has no parameter {key!r}; "
+                              f"known: {', '.join(spec) or 'none'}")
+        if params[key] < spec[key].least:
+            raise LawError(f"gallery entry {name!r} needs {key} >= {spec[key].least}, "
+                           f"got {params[key]}")
+    values = {key: p.default for key, p in spec.items()} | params
+    return GalleryEntry(name, tuple(sorted(params.items())), **construct(**values))
 
 
 def write_entry(entry: GalleryEntry, out: str) -> list[str]:

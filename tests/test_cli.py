@@ -397,6 +397,14 @@ def test_gallery_refuses_an_unknown_param(tmp_path):
     assert not os.path.exists(out_dir)
 
 
+def test_gallery_refuses_a_value_below_the_least(tmp_path):
+    out_dir = os.path.join(tmp_path, "out")
+    code, out, _ = invoke(["gallery", "pointed-set", "--param", "n=0", "--out", out_dir])
+    assert code == 2
+    assert json.loads(out)["error"] == "LawError: gallery entry 'pointed-set' needs n >= 1, got 0"
+    assert not os.path.exists(out_dir)
+
+
 @pytest.mark.parametrize("item", ["n4", "n=x", "n=2.5"])
 def test_gallery_refuses_a_malformed_param(tmp_path, item):
     code, out, err = invoke(["gallery", "pointed-set", "--param", item,

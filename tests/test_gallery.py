@@ -8,9 +8,10 @@ import os
 import pytest
 
 from law.config import DEFAULTS
-from law.errors import CapExceeded, UnknownName
+from law.errors import CapExceeded, LawError, UnknownName
 from law.gallery import (
     GALLERY_NAMES,
+    GALLERY_PARAMS,
     bool2,
     bool4,
     build,
@@ -24,7 +25,7 @@ from law.gallery import (
 from law.hierarchy import derive_theorems, find_injective_theorem, nabla_theorem_oracle
 from law.logics import entails, matrices_logic
 from law.matrices import Matrix
-from law.serialize import load_matrix
+from law.serialize import fingerprint, load_matrix
 from law.terms import App, Var, enumerate_terms, parse_term, to_sexpr
 
 X, Y = Var("x"), Var("y")
@@ -33,6 +34,64 @@ X, Y = Var("x"), Var("y")
 def test_every_entry_self_verifies():
     for name in GALLERY_NAMES:
         assert verify_entry(build(name)) == [], name
+
+
+#: (entry, parameter) -> the least admissible value
+LEAST = {("basic-assertional", "n"): 1, ("basic-proto", "k"): 1,
+         ("basic-proto", "unary_params"): 0, ("basic-equiv", "k"): 1, ("delta", "d"): 1,
+         ("ba-star-logic", "n"): 4, ("pointed-set", "n"): 1}
+LEAST_IDS = [f"{name}-{key}" for name, key in LEAST]
+
+
+def test_least_values_cover_every_parameter():
+    assert set(LEAST) == {(name, key) for name, keys in GALLERY_PARAMS.items() for key in keys}
+
+
+@pytest.mark.parametrize("name, key", LEAST, ids=LEAST_IDS)
+def test_every_entry_verifies_at_each_least_value(name, key):
+    assert verify_entry(build(name, {key: LEAST[name, key]})) == []
+
+
+@pytest.mark.parametrize("name, key", LEAST, ids=LEAST_IDS)
+def test_build_refuses_a_value_below_the_least(name, key):
+    least = LEAST[name, key]
+    with pytest.raises(LawError) as info:
+        build(name, {key: least - 1})
+    assert str(info.value) == f"gallery entry {name!r} needs {key} >= {least}, got {least - 1}"
+
+
+@pytest.mark.parametrize("name", ["basic-proto", "basic-equiv"])
+def test_rank_two_entries_expect_and_verify_both_arrows(name):
+    entry = build(name, {"k": 2})
+    assert entry.params == (("k", 2),)
+    assert entry.expectations == ({"kind": "proto_witness_verifies",
+                                   "terms": ["(⊸0 x y)", "(⊸1 x y)"], "depth": 2},)
+    assert verify_entry(entry) == []
+
+
+def test_written_files_at_the_defaults_are_pinned(tmp_path):
+    """fingerprint of {file name: parsed JSON} for every entry's write_entry
+    output at its defaults"""
+    pinned = {
+        "basic-assertional": "45692b273f29de70",
+        "basic-proto": "c3a3e7f8d115b1d2",
+        "basic-equiv": "4b5432028d1bbf2f",
+        "nabla": "78f753b4a9a543d8",
+        "delta": "05d0053b2147e925",
+        "ba-star": "81e9acce99f9d459",
+        "ba-star-logic": "8ccedb5fb2ad27de",
+        "two-valued-pair": "096adf2f05ad2ada",
+        "pointed-set": "e7431cb3a561178b",
+    }
+    got = {}
+    for name in GALLERY_NAMES:
+        out = os.path.join(tmp_path, name)
+        docs = {}
+        for file in write_entry(build(name), out):
+            with open(os.path.join(out, file), encoding="utf-8") as fh:
+                docs[file] = json.load(fh)
+        got[name] = fingerprint(docs)
+    assert got == pinned
 
 
 def test_the_config_reaches_the_injective_search_and_verify_entry():
