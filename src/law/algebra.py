@@ -344,6 +344,41 @@ def _canonical_tables(alg: FiniteAlgebra) -> tuple:
     return best
 
 
+def _relabellings(sig: Signature, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(src, inv) for every permutation of {0..n-1} but the identity, in
+    `itertools.permutations` order. Relabelling a flat table (all symbols'
+    cells concatenated in signature order) by the permutation gives the
+    table whose cell j is inv[flat[src[j]]], as `_canonical_tables` builds
+    it."""
+    maps = []
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        inv = [0] * n
+        for i, x in enumerate(perm):
+            inv[x] = i
+        src = []
+        offset = 0
+        for _, arity in sig.symbols:
+            sizes = (n,) * arity
+            for args in itertools.product(perm, repeat=arity):
+                src.append(offset + product_encode(args, sizes))
+            offset += n**arity
+        maps.append((tuple(src), tuple(inv)))
+    return maps
+
+
+def _is_least(flat: tuple[int, ...], relabellings) -> bool:
+    """No relabelling of `flat` is lexicographically smaller: each one is
+    decided at the first cell where it differs from `flat`."""
+    for src, inv in relabellings:
+        for j, s in enumerate(src):
+            c = inv[flat[s]]
+            if c != flat[j]:
+                if c < flat[j]:
+                    return False
+                break
+    return True
+
+
 def enumerate_algebras(
     sig: Signature,
     n: int,
@@ -355,7 +390,12 @@ def enumerate_algebras(
     The budget bounds the total number of table cells across the whole
     stream (count of algebras times cells per algebra). With `iso_prune`
     only the lexicographically least member of each isomorphism class is
-    produced.
+    produced, i.e. exactly the algebras whose tables equal
+    `_canonical_tables`, in the same order. The relabelling maps of every
+    non-identity permutation are built once per call; each flat table is
+    compared with its relabellings cell by cell, the first differing cell
+    deciding, and an algebra is built only for a table that no relabelling
+    undercuts.
     """
     cells_per = sum(n**arity for _, arity in sig.symbols)
     count = 1
@@ -365,17 +405,16 @@ def enumerate_algebras(
             raise CapExceeded(f"enumeration needs more than {cell_budget} table cells")
     syms = sig.symbols
     spans = [n**arity for _, arity in syms]
+    relabellings = _relabellings(sig, n) if iso_prune else None
     for flat in itertools.product(range(n), repeat=sum(spans)):
+        if iso_prune and not _is_least(flat, relabellings):
+            continue
         tables = {}
         offset = 0
         for (sym, _), span in zip(syms, spans):
             tables[sym] = flat[offset : offset + span]
             offset += span
-        alg = FiniteAlgebra(sig, n, tables)
-        if iso_prune:
-            if tuple(t for _, t in alg.tables) != _canonical_tables(alg):
-                continue
-        yield alg
+        yield FiniteAlgebra(sig, n, tables)
 
 
 def one_element(sig: Signature) -> FiniteAlgebra:

@@ -160,11 +160,13 @@ def _basic_assertional(n: int) -> dict:
 
 def _basic_proto(k: int, unary_params: int) -> dict:
     sig = _proto_signature(k, unary_params)
+    count = {0: "no", 1: "one"}.get(unary_params, str(unary_params))
+    params = f"{count} unary parameter symbol{'' if unary_params == 1 else 's'}"
     return dict(
         logic=rules_logic(sig, _detachment_rules(k), name=f"basic-proto-{k}"),
         inventory=_small_algebras(sig),
         expectations=(_rank_witness(k),),
-        provenance="finite-rank basic protoalgebraic logic with one unary parameter symbol",
+        provenance=f"finite-rank basic protoalgebraic logic with {params}",
     )
 
 

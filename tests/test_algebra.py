@@ -7,6 +7,7 @@ import pytest
 
 from law.algebra import (
     FiniteAlgebra,
+    _canonical_tables,
     congruences_bruteforce,
     direct_product,
     enumerate_algebras,
@@ -361,6 +362,38 @@ def test_enumerate_algebras_iso_pruning():
         assert any(
             find_isomorphism(Matrix(alg, ()), Matrix(rep, ())) is not None for rep in pruned
         )
+
+
+@pytest.mark.parametrize(
+    "symbols, top",
+    [
+        ({"c": 0, "f": 1}, 3),
+        ({"f": 1, "g": 1}, 3),
+        ({"→": 2}, 3),
+        ({"t": 3}, 2),
+        ({"and": 2, "or": 2, "not": 1}, 2),
+    ],
+    ids=["constant-unary", "two-unary", "binary", "ternary", "boolean"],
+)
+def test_iso_pruning_agrees_with_the_canonical_tables(symbols, top):
+    # the brute-force reference: keep a table iff no relabelling of it by a
+    # carrier permutation is lexicographically smaller
+    sig = Signature(symbols)
+    for n in range(1, top + 1):
+        reference = [
+            alg for alg in enumerate_algebras(sig, n)
+            if tuple(t for _, t in alg.tables) == _canonical_tables(alg)
+        ]
+        assert list(enumerate_algebras(sig, n, iso_prune=True)) == reference, n
+
+
+def test_iso_class_counts_match_oeis():
+    # OEIS A001372: mappings of an n-set into itself, up to isomorphism;
+    # OEIS A001329: binary operations (groupoids) of order n, up to isomorphism
+    unary = [len(list(enumerate_algebras(Signature({"f": 1}), n, iso_prune=True))) for n in range(1, 7)]
+    assert unary == [1, 3, 7, 19, 47, 130]
+    binary = [len(list(enumerate_algebras(Signature({"→": 2}), n, iso_prune=True))) for n in range(1, 4)]
+    assert binary == [1, 10, 3330]
 
 
 def test_is_congruence_matches_oracle_membership():

@@ -69,6 +69,17 @@ def test_rank_two_entries_expect_and_verify_both_arrows(name):
     assert verify_entry(entry) == []
 
 
+@pytest.mark.parametrize("unary_params, says", [
+    (0, "with no unary parameter symbols"),
+    (1, "with one unary parameter symbol"),
+    (2, "with 2 unary parameter symbols"),
+])
+def test_basic_proto_provenance_counts_the_unary_parameters(unary_params, says):
+    entry = build("basic-proto", {"unary_params": unary_params})
+    assert entry.provenance == f"finite-rank basic protoalgebraic logic {says}"
+    assert len([s for s in entry.logic.signature.names() if s.startswith("∗1")]) == unary_params
+
+
 def test_written_files_at_the_defaults_are_pinned(tmp_path):
     """fingerprint of {file name: parsed JSON} for every entry's write_entry
     output at its defaults"""
