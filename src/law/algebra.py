@@ -28,6 +28,9 @@ class FiniteAlgebra:
     _hash: int = field(init=False, compare=False)
     _ops: dict = field(init=False, compare=False, repr=False)
     _neighbours: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
+    _subuniverses: tuple[tuple[int, ...], ...] | None = field(
+        init=False, compare=False, repr=False
+    )
 
     def __init__(
         self,
@@ -47,14 +50,19 @@ class FiniteAlgebra:
                 raise ValueError(f"table for {sym!r} has {len(cells)} cells, expected {size**arity}")
             if min(cells) < 0 or max(cells) >= size:
                 raise ValueError(f"table for {sym!r} has out-of-range entries")
-        frozen = tuple(sorted(tab.items()))
+        self._fill(signature, size, tuple(sorted(tab.items())), name)
+
+    def _fill(self, signature: Signature, size: int, tables: tuple, name: str = "") -> None:
+        """Set every field from `tables`, already validated and sorted by
+        symbol name; the caches start empty."""
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "tables", frozen)
+        object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((signature, size, frozen)))
-        object.__setattr__(self, "_ops", dict(frozen))
+        object.__setattr__(self, "_hash", hash((signature, size, tables)))
+        object.__setattr__(self, "_ops", dict(tables))
         object.__setattr__(self, "_neighbours", None)
+        object.__setattr__(self, "_subuniverses", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -231,17 +239,25 @@ def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
     """Algebra on the blocks of a congruence; raises if theta is not one."""
     if not is_congruence(alg, theta):
         raise NotACongruence("partition is not a congruence of the algebra")
-    blocks = theta.blocks()
-    reps = [b[0] for b in blocks]
-    m = len(blocks)
-    tables = {}
+    reps = [b[0] for b in theta.blocks()]
+    return _induced(alg, reps, theta.block_ids.__getitem__)
+
+
+def _induced(alg: FiniteAlgebra, elems: Sequence[int], relabel) -> FiniteAlgebra:
+    """The algebra on {0..len(elems)-1} whose f at (i1, .., ik) is
+    relabel(f(elems[i1], .., elems[ik])), read from the tables directly.
+    The caller vouches that `relabel` maps every such value into the new
+    carrier, so the tables skip the constructor's checks."""
+    n = alg.size
+    tables = []
     for sym, arity in alg.signature.symbols:
-        cells = []
-        for args in itertools.product(range(m), repeat=arity):
-            value = alg.apply(sym, [reps[b] for b in args])
-            cells.append(theta.block_of(value))
-        tables[sym] = tuple(cells)
-    return FiniteAlgebra(alg.signature, m, tables)
+        cells = [0]  # flat indices of the argument tuples over `elems`
+        for _ in range(arity):
+            cells = [i * n + e for i in cells for e in elems]
+        tables.append((sym, tuple(map(relabel, map(alg.table(sym).__getitem__, cells)))))
+    out = object.__new__(FiniteAlgebra)
+    out._fill(alg.signature, len(elems), tuple(tables))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +319,7 @@ def largest_congruence_below(alg: FiniteAlgebra, p: Partition) -> Partition:
     while True:
         ids, fresh_count = _split(alg, ids)
         if fresh_count == count:
-            return Partition(ids)
+            return Partition._of_canonical(tuple(ids))
         count = fresh_count
 
 

@@ -9,6 +9,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     FiniteAlgebra,
+    _induced,
     largest_congruence_below,
     nonindexed_product,
     product_encode,
@@ -29,7 +30,7 @@ class Matrix:
 
     def __init__(self, algebra: FiniteAlgebra, filter: Iterable[int]):
         des = tuple(sorted(set(filter)))
-        if any(not 0 <= x < algebra.size for x in des):
+        if des and (des[0] < 0 or des[-1] >= algebra.size):
             raise ValueError("filter element out of range")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "filter", des)
@@ -85,45 +86,76 @@ def subuniverses(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max + 2) -> list
 
     Visits the subsets X of the carrier as bit masks in ascending order, so
     Sg(X minus its top element t) is known when X comes: Sg(X) is that
-    subuniverse when it holds t, and otherwise the closure of it with t.
+    subuniverse when it holds t, and otherwise its closure with t, where
+    only the argument tuples that touch t or a later addition are fired.
+    The sorted list is built on first use and kept with the algebra; each
+    call returns a fresh copy.
     """
     if alg.size > cap:
         raise CapExceeded(f"carrier {alg.size} exceeds subuniverse cap {cap}")
-    generated = [subuniverse_closure(alg, ())]
-    for mask in range(1, 1 << alg.size):
-        top = mask.bit_length() - 1
-        below = generated[mask ^ (1 << top)]
-        generated.append(below if top in below else subuniverse_closure(alg, below + (top,)))
-    return sorted(set(generated[1:]), key=lambda s: (len(s), s))
+    if alg._subuniverses is None:
+        n, ops = alg.size, _operations(alg)
+        generated = [_close(n, ops, (), _constants(alg))]
+        for mask in range(1, 1 << n):
+            top = mask.bit_length() - 1
+            below = generated[mask ^ (1 << top)]
+            generated.append(below if top in below else _close(n, ops, below, (top,)))
+        subs = tuple(sorted(set(generated[1:]), key=lambda s: (len(s), s)))
+        object.__setattr__(alg, "_subuniverses", subs)
+    return list(alg._subuniverses)
 
 
 def subuniverse_closure(alg: FiniteAlgebra, seed: Iterable[int]) -> tuple[int, ...]:
-    current = set(seed)
-    for sym, arity in alg.signature.symbols:
-        if arity == 0:
-            current.add(alg.apply(sym, []))
-    changed = True
-    while changed:
-        changed = False
-        for sym, arity in alg.signature.symbols:
-            for args in itertools.product(sorted(current), repeat=arity):
-                v = alg.apply(sym, args)
-                if v not in current:
-                    current.add(v)
-                    changed = True
-    return tuple(sorted(current))
+    """Sg(seed): the least subuniverse holding `seed` and every constant, sorted."""
+    return _close(alg.size, _operations(alg), (), set(seed) | _constants(alg))
+
+
+def _operations(alg: FiniteAlgebra) -> list[tuple[tuple[int, ...], int]]:
+    """(table, arity) of every symbol of arity at least 1."""
+    return [(alg.table(sym), arity) for sym, arity in alg.signature.symbols if arity]
+
+
+def _constants(alg: FiniteAlgebra) -> set[int]:
+    return {alg.table(sym)[0] for sym, arity in alg.signature.symbols if not arity}
+
+
+def _close(n: int, ops, closed: Sequence[int], fresh: Iterable[int]) -> tuple[int, ...]:
+    """The closure of `closed` plus `fresh` under `ops` (`_operations`),
+    sorted, where `closed` is already closed. Semi-naive: each round fires
+    exactly the argument tuples over the elements so far that hold at least
+    one of the last round's additions, reading the tables by flat index."""
+    old = list(closed)
+    members = set(old)
+    delta = list(set(fresh) - members)
+    members.update(delta)
+    while delta:
+        full = old + delta
+        values: set[int] = set()
+        for table, arity in ops:
+            if arity == 1:
+                values.update(map(table.__getitem__, delta))
+                continue
+            # flat-index prefixes of the tuples fired: `heads` over older
+            # elements only, `cells` with an addition at some position
+            heads, cells = old, delta
+            for _ in range(arity - 2):
+                cells = [i * n + e for i in cells for e in full] + [
+                    i * n + d for i in heads for d in delta
+                ]
+                heads = [i * n + o for i in heads for o in old]
+            values.update([table[i * n + e] for i in cells for e in full])
+            values.update([table[i * n + d] for i in heads for d in delta])
+        old = full
+        delta = list(values - members)
+        members.update(delta)
+    return tuple(sorted(members))
 
 
 def restrict_to_subuniverse(alg: FiniteAlgebra, sub: Sequence[int]) -> FiniteAlgebra:
     """Re-index a subuniverse as an algebra on {0..|sub|-1}."""
     index = {x: i for i, x in enumerate(sub)}
-    tables = {}
-    for sym, arity in alg.signature.symbols:
-        cells = []
-        for args in itertools.product(sub, repeat=arity):
-            cells.append(index[alg.apply(sym, args)])
-        tables[sym] = tuple(cells)
-    return FiniteAlgebra(alg.signature, len(sub), tables)
+    # a value outside `sub` raises KeyError: `sub` is not closed
+    return _induced(alg, sub, index.__getitem__)
 
 
 def submatrices(m: Matrix, cap: int = DEFAULTS.oracle_max + 2) -> list[Matrix]:
@@ -150,8 +182,11 @@ def matrix_product(m1: Matrix, m2: Matrix, cap: int = DEFAULTS.product_max) -> M
 
 
 def find_isomorphism(m1: Matrix, m2: Matrix) -> Optional[tuple[int, ...]]:
-    """A carrier bijection preserving tables and mapping filter onto filter,
-    or None. Plain backtracking with filter-membership pruning."""
+    """The lexicographically least carrier bijection preserving tables and
+    mapping filter onto filter, or None. Backtracking over the images of
+    0, 1, .. in ascending order with filter-membership pruning; assigning
+    element i checks only the table cells that i completes, those over
+    {0..i} with i as an argument or as the value."""
     if m1.algebra.signature != m2.algebra.signature:
         raise SignatureMismatch("isomorphism candidates must share a signature")
     n = m1.algebra.size
@@ -159,19 +194,23 @@ def find_isomorphism(m1: Matrix, m2: Matrix) -> Optional[tuple[int, ...]]:
         return None
     f1, f2 = m1.filter_set(), m2.filter_set()
     a1, a2 = m1.algebra, m2.algebra
-    syms = a1.signature.symbols
+    # checks[i]: (table of a2, args, value of the args in a1) for every cell
+    # whose largest argument or value is i
+    checks: list[list[tuple]] = [[] for _ in range(n)]
+    for sym, arity in a1.signature.symbols:
+        t2 = a2.table(sym)
+        for args, v in zip(itertools.product(range(n), repeat=arity), a1.table(sym)):
+            checks[max((v, *args))].append((t2, args, v))
     image = [-1] * n
     used = [False] * n
 
-    def consistent(upto: int) -> bool:
-        assigned = range(upto + 1)
-        for sym, arity in syms:
-            for args in itertools.product(assigned, repeat=arity):
-                v = a1.apply(sym, args)
-                if v > upto:
-                    continue
-                if a2.apply(sym, [image[a] for a in args]) != image[v]:
-                    return False
+    def consistent(i: int) -> bool:
+        for t2, args, v in checks[i]:
+            idx = 0
+            for a in args:
+                idx = idx * n + image[a]
+            if t2[idx] != image[v]:
+                return False
         return True
 
     def extend(i: int) -> bool:

@@ -32,6 +32,16 @@ class Partition:
         object.__setattr__(self, "block_ids", ids)
         object.__setattr__(self, "_hash", hash(ids))
 
+    @classmethod
+    def _of_canonical(cls, ids: tuple[int, ...]) -> "Partition":
+        """The partition whose block ids are `ids`, which must already be in
+        first-occurrence form (``ids == _canonical(ids)``); skips the
+        relabelling pass of the constructor."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "block_ids", ids)
+        object.__setattr__(p, "_hash", hash(ids))
+        return p
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -48,11 +58,11 @@ class Partition:
 
     @staticmethod
     def identity(n: int) -> "Partition":
-        return Partition(tuple(range(n)))
+        return Partition._of_canonical(tuple(range(n)))
 
     @staticmethod
     def total(n: int) -> "Partition":
-        return Partition((0,) * n)
+        return Partition._of_canonical((0,) * n)
 
     @staticmethod
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -72,7 +82,9 @@ class Partition:
     def seed_from_subset(n: int, subset: Iterable[int]) -> "Partition":
         """Two blocks, the subset and its complement; total if either is empty."""
         inside = set(subset)
-        return Partition(tuple(0 if i in inside else 1 for i in range(n)))
+        first = 0 in inside  # element 0's side is block 0
+        ids = tuple([0 if (i in inside) == first else 1 for i in range(n)])
+        return Partition._of_canonical(ids)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.num_blocks)]
@@ -137,12 +149,12 @@ class Partition:
 def all_partitions(n: int) -> Iterator[Partition]:
     """Every partition of {0..n-1}, in lexicographic restricted-growth order."""
     if n == 0:
-        yield Partition(())
+        yield Partition._of_canonical(())
         return
 
     def rec(prefix: list[int], top: int) -> Iterator[Partition]:
         if len(prefix) == n:
-            yield Partition(tuple(prefix))
+            yield Partition._of_canonical(tuple(prefix))
             return
         for b in range(top + 2):
             prefix.append(b)

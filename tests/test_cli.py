@@ -552,3 +552,12 @@ def test_config_with_a_json_syntax_error_names_the_file(tmp_path):
     error = json.loads(out)["error"]
     assert error.startswith(f"LawError: config {cfg}: Expecting property name")
     assert cfg in err
+
+
+@pytest.mark.parametrize("filter", [[1, 2], [-1, 0]], ids=["above", "below"])
+def test_leibniz_on_a_filter_element_out_of_range_exits_2(tmp_path, filter):
+    path = write(tmp_path, "bad-filter.json", {"algebra": algebra_to_json(bool2()), "filter": filter})
+    code, out, err = invoke(["leibniz", "-m", path])
+    assert code == 2
+    assert json.loads(out)["error"] == f"LawError: {path}: filter element out of range"
+    assert path in err

@@ -5,8 +5,14 @@ import random
 
 import pytest
 
-from law.algebra import FiniteAlgebra, congruences_bruteforce, enumerate_algebras, one_element
-from law.errors import SignatureMismatch
+from law.algebra import (
+    FiniteAlgebra,
+    congruences_bruteforce,
+    enumerate_algebras,
+    one_element,
+    quotient,
+)
+from law.errors import CapExceeded, SignatureMismatch
 from law.gallery import bool2, bool4, imp2, pointed_set
 from law.matrices import (
     Matrix,
@@ -15,6 +21,7 @@ from law.matrices import (
     leibniz_congruence,
     matrix_product,
     reduce_matrix,
+    restrict_to_subuniverse,
     submatrices,
     subuniverse_closure,
     subuniverses,
@@ -87,13 +94,27 @@ def test_reduce_idempotent_randomized():
             assert omega.is_identity()
 
 
+def flat(args, n):
+    idx = 0
+    for a in args:
+        idx = idx * n + a
+    return idx
+
+
 def brute_subuniverses(alg):
-    """Oracle: closure of every nonempty subset, deduplicated."""
-    out = set()
-    for k in range(1, alg.size + 1):
-        for seed in itertools.combinations(range(alg.size), k):
-            out.add(subuniverse_closure(alg, seed))
-    return sorted(out, key=lambda s: (len(s), s))
+    """Oracle: every nonempty subset that every table maps into itself, each
+    argument tuple over the subset read from the tables directly."""
+    n = alg.size
+    return [
+        sub
+        for k in range(1, n + 1)
+        for sub in itertools.combinations(range(n), k)
+        if all(
+            alg.table(sym)[flat(args, n)] in sub
+            for sym, arity in alg.signature.symbols
+            for args in itertools.product(sub, repeat=arity)
+        )
+    ]
 
 
 def test_subuniverses_of_bool4():
@@ -101,6 +122,32 @@ def test_subuniverses_of_bool4():
     subs = subuniverses(b4)
     assert subs == [(0, 3), (0, 1, 2, 3)]
     assert subs == brute_subuniverses(b4)
+
+
+def test_subuniverses_returns_a_fresh_list_each_call():
+    b4 = bool4()
+    first = subuniverses(b4)
+    first.append((1,))
+    first[0] = (2,)
+    assert subuniverses(b4) == [(0, 3), (0, 1, 2, 3)]
+    with pytest.raises(CapExceeded):
+        subuniverses(b4, cap=3)
+
+
+def test_subuniverse_closure_is_the_least_closed_superset():
+    rng = random.Random(7)
+    sigs = [Signature({"c": 0, "t": 3}), Signature({"c": 0, "d": 0, "f": 1}),
+            Signature({"g": 2}), Signature({"t": 3})]
+    for _ in range(60):
+        sig, n = rng.choice(sigs), rng.randint(1, 5)
+        tables = {sym: [rng.randrange(n) for _ in range(n**arity)] for sym, arity in sig.symbols}
+        alg = FiniteAlgebra(sig, n, tables)
+        closed = brute_subuniverses(alg)
+        if all(arity for _, arity in sig.symbols):
+            closed.insert(0, ())  # no constants: the empty set is closed too
+        seed = [x for x in range(n) if rng.random() < 0.3]
+        want = min((s for s in closed if set(seed) <= set(s)), key=len)
+        assert subuniverse_closure(alg, seed) == want
 
 
 def _check_subuniverses(alg, f):
@@ -194,3 +241,109 @@ def test_find_isomorphism():
         find_isomorphism(m, Matrix(imp2(), (1,)))
     # size mismatch is just a miss
     assert find_isomorphism(m, Matrix(bool4(), (3,))) is None
+
+
+def brute_isomorphism(m1, m2):
+    """Oracle: the first of all n! permutations, in lexicographic order, that
+    maps every table of m1 onto m2 and the filter onto the filter."""
+    a1, a2 = m1.algebra, m2.algebra
+    n = a1.size
+    if n != a2.size:
+        return None
+    for perm in itertools.permutations(range(n)):
+        if {perm[x] for x in m1.filter} != set(m2.filter):
+            continue
+        if all(
+            a2.table(sym)[flat([perm[a] for a in args], n)] == perm[value]
+            for sym, arity in a1.signature.symbols
+            for args, value in zip(itertools.product(range(n), repeat=arity), a1.table(sym))
+        ):
+            return perm
+    return None
+
+
+def relabel(alg, perm):
+    """The copy of `alg` in which element x is renamed perm[x]."""
+    n = alg.size
+    tables = {}
+    for sym, arity in alg.signature.symbols:
+        cells = [0] * n**arity
+        for args, value in zip(itertools.product(range(n), repeat=arity), alg.table(sym)):
+            cells[flat([perm[a] for a in args], n)] = perm[value]
+        tables[sym] = cells
+    return FiniteAlgebra(alg.signature, n, tables)
+
+
+def random_table(rng, n, arity):
+    """Random cells, a constant or the first projection: the last two give
+    algebras with many automorphisms, so many isomorphisms to choose from."""
+    kind = rng.choice(["random", "random", "constant", "projection"])
+    if kind == "constant" or arity == 0:
+        return [rng.randrange(n)] * n**arity
+    if kind == "projection":
+        return [args[0] for args in itertools.product(range(n), repeat=arity)]
+    return [rng.randrange(n) for _ in range(n**arity)]
+
+
+def test_find_isomorphism_is_the_least_preserving_bijection():
+    rng = random.Random(13)
+    sigs = [Signature({"c": 0}), Signature({"f": 1}), Signature({"→": 2}), Signature({"t": 3}),
+            Signature({"c": 0, "f": 1}), Signature({"c": 0, "g": 2, "t": 3})]
+    outcomes = set()
+    for _ in range(150):
+        sig, n = rng.choice(sigs), rng.randint(1, 5)
+        alg = FiniteAlgebra(sig, n, {s: random_table(rng, n, a) for s, a in sig.symbols})
+        f = [x for x in range(n) if rng.random() < 0.5]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        copy = relabel(alg, perm)
+        other = FiniteAlgebra(sig, n, {s: random_table(rng, n, a) for s, a in sig.symbols})
+        g = rng.sample(range(n), len(f))  # same size, maybe another subset
+        m = Matrix(alg, f)
+        pairs = {"copy": Matrix(copy, [perm[x] for x in f]), "filter only": Matrix(alg, g),
+                 "other": Matrix(other, f)}
+        for kind, target in pairs.items():
+            want = brute_isomorphism(m, target)
+            assert find_isomorphism(m, target) == want, (kind, alg, f, target)
+            outcomes.add((kind, want is None, want == tuple(range(n))))
+    # each kind of pair met an isomorphism other than the identity and,
+    # but for the relabelled copy, a pair with none
+    assert {(kind, False, False) for kind in ("copy", "filter only", "other")} <= outcomes
+    assert {("filter only", True, False), ("other", True, False)} <= outcomes
+
+
+def validated(alg, elems, relabel):
+    """The algebra on {0..len(elems)-1} with f(i1, .., ik) =
+    relabel(f(elems[i1], .., elems[ik])), built from `apply` through the
+    validating constructor."""
+    k = len(elems)
+    return FiniteAlgebra(alg.signature, k, {
+        sym: [relabel(alg.apply(sym, [elems[i] for i in args]))
+              for args in itertools.product(range(k), repeat=arity)]
+        for sym, arity in alg.signature.symbols
+    })
+
+
+def assert_same_algebra(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.tables == want.tables and got.name == want.name == ""
+    assert got.neighbours() == want.neighbours()
+    assert subuniverses(got) == subuniverses(want)
+
+
+def test_restrictions_and_quotients_equal_the_validated_construction():
+    rng = random.Random(17)
+    algs = [bool4(), imp2(), pointed_set(3)]
+    algs += list(enumerate_algebras(Signature({"→": 2}), 3, iso_prune=True))[::37]
+    sigs = [Signature({"c": 0, "t": 3}), Signature({"c": 0, "f": 1, "g": 2})]
+    for _ in range(40):
+        sig, n = rng.choice(sigs), rng.randint(1, 4)
+        algs.append(FiniteAlgebra(sig, n, {s: random_table(rng, n, a) for s, a in sig.symbols}))
+    for alg in algs:
+        for sub in subuniverses(alg):
+            index = {x: i for i, x in enumerate(sub)}
+            assert_same_algebra(restrict_to_subuniverse(alg, sub),
+                                validated(alg, sub, index.__getitem__))
+        for theta in congruences_bruteforce(alg):
+            reps = [block[0] for block in theta.blocks()]
+            assert_same_algebra(quotient(alg, theta), validated(alg, reps, theta.block_of))

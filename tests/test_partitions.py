@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
-from law.partitions import Partition, all_partitions
+from law.algebra import enumerate_algebras, largest_congruence_below
+from law.partitions import Partition, _canonical, all_partitions
+from law.terms import Signature
 
 
 def relation(p):
@@ -61,3 +63,36 @@ def test_from_blocks_validation():
         Partition.from_blocks(3, [[0, 1]])
     with pytest.raises(ValueError):
         Partition.from_blocks(3, [[0, 1], [1, 2]])
+
+
+def assert_canonical(p, ids):
+    """`p`, built on the fast path, has canonical ids and is the partition
+    the relabelling constructor builds from `ids`."""
+    assert p.block_ids == _canonical(p.block_ids)
+    slow = Partition(ids)
+    assert p == slow and hash(p) == hash(slow)
+
+
+def test_fast_path_constructors_build_canonical_ids():
+    for n in range(7):
+        for p in all_partitions(n):
+            assert_canonical(p, p.block_ids)
+        assert_canonical(Partition.identity(n), range(n))
+        assert_canonical(Partition.total(n), [7] * n)
+    for n in range(6):
+        for k in range(n + 1):
+            for subset in itertools.combinations(range(n), k):
+                p = Partition.seed_from_subset(n, subset)
+                assert_canonical(p, [0 if i in subset else 1 for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "sig, max_n", [(Signature({"→": 2}), 3), (Signature({"f": 1}), 4)], ids=["implication", "unary"]
+)
+def test_largest_congruence_below_builds_canonical_ids(sig, max_n):
+    for n in range(1, max_n + 1):
+        seeds = list(all_partitions(n))
+        for alg in enumerate_algebras(sig, n, iso_prune=True):
+            for seed in seeds:
+                p = largest_congruence_below(alg, seed)
+                assert_canonical(p, p.block_ids)
