@@ -9,7 +9,6 @@ from .algebra import (
     enumerate_algebras,
     eval_term,
     is_congruence,
-    is_congruence_uniform,
     largest_congruence_below,
     nonindexed_product,
     one_element,
@@ -22,7 +21,6 @@ from .logics import (
     Rule,
     deductive_filters,
     entails,
-    filter_generated,
     filter_notion,
     is_model,
     matrices_logic,

@@ -323,49 +323,15 @@ def largest_congruence_below(alg: FiniteAlgebra, p: Partition) -> Partition:
         count = fresh_count
 
 
-def is_congruence_uniform(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max) -> bool:
-    """True iff every congruence has blocks of one common size."""
-    for theta in congruences_bruteforce(alg, cap=cap):
-        sizes = {len(b) for b in theta.blocks()}
-        if len(sizes) > 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def _canonical_tables(alg: FiniteAlgebra) -> tuple:
-    n = alg.size
-    best = None
-    syms = alg.signature.symbols
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, x in enumerate(perm):
-            inv[x] = i
-        candidate = []
-        for sym, arity in syms:
-            table = alg.table(sym)
-            cells = []
-            for args in itertools.product(range(n), repeat=arity):
-                idx = 0
-                for a in args:
-                    idx = idx * n + perm[a]
-                cells.append(inv[table[idx]])
-            candidate.append(tuple(cells))
-        candidate = tuple(candidate)
-        if best is None or candidate < best:
-            best = candidate
-    return best
 
 
 def _relabellings(sig: Signature, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(src, inv) for every permutation of {0..n-1} but the identity, in
     `itertools.permutations` order. Relabelling a flat table (all symbols'
     cells concatenated in signature order) by the permutation gives the
-    table whose cell j is inv[flat[src[j]]], as `_canonical_tables` builds
-    it."""
+    table whose cell j is inv[flat[src[j]]]."""
     maps = []
     for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
         inv = [0] * n
@@ -406,8 +372,8 @@ def enumerate_algebras(
     The budget bounds the total number of table cells across the whole
     stream (count of algebras times cells per algebra). With `iso_prune`
     only the lexicographically least member of each isomorphism class is
-    produced, i.e. exactly the algebras whose tables equal
-    `_canonical_tables`, in the same order. The relabelling maps of every
+    produced, i.e. exactly the algebras whose tables are the least of their
+    relabellings by carrier permutations, in the same order. The relabelling maps of every
     non-identity permutation are built once per call; each flat table is
     compared with its relabellings cell by cell, the first differing cell
     deciding, and an algebra is built only for a table that no relabelling

@@ -11,7 +11,7 @@ classes under that config's caps; a search's own `depth` is its argument.
 The witness searches over matrices (theorems and injective theorems of a
 matrix presentation, protoalgebraic sets of any presentation through its
 consequence matrices) read one stream of term classes from the joint closure
-of `logics`: terms with equal values in every matrix are interchangeable in
+of `clone`: terms with equal values in every matrix are interchangeable in
 entailment, and each class stands for its first term, so the first class
 that qualifies gives the same term as a search over terms. A class is
 decided by its designation mask, never by evaluating a term. The stream
@@ -27,11 +27,12 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, term_values
+from .clone import JointClosure
 from .config import DEFAULTS, Config
-from .errors import CapExceeded, SignatureMismatch, TermError, UnknownName
+from .errors import CapExceeded, SignatureMismatch, UnknownName
 from .logics import (
     FilterFamily,
     FilterLattice,
@@ -39,15 +40,13 @@ from .logics import (
     MATRICES,
     RULES,
     Rule,
-    _JointClosure,
-    _distinct,
     entails,
     filter_lattice,
     filter_notion,
     models_presentation,
     reduced_filters_on,
 )
-from .matrices import Matrix, submatrices
+from .matrices import submatrices
 from .partitions import Partition
 from .terms import App, Signature, Term, Var, depth, enumerate_terms, substitute, to_sexpr, variables
 from .translations import inventory_fingerprint
@@ -279,30 +278,10 @@ def theorem_search(
         theorems = derive_theorems(logic, ("x",), depth)
         return next((t for t in enumerate_terms(logic.signature, ("x",), depth)
                      if t in theorems), None)
-    closure = _term_classes(logic.signature, [m.algebra for m in logic.matrices], ("x",),
-                            config)
-    hit = next(_theorem_classes(closure, logic.matrices, depth), None)
+    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices], ("x",),
+                           config.closure_cell_budget)
+    hit = next(closure.theorems(logic.matrices, depth), None)
     return None if hit is None else closure.term(hit)
-
-
-def _term_classes(sig: Signature, algebras: Iterable[FiniteAlgebra], names: Sequence[str],
-                  config: Config) -> _JointClosure:
-    """The joint closure over `names` and the distinct `algebras`, at depth 0,
-    under the config's cell budget: its classes stand for their first terms
-    in `enumerate_terms` order."""
-    for v in names:
-        if v in sig:
-            raise TermError(f"variable {v!r} clashes with a symbol name")
-    return _JointClosure(sig, _distinct(algebras), names, config.closure_cell_budget)
-
-
-def _theorem_classes(closure: _JointClosure, matrices: Sequence[Matrix],
-                     depth: int) -> Iterator[int]:
-    """The classes of depth <= `depth` designated in every column of
-    `matrices`, in order, growing the closure as they are read."""
-    mask = closure.designation(matrices)
-    every = closure.lanes(matrices, lambda d, col: True)
-    return (i for i in closure.classes(depth) if mask(i) == every)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +324,8 @@ def find_protoalgebraic_witness(
     if consequence.variable_budget < 2:
         raise CapExceeded(f"2 variables exceed the budget {consequence.variable_budget}")
     mats = consequence.matrices
-    closure = _term_classes(logic.signature, [m.algebra for m in mats], ("x", "y"), config)
+    closure = JointClosure(logic.signature, [m.algebra for m in mats], ("x", "y"),
+                           config.closure_cell_budget)
     mask = closure.designation(mats)
     diagonal = closure.lanes(mats, lambda d, col: col[0] == col[1])
     escape = closure.lanes(mats, lambda d, col: col[0] in d and col[1] not in d)
@@ -361,28 +341,6 @@ def find_protoalgebraic_witness(
             if not functools.reduce(operator.and_, (m for _, m in combo), escape):
                 return WitnessSet("protoalgebraic", tuple(closure.term(i) for i, _ in combo))
     return None
-
-
-def congruence_formulas_with_params(
-    nabla: WitnessSet,
-    sig: Signature,
-    depth: int = 2,
-    params: Sequence[str] = ("z1",),
-) -> list[Term]:
-    """All instances phi(psi(x, zs), psi(y, zs)) with phi in the witness set
-    and psi ranging over bounded-depth terms in x and the parameters."""
-    if nabla.kind != "protoalgebraic":
-        raise ValueError("need a protoalgebraic witness set")
-    psis = list(enumerate_terms(sig, ("x", *params), depth))
-    out: list[Term] = []
-    seen: set[Term] = set()
-    for phi in nabla.terms:
-        for psi in psis:
-            inst = substitute(phi, {"x": psi, "y": substitute(psi, {"x": Y})})
-            if inst not in seen:
-                seen.add(inst)
-                out.append(inst)
-    return out
 
 
 def monotonicity_probe_on_filters(
@@ -541,7 +499,7 @@ def check_class(
 
 
 # ---------------------------------------------------------------------------
-# injective theorems, order-algebraizability witnesses, admissibility
+# injective theorems, admissibility
 
 
 def find_injective_theorem(
@@ -562,61 +520,16 @@ def find_injective_theorem(
                      if t in theorems and all(_injective_on(m.algebra, t) for m in models)),
                     None)
     algs = {m.algebra for m in models}
-    closure = _term_classes(logic.signature, [m.algebra for m in logic.matrices] + list(algs),
-                            ("x",), config)
-    spans = [(closure.offsets[bi], closure.offsets[bi + 1])
-             for bi, b in enumerate(closure.block_algs) if b in algs]
-    for i in _theorem_classes(closure, logic.matrices, depth):
-        if all(len(set(closure.rows[i][lo:hi])) == hi - lo for lo, hi in spans):
+    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices] + list(algs),
+                           ("x",), config.closure_cell_budget)
+    for i in closure.theorems(logic.matrices, depth):
+        if all(len(set(closure.values(i, a))) == a.size for a in algs):
             return closure.term(i)
     return None
 
 
 def _injective_on(alg: FiniteAlgebra, t: Term) -> bool:
     return len(set(term_values(alg, t, ("x",)))) == alg.size
-
-
-def verify_order_alg_witness(
-    logic: LogicPresentation,
-    delta: Sequence[Term],
-    inequalities: Sequence[tuple[Term, Term]],
-    inventory: Sequence[FiniteAlgebra],
-    config: Config = DEFAULTS,
-) -> Verdict:
-    """Check that the delta-induced relation is a partial order on every
-    reduced inventory model and that filter membership matches the
-    inequalities under that order."""
-    inv = sorted(inventory, key=lambda a: a.sort_key())
-    bounds = standard_bounds(logic, inv, config.depth_default)
-    for alg in inv:
-        for m in reduced_filters_on(logic, alg, **config.caps()):
-            des = m.filter_set()
-            n = alg.size
-            rows = [term_values(alg, d, ("x", "y")) for d in delta]
-            rel = [
-                [all(row[a * n + b] in des for row in rows) for b in range(n)]
-                for a in range(n)
-            ]
-            for a in range(n):
-                if not rel[a][a]:
-                    return fails({"reason": "not reflexive", "model": m, "pair": (a, a)}, **bounds)
-            for a, b in itertools.product(range(n), repeat=2):
-                if rel[a][b] and rel[b][a] and a != b:
-                    return fails({"reason": "not antisymmetric", "model": m, "pair": (a, b)}, **bounds)
-            for a, b, c in itertools.product(range(n), repeat=3):
-                if rel[a][b] and rel[b][c] and not rel[a][c]:
-                    return fails({"reason": "not transitive", "model": m, "pair": (a, c)}, **bounds)
-            sides = [(term_values(alg, lhs, ("x",)), term_values(alg, rhs, ("x",)))
-                     for lhs, rhs in inequalities]
-            for a in range(n):
-                sat = all(rel[lhs[a]][rhs[a]] for lhs, rhs in sides)
-                if sat != (a in des):
-                    return fails(
-                        {"reason": "membership disagrees with the inequalities",
-                         "model": m, "element": a},
-                        **bounds,
-                    )
-    return holds(**bounds)
 
 
 def check_admissibility_bounded(

@@ -120,7 +120,12 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     sig = _signature(data, "signature")
     size = _field(data, "size", int)
     ops = _field(data, "ops", dict)
-    tables = {sym: tuple(_flatten(ops[sym], arity)) for sym, arity in sig.symbols}
+    stray = next((sym for sym in sorted(ops) if sym not in sig), None)
+    if stray is not None:
+        raise LawError(f"field 'ops' has a table for {stray!r}, which the signature lacks")
+    tables = {sym: tuple(_expect(cell, int, f"each cell of {sym!r} in field 'ops'")
+                         for cell in _flatten(ops[sym], arity))
+              for sym, arity in sig.symbols}
     return FiniteAlgebra(sig, size, tables, name=str(data.get("name", "")))
 
 

@@ -9,11 +9,9 @@ from law.config import DEFAULTS
 from law.errors import UnknownName
 from law.gallery import GALLERY_NAMES, bool4, build, imp2, nabla_hat, pointed_set
 from law.hierarchy import (
-    WitnessSet,
     chain_entails,
     check_admissibility_bounded,
     check_class,
-    congruence_formulas_with_params,
     consequence_presentation,
     derive_theorems,
     find_injective_theorem,
@@ -22,7 +20,6 @@ from law.hierarchy import (
     monotonicity_probe_on_filters,
     nabla_theorem_oracle,
     theorem_search,
-    verify_order_alg_witness,
     verify_protoalgebraic_witness,
 )
 from law.logics import RULES, Rule, _closed_under_rules, matrices_logic, rules_logic
@@ -90,18 +87,6 @@ def test_witness_reverifies_by_contract():
     consequence = consequence_presentation(NABLA.logic, NABLA.inventory)
     assert verify_protoalgebraic_witness(consequence, w.terms)
     assert not verify_protoalgebraic_witness(consequence, (X,))
-
-
-def test_congruence_formulas_with_params():
-    nabla = WitnessSet("protoalgebraic", (parse_term(IMP, "(→ x y)"),))
-    out = congruence_formulas_with_params(nabla, IMP, 1)
-    sexprs = [to_sexpr(t) for t in out]
-    assert "(→ x y)" in sexprs
-    assert "(→ (→ x z1) (→ y z1))" in sexprs
-    psis = list(enumerate_terms(IMP, ["x", "z1"], 1))
-    assert len(out) == len(psis)
-    deeper = congruence_formulas_with_params(nabla, IMP, 2)
-    assert len(deeper) == len(list(enumerate_terms(IMP, ["x", "z1"], 2)))
 
 
 def test_monotonicity_probe_on_gallery_bundle():
@@ -263,23 +248,6 @@ def test_find_injective_theorem():
     # on a one-element inventory any theorem qualifies
     t = find_injective_theorem(ASSERTIONAL.logic, [one_element(POINTED)], depth=2)
     assert to_sexpr(t) == "(⊤ x)"
-
-
-def test_verify_order_alg_witness():
-    imp_logic = matrices_logic([Matrix(imp2(), (1,))])
-    delta = [parse_term(IMP, "(→ x y)")]
-    inequalities = [(parse_term(IMP, "(→ x x)"), X)]
-    assert verify_order_alg_witness(imp_logic, delta, inequalities, [imp2()]).holds
-    assert verify_order_alg_witness(
-        imp_logic, delta, inequalities, [one_element(IMP)]
-    ).holds
-    v = verify_order_alg_witness(
-        ASSERTIONAL.logic,
-        [parse_term(POINTED, "(⊤ x)")],
-        [],
-        [pointed_set(2)],
-    )
-    assert v.fails and v.witness["reason"] == "not antisymmetric"
 
 
 def test_admissibility_of_the_capped_rule_family():

@@ -8,18 +8,16 @@ import pytest
 
 from law import logics
 from law.algebra import FiniteAlgebra, congruences_bruteforce, one_element, term_values
+from law.clone import JointClosure, _joint_table
 from law.config import DEFAULTS
-from law.errors import CapExceeded, NotAFilter, SignatureMismatch
+from law.errors import CapExceeded, NotAFilter, SignatureMismatch, TermError
 from law.gallery import GALLERY_NAMES, bool2, build, imp2, pointed_set, product_of_logics
-from law.hierarchy import check_class
+from law.hierarchy import check_class, theorem_search
 from law.logics import (
     Rule,
-    _JointClosure,
-    _distinct,
     deductive_filters,
     entails,
     filter_bounds,
-    filter_generated,
     filter_notion,
     is_deductive_filter,
     is_model,
@@ -64,27 +62,6 @@ def test_entails_budget_and_kind_errors():
         entails(tight, [X], parse_term(BOOL, "(or x y)"))
     with pytest.raises(ValueError):
         entails(NABLA, [], X)
-
-
-def test_filter_generated():
-    assert filter_generated(ASSERTIONAL, pointed_set(3), ()) == (0,)
-    assert filter_generated(NABLA, imp2(), (0,)) == (0, 1)
-    assert filter_generated(NABLA, imp2(), (0, 1)) == (0, 1)
-    with pytest.raises(SignatureMismatch):
-        filter_generated(NABLA, pointed_set(2), ())
-
-
-def test_filter_generated_is_fixpoint_and_least():
-    for alg in [imp2(), one_element(IMP)]:
-        for k in range(alg.size + 1):
-            for seed in itertools.combinations(range(alg.size), k):
-                out = filter_generated(NABLA, alg, seed)
-                assert filter_generated(NABLA, alg, out) == out
-                assert set(seed) <= set(out)
-                # least: out is contained in every filter containing the seed
-                for f in deductive_filters(NABLA, alg):
-                    if set(seed) <= set(f):
-                        assert set(out) <= set(f)
 
 
 def test_deductive_filters_rules_exact():
@@ -239,17 +216,16 @@ def test_product_logic_filters_decompose():
 # the joint closure against an oracle: evaluate every term
 
 
-def _closure_rows(closure):
-    """The closure's rows, each a tuple of one bytes per block."""
-    blocks = list(itertools.pairwise(closure.offsets))
-    return [tuple(row[lo:hi] for lo, hi in blocks) for row in closure.rows]
+def _closure_rows(closure, blocks):
+    """The closure's rows, each a tuple of its values on every block."""
+    return [tuple(closure.values(i, b) for b in blocks) for i in closure.classes(closure.level)]
 
 
 def _sweep_closure(logic, alg, depth_cap, budget):
     """The filter sweep's closure of `alg` under `logic`, over one canonical
     variable per element, and its effective depth."""
-    closure = _JointClosure(logic.signature, _distinct(m.algebra for m in logic.matrices),
-                            [f"v{i}" for i in range(alg.size)], budget, target=alg)
+    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices],
+                           [f"v{i}" for i in range(alg.size)], budget, target=alg)
     return closure, closure.grow_to(depth_cap)
 
 
@@ -268,7 +244,9 @@ def _assert_classes(closure, sig, algebras, names, depth, target=None):
             canonical = sum(i * target.size ** (target.size - 1 - i) for i in range(target.size))
             row += (bytes([term_values(target, t, names)[canonical]]),)
         first.setdefault(row, t)
-    rows = _closure_rows(closure)
+    if target is not None and target not in blocks:
+        blocks.append(target)
+    rows = _closure_rows(closure, blocks)
     assert rows == list(first)
     for i, row in enumerate(rows):
         assert closure.term(i) == first[row]
@@ -307,7 +285,8 @@ def _closure_cases():
     alg = FiniteAlgebra(ternary, 2, {"m": [0, 0, 0, 1, 0, 1, 1, 1]})
     yield pytest.param(matrices_logic([Matrix(three, (0,))]), alg, 2, None, id="ternary-symbol")
 
-    # 12 * 12 and 2 * 2 cells each fit a byte, the joint 2 * 12 * 12 does not
+    # 12 * 12 and 2 * 2 cells each fit a byte, and packed the joint table
+    # does too: 144 + 14 = 158 lanes, the 2-element block's digits in base 12
     twelve = FiniteAlgebra(IMP, 12, {"→": [(a * b + 1) % 12 for a in range(12) for b in range(12)]})
     alg = FiniteAlgebra(IMP, 2, {"→": [1, 1, 0, 1]})
     yield pytest.param(matrices_logic([Matrix(twelve, (0,))]), alg, 2, None,
@@ -322,6 +301,26 @@ def test_closure_rows_are_the_joint_evaluations_of_bounded_terms(logic, alg, dep
                     [f"v{i}" for i in range(alg.size)], depth_effective, target=alg)
     if budget < DEFAULTS.closure_cell_budget:
         assert depth_effective == 2
+
+
+def test_a_joint_table_is_bytes_while_its_packed_blocks_fit_256_lanes():
+    cases = {case.id: case.values for case in _closure_cases()}
+    for case, table_type in (("joint-table-over-256", bytes), ("17-elements", list)):
+        logic, alg = cases[case][:2]
+        blocks = [m.algebra for m in logic.matrices] + [alg]
+        assert type(_joint_table(blocks, "→", 2)) is table_type, case
+
+
+def test_a_symbol_may_share_its_name_with_a_canonical_variable():
+    # the sweep's canonical variables v0, v1 are never rebuilt into terms, so a
+    # symbol named v0 sweeps like any other; the witness searches' x clashes
+    def logic(name):
+        alg = FiniteAlgebra(Signature({name: 2}), 2, {name: [1, 1, 0, 1]})
+        return matrices_logic([Matrix(alg, (1,))]), alg
+
+    assert deductive_filters(*logic("v0")) == deductive_filters(*logic("s")) == [(1,), (0, 1)]
+    with pytest.raises(TermError, match="variable 'x' clashes with a symbol name"):
+        theorem_search(logic("x")[0], 2)
 
 
 def _random_closure_case(rng):
@@ -350,8 +349,8 @@ def test_random_closures_are_the_joint_evaluations_of_bounded_terms():
                         [f"v{i}" for i in range(alg.size)], depth_effective, target=alg)
         # the witness searches' closures: x, or x and y, and no canonical column
         for names in (("x",), ("x", "y")):
-            closure = _JointClosure(logic.signature, _distinct(algebras), names,
-                                    DEFAULTS.closure_cell_budget)
+            closure = JointClosure(logic.signature, algebras, names,
+                                   DEFAULTS.closure_cell_budget)
             depth_effective = closure.grow_to(depth_cap)
             _assert_classes(closure, logic.signature, algebras, names, depth_effective)
 
@@ -427,7 +426,7 @@ def test_suszko_and_reduced_filters_agree_with_the_definitions(logic, inventory)
 
 def test_filter_lattice_is_swept_once_per_key(monkeypatch):
     calls = collections.Counter()
-    for name in ("_JointClosure", "_bounded_filter_subsets", "_closed_under_rules"):
+    for name in ("JointClosure", "_bounded_filter_subsets", "_closed_under_rules"):
         def counted(*args, real=getattr(logics, name), name=name, **kw):
             calls[name] += 1
             return real(*args, **kw)

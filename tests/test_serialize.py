@@ -149,10 +149,15 @@ def test_loaders_name_the_file_and_a_field_of_the_wrong_shape(tmp_path, loader, 
       "operation table must nest to the arity"),
      (load_algebra, {"signature": {"f": 1}, "size": 2, "ops": {"f": [0, 1, 1]}},
       "table for 'f' has 3 cells, expected 2"),
+     (load_algebra, {"signature": {"f": 1}, "size": 2, "ops": {"f": [0, 1], "g": [1, 0]}},
+      "field 'ops' has a table for 'g', which the signature lacks"),
+     (load_algebra, {"signature": {"f": 1}, "size": 2, "ops": {"f": [0, True]}},
+      "each cell of 'f' in field 'ops' must be an integer, got a boolean"),
      (load_logic, {"signature": {"→": 2}, "kind": "rules",
                    "rules": [{"premises": [], "conclusion": "(→ x)"}]},
       "'→' expects 2 arguments, got 1")],
-    ids=["algebra-nesting", "algebra-cells", "logic-conclusion"],
+    ids=["algebra-nesting", "algebra-cells", "algebra-stray-op", "algebra-boolean-cell",
+         "logic-conclusion"],
 )
 def test_loaders_name_the_file_for_a_decoding_error(tmp_path, loader, data, message):
     path = os.path.join(tmp_path, "undecodable.json")

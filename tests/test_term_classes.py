@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from law import hierarchy, logics
+from law import clone, hierarchy, logics
 from law.algebra import FiniteAlgebra, one_element, term_values
 from law.config import DEFAULTS
 from law.errors import CapExceeded
@@ -119,11 +119,11 @@ def _agreement_cases():
         if entry.logic is not None:
             yield name, entry.logic, entry.inventory
     logic = _implications(2)
-    yield "two-implications", logic, logics._distinct(m.algebra for m in logic.matrices)
+    yield "two-implications", logic, clone._distinct(m.algebra for m in logic.matrices)
     rng = random.Random(5)
     for i in range(150):
         logic = _random_logic(rng)
-        yield f"random-{i}", logic, logics._distinct(m.algebra for m in logic.matrices)
+        yield f"random-{i}", logic, clone._distinct(m.algebra for m in logic.matrices)
 
 
 def test_searches_agree_with_the_per_term_references():
@@ -172,8 +172,8 @@ def test_k_implications_need_a_set_of_k_terms(k):
 
 def test_a_singleton_hit_builds_only_the_levels_it_needs(monkeypatch):
     closures = []
-    real = hierarchy._term_classes
-    monkeypatch.setattr(hierarchy, "_term_classes",
+    real = hierarchy.JointClosure
+    monkeypatch.setattr(hierarchy, "JointClosure",
                         lambda *a: closures.append(real(*a)) or closures[-1])
     proto = build("basic-proto")
     w = find_protoalgebraic_witness(proto.logic, depth=3, inventory=proto.inventory)
