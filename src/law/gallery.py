@@ -22,15 +22,15 @@ from .hierarchy import (
     theorem_search,
     verify_protoalgebraic_witness,
 )
-from .logics import (
+from .logics import (  # noqa: F401  (product_of_logics is re-exported)
     LogicPresentation,
-    MATRICES,
     Rule,
     matrices_logic,
+    product_of_logics,
     reduced_filters_on,
     rules_logic,
 )
-from .matrices import Matrix, leibniz_congruence, matrix_product
+from .matrices import Matrix, leibniz_congruence
 from .partitions import Partition
 from .serialize import algebra_to_json, dump_json, logic_to_json, matrix_to_json, payload_to_json
 from .terms import App, Signature, Term, Var, enumerate_terms, parse_term, substitute
@@ -363,22 +363,6 @@ def companions(
         sorted(mats, key=lambda m: m.sort_key()),
         name=f"{which}({logic.name or logic.kind})",
         variable_budget=logic.variable_budget,
-    )
-
-
-def product_of_logics(
-    l1: LogicPresentation, l2: LogicPresentation, cap: int = DEFAULTS.product_max
-) -> LogicPresentation:
-    """Defining matrices are all pairwise non-indexed matrix products."""
-    if l1.kind != MATRICES or l2.kind != MATRICES:
-        raise ValueError("both factors must be matrix presentations")
-    mats = [
-        matrix_product(m1, m2, cap=cap) for m1 in l1.matrices for m2 in l2.matrices
-    ]
-    return matrices_logic(
-        mats,
-        name=f"({l1.name or 'L1'})x({l2.name or 'L2'})",
-        variable_budget=max(l1.variable_budget, l2.variable_budget),
     )
 
 

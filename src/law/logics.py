@@ -36,7 +36,7 @@ from .algebra import FiniteAlgebra, term_values
 from .clone import JointClosure
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
 from .errors import CapExceeded, NotAFilter, SignatureMismatch
-from .matrices import Matrix, leibniz_congruence
+from .matrices import Matrix, leibniz_congruence, matrix_product
 from .partitions import Partition
 from .terms import Signature, Term, check_term, to_sexpr, variables_of
 
@@ -116,6 +116,22 @@ def matrices_logic(matrices: Iterable[Matrix], name: str = "", **kw) -> LogicPre
     if not mats:
         raise ValueError("need at least one defining matrix")
     return LogicPresentation(mats[0].algebra.signature, MATRICES, matrices=mats, name=name, **kw)
+
+
+def product_of_logics(
+    l1: LogicPresentation, l2: LogicPresentation, cap: int = DEFAULTS.product_max
+) -> LogicPresentation:
+    """Defining matrices are all pairwise non-indexed matrix products."""
+    if l1.kind != MATRICES or l2.kind != MATRICES:
+        raise ValueError("both factors must be matrix presentations")
+    mats = [
+        matrix_product(m1, m2, cap=cap) for m1 in l1.matrices for m2 in l2.matrices
+    ]
+    return matrices_logic(
+        mats,
+        name=f"({l1.name or 'L1'})x({l2.name or 'L2'})",
+        variable_budget=max(l1.variable_budget, l2.variable_budget),
+    )
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .algebra import FiniteAlgebra
 from .config import VARIABLE_BUDGET
 from .errors import LawError
-from .logics import LogicPresentation, MATRICES, RULES, Rule, matrices_logic, rules_logic
 from .matrices import Matrix
 from .partitions import Partition
 from .terms import Signature, parse_term, to_sexpr
-from .translations import Translation
-from .verdicts import Verdict
+
+if TYPE_CHECKING:
+    from .logics import LogicPresentation, Rule
+    from .translations import Translation
 
 
 def canonical_json(data: Any) -> str:
@@ -92,16 +93,16 @@ def _nest(cells: tuple[int, ...], size: int, arity: int):
     return [_nest(cells[i * span : (i + 1) * span], size, arity - 1) for i in range(size)]
 
 
-def _flatten(nested, arity: int) -> list[int]:
+def _flatten(nested, arity: int, sym: str, at: str = "") -> list[int]:
+    """The cells of `sym`'s table, row-major; `at` is the index path so far."""
     if arity == 0:
-        if not isinstance(nested, int):
-            raise LawError("nullary op must be a bare integer")
-        return [nested]
+        cell = f"cell {at} of {sym!r}" if at else f"nullary op {sym!r}"
+        return [_expect(nested, int, f"{cell} in field 'ops'")]
     if not isinstance(nested, list):
         raise LawError("operation table must nest to the arity")
     out: list[int] = []
-    for item in nested:
-        out.extend(_flatten(item, arity - 1))
+    for i, item in enumerate(nested):
+        out.extend(_flatten(item, arity - 1, sym, f"{at}[{i}]"))
     return out
 
 
@@ -123,9 +124,10 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     stray = next((sym for sym in sorted(ops) if sym not in sig), None)
     if stray is not None:
         raise LawError(f"field 'ops' has a table for {stray!r}, which the signature lacks")
-    tables = {sym: tuple(_expect(cell, int, f"each cell of {sym!r} in field 'ops'")
-                         for cell in _flatten(ops[sym], arity))
-              for sym, arity in sig.symbols}
+    missing = next((sym for sym in sig.names() if sym not in ops), None)
+    if missing is not None:
+        raise LawError(f"field 'ops' has no table for {missing!r}")
+    tables = {sym: tuple(_flatten(ops[sym], arity, sym)) for sym, arity in sig.symbols}
     return FiniteAlgebra(sig, size, tables, name=str(data.get("name", "")))
 
 
@@ -169,6 +171,8 @@ def rule_to_json(r: Rule) -> dict:
 
 
 def logic_to_json(logic: LogicPresentation) -> dict:
+    from .logics import RULES
+
     out = {
         "signature": logic.signature.as_dict(),
         "kind": logic.kind,
@@ -184,6 +188,8 @@ def logic_to_json(logic: LogicPresentation) -> dict:
 
 
 def logic_from_json(data: dict, base_dir: str = ".") -> LogicPresentation:
+    from .logics import MATRICES, RULES, Rule, matrices_logic, rules_logic
+
     data = _expect(data, dict, "the document")
     sig = _signature(data, "signature")
     kind = _field(data, "kind", str)
@@ -217,6 +223,8 @@ def translation_to_json(tau: Translation) -> dict:
 
 
 def translation_from_json(data: dict) -> Translation:
+    from .translations import Translation
+
     data = _expect(data, dict, "the document")
     source = _signature(data, "source")
     target = _signature(data, "target")
@@ -231,6 +239,9 @@ def translation_from_json(data: dict) -> Translation:
 
 def payload_to_json(value: Any) -> Any:
     """Best-effort canonical JSON for report payloads and witnesses."""
+    from .logics import LogicPresentation, Rule
+    from .verdicts import Verdict
+
     if isinstance(value, Verdict):
         out = {"status": value.status, "bounds": payload_to_json(value.bounds_dict())}
         if value.witness is not None:

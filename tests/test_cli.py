@@ -1,5 +1,7 @@
 """CLI: subcommands, exit codes, deterministic reports, file formats."""
 
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -278,31 +280,98 @@ def test_config_flag_overrides(tmp_path):
     assert code == 2
 
 
-def test_console_entry_point_runs(tmp_path):
-    # the child imports law from wherever this process found it, so the run
-    # needs neither an install nor PYTHONPATH
+def _child_env():
+    """The environment of a child that imports law from wherever this process
+    found it, so the run needs neither an install nor PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(law.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "law", "gallery", "ba-star", "--out", str(tmp_path / "ba-star")],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["written"]
 
 
+@pytest.mark.parametrize(
+    "argv, unused",
+    [(["leibniz", "-m", "m.json"], ["logics", "hierarchy", "gallery"]),
+     (["oracle", "congruences", "-a", "b2.json"], ["logics", "hierarchy", "gallery"]),
+     (["product", "-l", "pair.json", "-l", "pair.json"], ["hierarchy", "gallery"])],
+    ids=["leibniz", "oracle", "product"],
+)
+def test_a_cold_command_imports_only_the_layers_it_runs(tmp_path, argv, unused):
+    write(tmp_path, "m.json", matrix_to_json(Matrix(bool4(), (1, 3))))
+    write(tmp_path, "b2.json", algebra_to_json(bool2()))
+    write(tmp_path, "pair.json", logic_to_json(build("two-valued-pair").logic))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "law", *argv],
+                          capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "law.serialize" in loaded
+    assert not loaded & {f"law.{layer}" for layer in unused}
+    assert json.loads(proc.stdout)["result"]
+
+
+def test_importing_law_cli_loads_every_traced_layer():
+    # the benchmark's tracer imports law.cli, then wraps the functions of
+    # every module named in its LAYERS
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    spec = importlib.util.spec_from_file_location("tracing", os.path.join(bench, "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, law.cli; print(' '.join(m for m in sys.modules if m.startswith('law.')))"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert {f"law.{layer}" for layer in tracing.LAYERS} <= set(proc.stdout.split())
+
+
+def test_every_export_is_its_module_object():
+    for name in law.__all__:
+        home = law._HOME.get(name)
+        if home is None:
+            assert getattr(law, name) is importlib.import_module(f"law.{name}")
+        else:
+            assert getattr(law, name) is getattr(importlib.import_module(f"law.{home}"), name)
+    with pytest.raises(AttributeError):
+        law.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["check", "nonsense"], "UnknownName: unknown class 'nonsense'; choose from "),
+     (["gallery", "nonsense", "--out", "out"],
+      "UnknownName: unknown gallery name 'nonsense'; choose from ")],
+    ids=["class", "gallery-name"],
+)
+def test_an_unknown_name_is_an_error_report(tmp_path, argv, error):
+    logic_path = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
+    inv_path = write(tmp_path, "imp2.json", algebra_to_json(imp2()))
+    if argv[0] == "check":
+        argv = [*argv, "-l", logic_path, "-i", inv_path]
+    else:
+        argv = [*argv[:-1], os.path.join(tmp_path, argv[-1])]
+    code, out, _ = invoke(argv)
+    assert code == 2
+    assert json.loads(out)["error"].startswith(error)
+    assert not os.path.exists(os.path.join(tmp_path, "out"))
+
+
 def test_cold_import_leaves_numpy_out():
-    src = os.path.dirname(os.path.dirname(law.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, law.cli; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -366,8 +435,21 @@ def test_inventory_file_missing_a_field_is_named(tmp_path):
     "data, message",
     [([], "the document must be an object, got an array"),
      ({"signature": [["f", 1]], "size": 2, "ops": {}},
-      "field 'signature' must be an object, got an array")],
-    ids=["array-document", "array-signature"],
+      "field 'signature' must be an object, got an array"),
+     ({"signature": {"f": 1}, "size": 2, "ops": {"f": [0, 1.5]}},
+      "cell [1] of 'f' in field 'ops' must be an integer, got a number"),
+     ({"signature": {"f": 1}, "size": 2, "ops": {"f": ["0", "1"]}},
+      "cell [0] of 'f' in field 'ops' must be an integer, got a string"),
+     ({"signature": {"f": 1}, "size": 2, "ops": {"f": [[0], 1]}},
+      "cell [0] of 'f' in field 'ops' must be an integer, got an array"),
+     ({"signature": {"f": 2}, "size": 2, "ops": {"f": [[0, 1], [1, None]]}},
+      "cell [1][1] of 'f' in field 'ops' must be an integer, got null"),
+     ({"signature": {"c": 0}, "size": 2, "ops": {"c": [1]}},
+      "nullary op 'c' in field 'ops' must be an integer, got an array"),
+     ({"signature": {"f": 1, "g": 1}, "size": 2, "ops": {"g": [1, 0]}},
+      "field 'ops' has no table for 'f'")],
+    ids=["array-document", "array-signature", "number-cell", "string-cells", "array-cell",
+         "binary-null-cell", "nullary-array", "missing-table"],
 )
 def test_algebra_of_the_wrong_shape_exits_2_naming_the_file_and_field(tmp_path, data, message):
     alg_path = write(tmp_path, "bad.json", data)

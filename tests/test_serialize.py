@@ -152,7 +152,7 @@ def test_loaders_name_the_file_and_a_field_of_the_wrong_shape(tmp_path, loader, 
      (load_algebra, {"signature": {"f": 1}, "size": 2, "ops": {"f": [0, 1], "g": [1, 0]}},
       "field 'ops' has a table for 'g', which the signature lacks"),
      (load_algebra, {"signature": {"f": 1}, "size": 2, "ops": {"f": [0, True]}},
-      "each cell of 'f' in field 'ops' must be an integer, got a boolean"),
+      "cell [1] of 'f' in field 'ops' must be an integer, got a boolean"),
      (load_logic, {"signature": {"→": 2}, "kind": "rules",
                    "rules": [{"premises": [], "conclusion": "(→ x)"}]},
       "'→' expects 2 arguments, got 1")],
