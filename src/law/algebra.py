@@ -8,29 +8,19 @@ most significant. Product carriers use the same encoding: the index of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import DEFAULTS, ENUM_CELL_BUDGET
-from .errors import CapExceeded, NotACongruence, SignatureMismatch, TermError
+from .errors import CapExceeded, Frozen, NotACongruence, SignatureMismatch, TermError
 from .partitions import Partition, all_partitions
 from .terms import App, Signature, Term, Var, check_term
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Frozen):
     """A total interpretation of a signature on the carrier {0..size-1}."""
 
-    signature: Signature
-    size: int
-    tables: tuple[tuple[str, tuple[int, ...]], ...]
-    name: str = field(default="", compare=False)
-    _hash: int = field(init=False, compare=False)
-    _ops: dict = field(init=False, compare=False, repr=False)
-    _neighbours: tuple[int, ...] | None = field(init=False, compare=False, repr=False)
-    _subuniverses: tuple[tuple[int, ...], ...] | None = field(
-        init=False, compare=False, repr=False
-    )
+    __slots__ = ("signature", "size", "tables", "name", "_hash", "_ops", "_neighbours",
+                 "_subuniverses")
 
     def __init__(
         self,

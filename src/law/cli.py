@@ -229,7 +229,7 @@ def _inventory(items: Sequence[str], inputs: _Inputs) -> list[FiniteAlgebra]:
         else:
             paths.append(item)
     if not paths:
-        raise LawError("empty inventory")
+        raise LawError(f"empty inventory: no *.json file in -i {' -i '.join(items)}")
     return [inputs.load(load_algebra, p) for p in paths]
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 
-from .errors import LawError
+from .errors import Frozen, LawError
 
 #: Cells allowed for the joint-evaluation closure behind bounded filter checks.
 #: Rounds that would exceed it are skipped and the effective depth recorded.
@@ -27,16 +26,21 @@ VARIABLE_BUDGET = 8
 ENUM_CELL_BUDGET = 1 << 20
 
 
-@dataclass(frozen=True)
-class Config:
-    oracle_max: int = 6          # carrier cap for brute-force sweeps (2^n subsets, all partitions)
-    product_max: int = 64        # carrier cap for product algebras
-    depth_default: int = 3       # default term-depth cap for bounded checks
-    closure_cell_budget: int = CLOSURE_CELL_BUDGET
+class Config(Frozen):
+    __slots__ = _fields = ("oracle_max", "product_max", "depth_default", "closure_cell_budget")
+
+    def __init__(
+        self,
+        oracle_max: int = 6,        # carrier cap for brute-force sweeps (2^n subsets, all partitions)
+        product_max: int = 64,      # carrier cap for product algebras
+        depth_default: int = 3,     # default term-depth cap for bounded checks
+        closure_cell_budget: int = CLOSURE_CELL_BUDGET,
+    ):
+        self._assign(oracle_max, product_max, depth_default, closure_cell_budget)
 
     def override(self, **kwargs) -> "Config":
         clean = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **clean) if clean else self
+        return Config(**dict(zip(self._fields, self._values()), **clean)) if clean else self
 
     def caps(self) -> dict:
         """The keyword caps of the per-algebra filter readers of `logics`
@@ -63,7 +67,7 @@ def load_config(path: str | None = None) -> Config:
             raise LawError(f"config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise LawError(f"config {path}: expected a JSON object")
-    known = Config.__dataclass_fields__
+    known = Config._fields
     for key, value in data.items():
         if key not in known:
             raise LawError(f"config {path}: unknown field {key!r} (known: {', '.join(known)})")

@@ -1,4 +1,5 @@
-"""Exception types shared across the workbench.
+"""Exception types shared across the workbench, and the base of its frozen
+value classes.
 
 Everything raised on bad input or a blown cap derives from LawError so the
 CLI can map it to a single diagnostic exit code.
@@ -34,3 +35,49 @@ class NotAFilter(LawError):
 
 class UnknownName(LawError):
     """Unknown gallery entry, class name, or CLI subcommand argument."""
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, a field of a frozen value."""
+
+
+class Frozen:
+    """Base of the immutable value classes, written out by hand: generating
+    them at import costs a cold process up to about 30 ms. A subclass sets its
+    slots once, in `__init__`; assignment is refused after that. `_fields`
+    names what `==` (exact class), `hash` (of the tuple of the fields) and
+    `repr` (``Name(field=value, ...)``) read, in order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        """Set the slots, in `__slots__` order, to `values`. The classes built
+        in hot loops call `object.__setattr__` per slot, which costs less."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # pickle and copy restore the slots
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import FiniteAlgebra, enumerate_algebras, one_element
 from .config import DEFAULTS, Config
-from .errors import LawError, UnknownName
+from .errors import Frozen, LawError, UnknownName
 from .hierarchy import (
     consequence_presentation,
     derive_theorems,
@@ -38,16 +37,15 @@ from .terms import App, Signature, Term, Var, enumerate_terms, parse_term, subst
 X, Y = Var("x"), Var("y")
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    name: str
-    params: tuple[tuple[str, int], ...]
-    _: KW_ONLY
-    logic: Optional[LogicPresentation] = None
-    matrices: tuple[Matrix, ...] = ()
-    inventory: tuple[FiniteAlgebra, ...]
-    expectations: tuple[dict, ...]
-    provenance: str
+class GalleryEntry(Frozen):
+    __slots__ = _fields = ("name", "params", "logic", "matrices", "inventory", "expectations",
+                           "provenance")
+
+    def __init__(self, name: str, params: tuple[tuple[str, int], ...], *,
+                 logic: Optional[LogicPresentation] = None, matrices: tuple[Matrix, ...] = (),
+                 inventory: tuple[FiniteAlgebra, ...], expectations: tuple[dict, ...],
+                 provenance: str):
+        self._assign(name, params, logic, matrices, inventory, expectations, provenance)
 
 
 # ---------------------------------------------------------------------------

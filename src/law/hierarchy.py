@@ -26,13 +26,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, term_values
 from .clone import JointClosure
 from .config import DEFAULTS, Config
-from .errors import CapExceeded, SignatureMismatch, UnknownName
+from .errors import CapExceeded, Frozen, SignatureMismatch, UnknownName
 from .logics import (
     FilterFamily,
     FilterLattice,
@@ -68,13 +67,14 @@ CLASS_NAMES = (
 FAMILY_SIZE_CAP = 5
 
 
-@dataclass(frozen=True)
-class WitnessSet:
+class WitnessSet(Frozen):
     """A named bundle of terms (and optionally equations) certifying a class."""
 
-    kind: str
-    terms: tuple[Term, ...] = ()
-    equations: tuple[tuple[Term, Term], ...] = ()
+    __slots__ = _fields = ("kind", "terms", "equations")
+
+    def __init__(self, kind: str, terms: tuple[Term, ...] = (),
+                 equations: tuple[tuple[Term, Term], ...] = ()):
+        self._assign(kind, terms, equations)
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "terms": [to_sexpr(t) for t in self.terms]}

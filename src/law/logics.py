@@ -29,31 +29,25 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, term_values
 from .clone import JointClosure
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
-from .errors import CapExceeded, NotAFilter, SignatureMismatch
+from .errors import CapExceeded, Frozen, NotAFilter, SignatureMismatch
 from .matrices import Matrix, leibniz_congruence, matrix_product
 from .partitions import Partition
 from .terms import Signature, Term, check_term, to_sexpr, variables_of
 
 
-@dataclass(frozen=True, eq=False)
-class Rule:
+class Rule(Frozen):
     """Finitely many premises and one conclusion over a shared signature."""
 
-    premises: tuple[Term, ...]
-    conclusion: Term
-    _hash: int = field(init=False, compare=False)
+    __slots__ = ("premises", "conclusion", "_hash")
 
     def __init__(self, premises: Iterable[Term], conclusion: Term):
         prem = tuple(sorted(set(premises), key=to_sexpr))
-        object.__setattr__(self, "premises", prem)
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "_hash", hash((prem, conclusion)))
+        self._assign(prem, conclusion, hash((prem, conclusion)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -77,30 +71,37 @@ RULES = "rules"
 MATRICES = "matrices"
 
 
-@dataclass(frozen=True)
-class LogicPresentation:
-    """A logic given either by rules or by defining matrices."""
+class LogicPresentation(Frozen):
+    """A logic given either by rules or by defining matrices. The name is
+    not compared, and the hash of the compared fields is kept."""
 
-    signature: Signature
-    kind: str
-    rules: tuple[Rule, ...] = ()
-    matrices: tuple[Matrix, ...] = ()
-    variable_budget: int = VARIABLE_BUDGET
-    name: str = field(default="", compare=False)
+    _fields = ("signature", "kind", "rules", "matrices", "variable_budget")
+    __slots__ = _fields + ("name", "_hash")
 
-    def __post_init__(self):
-        if self.kind not in (RULES, MATRICES):
-            raise ValueError(f"bad presentation kind {self.kind!r}")
-        if self.kind == MATRICES and not self.matrices:
+    def __init__(self, signature: Signature, kind: str, rules: tuple[Rule, ...] = (),
+                 matrices: tuple[Matrix, ...] = (), variable_budget: int = VARIABLE_BUDGET,
+                 name: str = ""):
+        if kind not in (RULES, MATRICES):
+            raise ValueError(f"bad presentation kind {kind!r}")
+        if kind == MATRICES and not matrices:
             raise ValueError("a matrix presentation needs at least one matrix")
-        if self.variable_budget < 1:
+        if variable_budget < 1:
             raise ValueError("variable budget must be positive")
-        for r in self.rules:
+        for r in rules:
             for t in r.premises + (r.conclusion,):
-                check_term(self.signature, t)
-        for m in self.matrices:
-            if m.algebra.signature != self.signature:
+                check_term(signature, t)
+        for m in matrices:
+            if m.algebra.signature != signature:
                 raise SignatureMismatch("defining matrix over a different signature")
+        values = (signature, kind, rules, matrices, variable_budget)
+        self._assign(*values, name, hash(values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which hashes anew
+        return (LogicPresentation, (*self._values(), self.name))
 
     def __repr__(self) -> str:
         label = self.name or f"{self.kind} logic"
@@ -134,18 +135,13 @@ def product_of_logics(
     )
 
 
-@dataclass(frozen=True)
-class FilterFamily:
+class FilterFamily(Frozen):
     """A family of filters on one algebra, used as a counterexample payload."""
 
-    algebra: FiniteAlgebra
-    filters: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("algebra", "filters")
 
     def __init__(self, algebra: FiniteAlgebra, filters: Iterable[Iterable[int]]):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(
-            self, "filters", tuple(sorted(tuple(sorted(set(f))) for f in filters))
-        )
+        self._assign(algebra, tuple(sorted(tuple(sorted(set(f))) for f in filters)))
 
     def to_json(self) -> dict:
         from .serialize import algebra_to_json
@@ -258,16 +254,18 @@ def _subsets_sorted(n: int) -> list[tuple[int, ...]]:
 # the filter lattice, cached per (logic, algebra, depth cap, cell budget)
 
 
-@dataclass(frozen=True, eq=False)
-class FilterLattice:
+class FilterLattice(Frozen):
     """Filters on one algebra, with the Leibniz congruence of each computed
     on first use. `depth_effective` is the bounded closure's depth; None for
-    an exact sweep or a given family."""
+    an exact sweep or a given family. Compared by identity."""
 
-    algebra: FiniteAlgebra
-    filters: tuple[tuple[int, ...], ...]
-    depth_effective: Optional[int] = None
-    _omegas: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = ("algebra", "filters", "depth_effective")
+    __slots__ = _fields + ("_omegas",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, algebra: FiniteAlgebra, filters: tuple[tuple[int, ...], ...],
+                 depth_effective: Optional[int] = None):
+        self._assign(algebra, filters, depth_effective, {})
 
     def omega(self, f: tuple[int, ...]) -> Partition:
         """The Leibniz congruence of the matrix with filter `f`."""

@@ -4,7 +4,6 @@ congruence machinery built on the partition-refinement engine."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -16,17 +15,14 @@ from .algebra import (
     quotient,
 )
 from .config import DEFAULTS
-from .errors import CapExceeded, SignatureMismatch
+from .errors import CapExceeded, Frozen, SignatureMismatch
 from .partitions import Partition
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Matrix:
+class Matrix(Frozen):
     """An algebra together with a designated filter, stored sorted."""
 
-    algebra: FiniteAlgebra
-    filter: tuple[int, ...]
-    _hash: int = field(init=False, compare=False)
+    __slots__ = ("algebra", "filter", "_hash")
 
     def __init__(self, algebra: FiniteAlgebra, filter: Iterable[int]):
         des = tuple(sorted(set(filter)))

@@ -6,8 +6,9 @@ them by refinement and intersect them, so both live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
+
+from .errors import Frozen
 
 
 def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
@@ -20,12 +21,10 @@ def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Partition:
+class Partition(Frozen):
     """Block-id array, block ids numbered by first occurrence."""
 
-    block_ids: tuple[int, ...]
-    _hash: int = field(init=False, compare=False)
+    __slots__ = ("block_ids", "_hash")
 
     def __init__(self, block_ids: Sequence[int]):
         ids = _canonical(block_ids)

@@ -98,8 +98,8 @@ def _flatten(nested, arity: int, sym: str, at: str = "") -> list[int]:
     if arity == 0:
         cell = f"cell {at} of {sym!r}" if at else f"nullary op {sym!r}"
         return [_expect(nested, int, f"{cell} in field 'ops'")]
-    if not isinstance(nested, list):
-        raise LawError("operation table must nest to the arity")
+    row = f"row {at} of {sym!r}" if at else f"table for {sym!r}"
+    _expect(nested, list, f"{row} in field 'ops'")
     out: list[int] = []
     for i, item in enumerate(nested):
         out.extend(_flatten(item, arity - 1, sym, f"{at}[{i}]"))

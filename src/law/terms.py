@@ -15,17 +15,16 @@ denotes that constant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import TermError
+from .errors import Frozen, TermError
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Symbol names with arities. Stored sorted so signatures hash and compare."""
 
-    symbols: tuple[tuple[str, int], ...]
+    _fields = ("symbols",)
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, symbols: Mapping[str, int] | Iterable[tuple[str, int]]):
         items = tuple(sorted(dict(symbols).items()))
@@ -34,7 +33,14 @@ class Signature:
                 raise TermError("empty symbol name")
             if arity < 0:
                 raise TermError(f"negative arity for {name!r}")
-        object.__setattr__(self, "symbols", items)
+        self._assign(items, hash((items,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which hashes anew
+        return (Signature, (self.symbols,))
 
     def arity(self, name: str) -> int:
         for sym, ar in self.symbols:
@@ -56,19 +62,13 @@ class Signature:
         return f"Signature({{{inner}}})"
 
 
-class Term:
+class Term(Frozen):
     """Base class; instances are Var or App.
 
     `_vars` holds the node's variable set once `variables` has computed it.
     """
 
     __slots__ = ("_vars",)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 _new = object.__new__

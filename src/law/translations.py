@@ -3,12 +3,11 @@ bounded interpretation checking between logics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import FiniteAlgebra, term_values
 from .config import DEFAULTS, Config
-from .errors import SignatureMismatch, TermError
+from .errors import Frozen, SignatureMismatch, TermError
 from .logics import (
     LogicPresentation,
     RULES,
@@ -26,13 +25,10 @@ def placeholder_vars(arity: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(arity))
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(Frozen):
     """Per source symbol of arity n, a target term over x1..xn."""
 
-    source: Signature
-    target: Signature
-    mapping: tuple[tuple[str, Term], ...]
+    __slots__ = _fields = ("source", "target", "mapping")
 
     def __init__(
         self,
@@ -41,8 +37,11 @@ class Translation:
         mapping: Mapping[str, Term] | Iterable[tuple[str, Term]],
     ):
         table = dict(mapping)
-        if set(table) != set(source.names()):
-            raise SignatureMismatch("translation must cover exactly the source symbols")
+        names = set(source.names())
+        if set(table) != names:
+            raise SignatureMismatch(
+                f"translation must cover exactly the source symbols: missing "
+                f"{sorted(names - set(table))}, extra {sorted(set(table) - names)}")
         for sym, arity in source.symbols:
             image = table[sym]
             check_term(target, image)
@@ -52,9 +51,7 @@ class Translation:
                 raise TermError(
                     f"image of {sym!r} uses {sorted(extra)}; only {sorted(allowed)} allowed"
                 )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mapping", tuple(sorted(table.items())))
+        self._assign(source, target, tuple(sorted(table.items())))
 
     def image(self, sym: str) -> Term:
         for name, term in self.mapping:

@@ -8,26 +8,22 @@ as unknown, never as a refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+from .errors import Frozen
 
 HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown_within_bounds"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    witness: Any = None
-    bounds: tuple[tuple[str, Any], ...] = field(default=())
+class Verdict(Frozen):
+    __slots__ = _fields = ("status", "witness", "bounds")
 
     def __init__(self, status: str, witness: Any = None, bounds: Mapping[str, Any] | None = None):
         if status not in (HOLDS, FAILS, UNKNOWN):
             raise ValueError(f"bad verdict status {status!r}")
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "bounds", tuple(sorted((bounds or {}).items())))
+        self._assign(status, witness, tuple(sorted((bounds or {}).items())))
 
     @property
     def holds(self) -> bool:

@@ -299,14 +299,9 @@ def test_console_entry_point_runs(tmp_path):
     assert json.loads(proc.stdout)["result"]["written"]
 
 
-@pytest.mark.parametrize(
-    "argv, unused",
-    [(["leibniz", "-m", "m.json"], ["logics", "hierarchy", "gallery"]),
-     (["oracle", "congruences", "-a", "b2.json"], ["logics", "hierarchy", "gallery"]),
-     (["product", "-l", "pair.json", "-l", "pair.json"], ["hierarchy", "gallery"])],
-    ids=["leibniz", "oracle", "product"],
-)
-def test_a_cold_command_imports_only_the_layers_it_runs(tmp_path, argv, unused):
+def _cold_imports(tmp_path, argv):
+    """The modules a cold `law ARGV` process loads, read from `-X importtime`,
+    and its report."""
     write(tmp_path, "m.json", matrix_to_json(Matrix(bool4(), (1, 3))))
     write(tmp_path, "b2.json", algebra_to_json(bool2()))
     write(tmp_path, "pair.json", logic_to_json(build("two-valued-pair").logic))
@@ -315,9 +310,44 @@ def test_a_cold_command_imports_only_the_layers_it_runs(tmp_path, argv, unused):
     assert proc.returncode == 0, proc.stderr
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
+    return loaded, json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [(["leibniz", "-m", "m.json"], ["logics", "hierarchy", "gallery"]),
+     (["oracle", "congruences", "-a", "b2.json"], ["logics", "hierarchy", "gallery"]),
+     (["product", "-l", "pair.json", "-l", "pair.json"], ["hierarchy", "gallery"])],
+    ids=["leibniz", "oracle", "product"],
+)
+def test_a_cold_command_imports_only_the_layers_it_runs(tmp_path, argv, unused):
+    loaded, report = _cold_imports(tmp_path, argv)
     assert "law.serialize" in loaded
     assert not loaded & {f"law.{layer}" for layer in unused}
-    assert json.loads(proc.stdout)["result"]
+    assert report["result"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["leibniz", "-m", "m.json"],
+     ["check", "truth_minimal", "-l", "pair.json", "-i", "b2.json"],
+     ["gallery", "ba-star", "--out", "g1"]],
+    ids=["leibniz", "check", "gallery"],
+)
+def test_a_cold_command_loads_neither_dataclasses_nor_inspect(tmp_path, argv):
+    # law writes its value classes by hand: importing `dataclasses` loads
+    # `inspect`, and decorating a class compiles generated source
+    loaded, report = _cold_imports(tmp_path, argv)
+    assert "law.errors" in loaded and report["result"]
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_importing_law_cli_leaves_dataclasses_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, law.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_importing_law_cli_loads_every_traced_layer():
@@ -375,6 +405,34 @@ def test_cold_import_leaves_numpy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_an_empty_inventory_names_its_directories(tmp_path):
+    logic_path = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
+    first, second = os.path.join(tmp_path, "empty"), os.path.join(tmp_path, "none")
+    os.mkdir(first)
+    os.mkdir(second)
+    code, out, err = invoke(["check", "protoalgebraic", "-l", logic_path, "-i", first,
+                             "-i", second])
+    assert code == 2
+    message = f"LawError: empty inventory: no *.json file in -i {first} -i {second}"
+    assert json.loads(out)["error"] == message
+    assert first in err and second in err
+
+
+def test_a_translation_names_the_symbols_it_misses_and_adds(tmp_path):
+    imp = imp2().signature
+    tau = translation_to_json(Translation(imp, imp, {"→": parse_term(imp, "(→ x1 x2)")}))
+    tau["source"] = {"⊤": 1, "⊥": 0}
+    tau_path = write(tmp_path, "tau.json", tau)
+    logic_path = write(tmp_path, "imp.json", logic_to_json(matrices_logic([Matrix(imp2(), (1,))])))
+    inv_path = write(tmp_path, "imp2.json", algebra_to_json(imp2()))
+    code, out, _ = invoke(["interpret", "-t", tau_path, "--from", logic_path, "--to", logic_path,
+                           "-i", inv_path])
+    assert code == 2
+    assert json.loads(out)["error"] == (
+        f"LawError: {tau_path}: translation must cover exactly the source symbols: "
+        "missing ['⊤', '⊥'], extra ['→']")
 
 
 @pytest.mark.parametrize("depth", ["0", "-3"])
@@ -446,10 +504,14 @@ def test_inventory_file_missing_a_field_is_named(tmp_path):
       "cell [1][1] of 'f' in field 'ops' must be an integer, got null"),
      ({"signature": {"c": 0}, "size": 2, "ops": {"c": [1]}},
       "nullary op 'c' in field 'ops' must be an integer, got an array"),
+     ({"signature": {"f": 2}, "size": 2, "ops": {"f": [[0, 1], {"0": 1}]}},
+      "row [1] of 'f' in field 'ops' must be an array, got an object"),
+     ({"signature": {"f": 1}, "size": 2, "ops": {"f": 1}},
+      "table for 'f' in field 'ops' must be an array, got an integer"),
      ({"signature": {"f": 1, "g": 1}, "size": 2, "ops": {"g": [1, 0]}},
       "field 'ops' has no table for 'f'")],
     ids=["array-document", "array-signature", "number-cell", "string-cells", "array-cell",
-         "binary-null-cell", "nullary-array", "missing-table"],
+         "binary-null-cell", "nullary-array", "object-row", "integer-table", "missing-table"],
 )
 def test_algebra_of_the_wrong_shape_exits_2_naming_the_file_and_field(tmp_path, data, message):
     alg_path = write(tmp_path, "bad.json", data)

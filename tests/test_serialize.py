@@ -146,7 +146,7 @@ def test_loaders_name_the_file_and_a_field_of_the_wrong_shape(tmp_path, loader, 
 @pytest.mark.parametrize(
     "loader, data, message",
     [(load_algebra, {"signature": {"f": 2}, "size": 2, "ops": {"f": [0, 1]}},
-      "operation table must nest to the arity"),
+      "row [0] of 'f' in field 'ops' must be an array, got an integer"),
      (load_algebra, {"signature": {"f": 1}, "size": 2, "ops": {"f": [0, 1, 1]}},
       "table for 'f' has 3 cells, expected 2"),
      (load_algebra, {"signature": {"f": 1}, "size": 2, "ops": {"f": [0, 1], "g": [1, 0]}},
