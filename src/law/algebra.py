@@ -45,17 +45,21 @@ class FiniteAlgebra(Frozen):
     def _fill(self, signature: Signature, size: int, tables: tuple, name: str = "") -> None:
         """Set every field from `tables`, already validated and sorted by
         symbol name; the caches start empty."""
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((signature, size, tables)))
-        object.__setattr__(self, "_ops", dict(tables))
-        object.__setattr__(self, "_neighbours", None)
-        object.__setattr__(self, "_subuniverses", None)
+        _set_signature(self, signature)
+        _set_size(self, size)
+        _set_tables(self, tables)
+        _set_name(self, name)
+        _set_hash(self, hash((signature, size, tables)))
+        _set_ops(self, dict(tables))
+        _set_neighbours(self, None)
+        _set_subuniverses(self, None)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which hashes anew
+        return (FiniteAlgebra, (self.signature, self.size, self.tables, self.name))
 
     def __eq__(self, other) -> bool:
         return (
@@ -94,7 +98,7 @@ class FiniteAlgebra(Frozen):
                     for a, row in enumerate(rows):
                         for start in range(a * own, len(table), n * own):
                             row.extend(table[start : start + own])
-            object.__setattr__(self, "_neighbours", tuple(itertools.chain.from_iterable(rows)))
+            _set_neighbours(self, tuple(itertools.chain.from_iterable(rows)))
         return self._neighbours
 
     def carrier(self) -> range:
@@ -106,6 +110,17 @@ class FiniteAlgebra(Frozen):
     def __repr__(self) -> str:
         label = self.name or "FiniteAlgebra"
         return f"<{label} size={self.size} sig={self.signature!r}>"
+
+
+# the slots' own setters, which `_fill` calls since assignment is refused
+_set_signature = FiniteAlgebra.signature.__set__
+_set_size = FiniteAlgebra.size.__set__
+_set_tables = FiniteAlgebra.tables.__set__
+_set_name = FiniteAlgebra.name.__set__
+_set_hash = FiniteAlgebra._hash.__set__
+_set_ops = FiniteAlgebra._ops.__set__
+_set_neighbours = FiniteAlgebra._neighbours.__set__
+_set_subuniverses = FiniteAlgebra._subuniverses.__set__
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, valuation: Mapping[str, int]) -> int:

@@ -24,7 +24,8 @@ import bisect
 import functools
 import itertools
 import operator
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+import struct
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import FiniteAlgebra
 from .errors import CapExceeded, TermError
@@ -50,10 +51,11 @@ from .terms import App, Signature, Term, Var
 # per tail row and weighted by its power of B, adds one more. No lane
 # carries while the spans add up to at most 256, and `bytes.translate` with
 # the table padded to 256 maps the lanes to values. Wider joint tables go
-# cell by cell over the same indices. Rounds are semi-naive (Bancilhon and
-# Ramakrishnan, 1986): level L only tries argument tuples that touch a row
-# new at level L-1, since the rest were tried one level up; the budget
-# still counts every tuple.
+# cell by cell over the same indices. Either way a batch of candidate rows
+# comes back as one `bytes`, which one `struct` unpack splits into rows.
+# Rounds are semi-naive (Bancilhon and Ramakrishnan, 1986): level L only
+# tries argument tuples that touch a row new at level L-1, since the rest
+# were tried one level up; the budget still counts every tuple.
 #
 # The tuples come in `enumerate_terms` product order, and the arguments of
 # a class's first term are first terms of their own classes (swapping in an
@@ -91,9 +93,12 @@ def _distinct(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
     return sorted(set(algebras), key=lambda a: a.sort_key())
 
 
-def _indicator(members: Container[int]) -> bytes:
+def _indicator(members: Iterable[int]) -> bytes:
     """A translation table sending members to 1 and everything else to 0."""
-    return bytes(x in members for x in range(_LANES))
+    table = bytearray(_LANES)
+    for x in members:
+        table[x] = 1
+    return bytes(table)
 
 
 class JointClosure:
@@ -146,6 +151,7 @@ class JointClosure:
         self._rows: list[bytes] = []
         self._terms: dict[int, Term] = {}  # rebuilt first terms
         self._seen: set[bytes] = set()
+        self._blob = b""  # the rows back to back, joined by `rows_in`
         for i, name in enumerate(names):
             row = bytes(inp[i] for cols in self._columns.values() for inp in cols)
             if row not in self._seen:
@@ -165,11 +171,17 @@ class JointClosure:
             return False
         old, base, batches = self._old, self._base, self._batches
         fresh: list[bytes] = []  # this level's new rows
+        # batch length -> the unpack of a Struct that splits it into rows:
+        # a level has two tail lengths, plus the one-row nullary batch
+        splits: dict[int, Callable[[bytes], tuple[bytes, ...]]] = {}
 
         def absorb(out: bytes, sym: str, head: tuple[int, ...]) -> None:
             """Keep the unseen rows among the candidates, back to back in
             `out`, and record the batch when it adds one."""
-            keys = [out[i : i + width] for i in range(0, len(out), width)]
+            split = splits.get(len(out))
+            if split is None:
+                split = splits[len(out)] = struct.Struct(f"{width}s" * (len(out) // width)).unpack
+            keys = split(out)
             if not seen.issuperset(keys):
                 batches.append((count + len(fresh), sym, head))
                 for k in keys:
@@ -262,11 +274,14 @@ class JointClosure:
         when `alg` is a target that is no defining algebra."""
         return self._rows[i][self._spans[alg]]
 
-    def rows_in(self, members: Container[int], alg: Optional[FiniteAlgebra] = None) -> list[int]:
+    def rows_in(self, members: Iterable[int], alg: Optional[FiniteAlgebra] = None) -> list[int]:
         """For each column of `alg`'s block, or for the target's canonical
         column alone when `alg` is None: the rows whose value there lies in
         `members`, as one int with one byte lane per row, 1 for such a row."""
-        blob, width, table = b"".join(self._rows), self._width, _indicator(members)
+        width, table = self._width, _indicator(members)
+        if len(self._blob) != len(self._rows) * width:  # rows joined once per level
+            self._blob = b"".join(self._rows)
+        blob = self._blob
         span = self._spans[alg] if alg is not None else slice(self._canonical, self._canonical + 1)
         return [int.from_bytes(blob[c::width].translate(table), "big")
                 for c in range(span.start, span.stop)]

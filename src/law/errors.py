@@ -53,7 +53,7 @@ class Frozen:
 
     def _assign(self, *values) -> None:
         """Set the slots, in `__slots__` order, to `values`. The classes built
-        in hot loops call `object.__setattr__` per slot, which costs less."""
+        in hot loops call each slot's own `__set__` instead, which costs less."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 

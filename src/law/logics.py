@@ -15,7 +15,9 @@ The bounded sweep reads the term classes of `clone.JointClosure` over the
 canonical variables, with the target's canonical column: G is a bounded
 filter iff no class has canonical value outside G while staying designated
 at every column that keeps the G-valued classes designated. It reads each
-column's classes as ints with one byte lane per class, in pure Python.
+column's classes as ints with one byte lane per class, in pure Python. The
+exact sweep evaluates each rule once per algebra, when a subset first
+reaches it, and tests every subset against the stored values.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
@@ -29,9 +31,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Container, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, term_values
+from .algebra import FiniteAlgebra, eval_term, term_values
 from .clone import JointClosure
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
 from .errors import CapExceeded, Frozen, NotAFilter, SignatureMismatch
@@ -51,6 +53,10 @@ class Rule(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which hashes anew
+        return (Rule, (self.premises, self.conclusion))
 
     def __eq__(self, other) -> bool:
         return (
@@ -158,28 +164,40 @@ def filter_notion(logic: LogicPresentation) -> str:
 # consequence for matrix presentations
 
 
-def _violation(
-    alg: FiniteAlgebra,
-    premises: Sequence[Term],
-    conclusion: Term,
-    designated: Container[int],
-    variables: Sequence[str],
-) -> Optional[int]:
-    """The conclusion's value at the first assignment of `variables`, in
-    `term_values` order, that sends every premise into `designated` and the
-    conclusion outside it; None when there is none."""
-    rows = [term_values(alg, p, variables) for p in premises]
-    for i, v in enumerate(term_values(alg, conclusion, variables)):
-        if v not in designated and all(row[i] in designated for row in rows):
-            return v
-    return None
+def _rule_rows(alg: FiniteAlgebra, premises: Sequence[Term], conclusion: Term,
+               variables: Sequence[str]) -> frozenset[tuple[int, int]]:
+    """A rule's values on `alg` at every assignment of `variables`, kept once
+    per distinct (conclusion bit, premises mask), bit v for element v: the
+    rows `_violated` tests against a designated set. A row whose conclusion
+    is among its premises' values holds under every designated set, so it
+    is left out."""
+    masks = [0] * alg.size ** len(variables)
+    for p in premises:
+        masks = [m | 1 << v for m, v in zip(masks, term_values(alg, p, variables))]
+    return frozenset((1 << c, m) for c, m in zip(term_values(alg, conclusion, variables), masks)
+                     if not 1 << c & m)
+
+
+def _violated(rows: Iterable[tuple[int, int]], undesignated: int) -> bool:
+    """True iff some row of `_rule_rows` sends every premise into a designated
+    set and the conclusion outside it; `undesignated` is the mask of the
+    elements outside the set."""
+    return any(c & undesignated and not m & undesignated for c, m in rows)
+
+
+def _undesignated(size: int, designated: Iterable[int]) -> int:
+    """The mask of the elements of {0..size-1} outside `designated`."""
+    mask = (1 << size) - 1
+    for x in designated:
+        mask &= ~(1 << x)
+    return mask
 
 
 def is_model(m: Matrix, r: Rule) -> bool:
     """True iff every valuation sending all premises into the filter sends
     the conclusion there too."""
-    variables = sorted(r.variables())
-    return _violation(m.algebra, r.premises, r.conclusion, m.filter_set(), variables) is None
+    rows = _rule_rows(m.algebra, r.premises, r.conclusion, sorted(r.variables()))
+    return not _violated(rows, _undesignated(m.algebra.size, m.filter))
 
 
 def entails(logic: LogicPresentation, gamma: Iterable[Term], phi: Term) -> bool:
@@ -192,8 +210,9 @@ def entails(logic: LogicPresentation, gamma: Iterable[Term], phi: Term) -> bool:
         raise CapExceeded(
             f"{len(variables)} variables exceed the budget {logic.variable_budget}"
         )
-    return all(
-        _violation(m.algebra, gamma, phi, m.filter_set(), variables) is None
+    return not any(
+        _violated(_rule_rows(m.algebra, gamma, phi, variables),
+                  _undesignated(m.algebra.size, m.filter))
         for m in logic.matrices
     )
 
@@ -202,11 +221,38 @@ def entails(logic: LogicPresentation, gamma: Iterable[Term], phi: Term) -> bool:
 # filters for rule presentations (exact)
 
 
+def _rule_filters(logic: LogicPresentation, alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """The subsets of `alg` closed under every rule, in `_subsets_sorted`
+    order. A subset is tested against the rules in order up to the first it
+    violates; each rule's rows are built once, when a subset first reaches
+    it, so a rule that no subset reaches is never evaluated."""
+    rows: list[frozenset[tuple[int, int]]] = []
+    filters = []
+    for subset in _subsets_sorted(alg.size):
+        undesignated = _undesignated(alg.size, subset)
+        for i, rule in enumerate(logic.rules):
+            if i == len(rows):
+                rows.append(_rule_rows(alg, rule.premises, rule.conclusion,
+                                       sorted(rule.variables())))
+            if _violated(rows[i], undesignated):
+                break
+        else:
+            filters.append(subset)
+    return filters
+
+
 def _closed_under_rules(logic: LogicPresentation, alg: FiniteAlgebra, subset: frozenset[int]) -> bool:
-    return all(
-        _violation(alg, rule.premises, rule.conclusion, subset, sorted(rule.variables())) is None
-        for rule in logic.rules
-    )
+    """The slow oracle of `_rule_filters`: whether `subset` is closed under
+    every rule, each premise and conclusion evaluated through `eval_term` at
+    every assignment."""
+    for rule in logic.rules:
+        variables = sorted(rule.variables())
+        for values in itertools.product(range(alg.size), repeat=len(variables)):
+            valuation = dict(zip(variables, values))
+            if (eval_term(alg, rule.conclusion, valuation) not in subset
+                    and all(eval_term(alg, p, valuation) in subset for p in rule.premises)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +330,7 @@ class FilterLattice(Frozen):
 def _sweep(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
            cell_budget: int) -> FilterLattice:
     if logic.kind == RULES:
-        return FilterLattice(alg, tuple(s for s in _subsets_sorted(alg.size)
-                                        if _closed_under_rules(logic, alg, frozenset(s))))
+        return FilterLattice(alg, tuple(_rule_filters(logic, alg)))
     closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices],
                            [f"v{i}" for i in range(alg.size)], cell_budget, target=alg)
     depth_effective = closure.grow_to(depth_cap)

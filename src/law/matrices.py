@@ -28,12 +28,16 @@ class Matrix(Frozen):
         des = tuple(sorted(set(filter)))
         if des and (des[0] < 0 or des[-1] >= algebra.size):
             raise ValueError("filter element out of range")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "filter", des)
-        object.__setattr__(self, "_hash", hash((algebra, des)))
+        _set_algebra(self, algebra)
+        _set_filter(self, des)
+        _set_hash(self, hash((algebra, des)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which hashes anew
+        return (Matrix, (self.algebra, self.filter))
 
     def __eq__(self, other) -> bool:
         return (
@@ -50,6 +54,12 @@ class Matrix(Frozen):
 
     def __repr__(self) -> str:
         return f"<Matrix {self.algebra!r} filter={list(self.filter)}>"
+
+
+# the slots' own setters, which `__init__` calls since assignment is refused
+_set_algebra = Matrix.algebra.__set__
+_set_filter = Matrix.filter.__set__
+_set_hash = Matrix._hash.__set__
 
 
 def leibniz_congruence(m: Matrix) -> Partition:

@@ -28,8 +28,8 @@ class Partition(Frozen):
 
     def __init__(self, block_ids: Sequence[int]):
         ids = _canonical(block_ids)
-        object.__setattr__(self, "block_ids", ids)
-        object.__setattr__(self, "_hash", hash(ids))
+        _set_block_ids(self, ids)
+        _set_hash(self, hash(ids))
 
     @classmethod
     def _of_canonical(cls, ids: tuple[int, ...]) -> "Partition":
@@ -37,8 +37,8 @@ class Partition(Frozen):
         first-occurrence form (``ids == _canonical(ids)``); skips the
         relabelling pass of the constructor."""
         p = object.__new__(cls)
-        object.__setattr__(p, "block_ids", ids)
-        object.__setattr__(p, "_hash", hash(ids))
+        _set_block_ids(p, ids)
+        _set_hash(p, hash(ids))
         return p
 
     def __hash__(self) -> int:
@@ -143,6 +143,11 @@ class Partition(Frozen):
     def __repr__(self) -> str:
         inner = " | ".join(",".join(map(str, b)) for b in self.blocks())
         return f"Partition[{inner}]"
+
+
+# the slots' own setters, which the constructors call since assignment is refused
+_set_block_ids = Partition.block_ids.__set__
+_set_hash = Partition._hash.__set__
 
 
 def all_partitions(n: int) -> Iterator[Partition]:

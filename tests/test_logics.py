@@ -27,7 +27,7 @@ from law.logics import (
     suszko_congruence,
 )
 from law.matrices import Matrix, is_compatible, leibniz_congruence
-from law.terms import Signature, Var, enumerate_terms, parse_term
+from law.terms import App, Signature, Var, enumerate_terms, parse_term
 
 BOOL = bool2().signature
 IMP = imp2().signature
@@ -73,6 +73,61 @@ def test_deductive_filters_rules_exact():
     # a theoremless rule logic admits the empty filter
     mp_only = rules_logic(IMP, [Rule([X, parse_term(IMP, "(→ x y)")], Y)])
     assert () in deductive_filters(mp_only, imp2())
+
+
+def _oracle_rule_filters(logic, alg):
+    """The subsets closed under every rule, by the slow oracle: each subset
+    against each rule at every assignment, terms through `eval_term`."""
+    subsets = (s for k in range(alg.size + 1) for s in itertools.combinations(range(alg.size), k))
+    return [s for s in subsets if logics._closed_under_rules(logic, alg, frozenset(s))]
+
+
+def _random_term(rng, sig, names, depth):
+    """A term of depth at most `depth`; `sig` has a nullary symbol for the
+    leaves that are no variable."""
+    if rng.random() < 0.3:
+        return Var(rng.choice(names))
+    sym, arity = rng.choice([(f, a) for f, a in sig.symbols if depth > 0 or a == 0])
+    return App(sym, tuple(_random_term(rng, sig, names, depth - 1) for _ in range(arity)))
+
+
+def _random_rule_case(rng):
+    """1-3 rules of 0-2 premises over symbols of arity 0-3, terms of depth at
+    most 2 over x, y, z, and an algebra of 1-3 elements."""
+    arities = [0] + [rng.randrange(4) for _ in range(rng.randint(0, 2))]
+    sig = Signature({f"f{i}": a for i, a in enumerate(arities)})
+    names = ["x", "y", "z"][:rng.randint(1, 3)]
+    rules = [Rule([_random_term(rng, sig, names, 2) for _ in range(rng.randint(0, 2))],
+                  _random_term(rng, sig, names, 2)) for _ in range(rng.randint(1, 3))]
+    n = rng.randint(1, 3)
+    alg = FiniteAlgebra(sig, n, {f: [rng.randrange(n) for _ in range(n**a)]
+                                 for f, a in sig.symbols})
+    return rules_logic(sig, rules), alg
+
+
+def test_exact_filters_agree_with_the_slow_oracle():
+    # every gallery rule logic over its inventory
+    for name in GALLERY_NAMES:
+        entry = build(name)
+        if entry.logic is not None and entry.logic.kind == logics.RULES:
+            for alg in entry.inventory:
+                assert deductive_filters(entry.logic, alg) == _oracle_rule_filters(
+                    entry.logic, alg), (name, alg)
+    # seeded random rule logics; each rule's `is_model` on every subset too
+    rng = random.Random(19)
+    proper = 0
+    for _ in range(100):
+        logic, alg = _random_rule_case(rng)
+        filters = deductive_filters(logic, alg)
+        assert filters == _oracle_rule_filters(logic, alg), logic.rules
+        proper += len(filters) > 1
+        for rule in logic.rules:
+            one = rules_logic(logic.signature, [rule])
+            for k in range(alg.size + 1):
+                for s in itertools.combinations(range(alg.size), k):
+                    assert is_model(Matrix(alg, s), rule) == logics._closed_under_rules(
+                        one, alg, frozenset(s))
+    assert proper >= 25  # the cases are not all trivial
 
 
 def test_theoremless_logic_on_one_element_algebra():
@@ -292,6 +347,17 @@ def _closure_cases():
     yield pytest.param(matrices_logic([Matrix(twelve, (0,))]), alg, 2, None,
                        id="joint-table-over-256")
 
+    # s(a, b) = a + 1 ignores b, so each (s, head) batch yields one new row
+    # once per tail row, and c's batch is the one-row nullary batch; over 3
+    # elements the joint table is bytes, over 17 a list
+    successor = Signature({"c": 0, "s": 2})
+    for n, kind in ((3, "bytes"), (17, "list")):
+        cyclic = FiniteAlgebra(successor, n, {"c": [n - 1], "s": [(a + 1) % n for a in range(n)
+                                                                 for _ in range(n)]})
+        alg = FiniteAlgebra(successor, 2, {"c": [1], "s": [1, 1, 0, 0]})
+        yield pytest.param(matrices_logic([Matrix(cyclic, (0,))]), alg, 2, None,
+                           id=f"repeated-row-and-nullary-{kind}")
+
 
 @pytest.mark.parametrize("logic, alg, depth_cap, budget", _closure_cases())
 def test_closure_rows_are_the_joint_evaluations_of_bounded_terms(logic, alg, depth_cap, budget):
@@ -305,10 +371,13 @@ def test_closure_rows_are_the_joint_evaluations_of_bounded_terms(logic, alg, dep
 
 def test_a_joint_table_is_bytes_while_its_packed_blocks_fit_256_lanes():
     cases = {case.id: case.values for case in _closure_cases()}
-    for case, table_type in (("joint-table-over-256", bytes), ("17-elements", list)):
+    for case, sym, table_type in (("joint-table-over-256", "→", bytes),
+                                  ("17-elements", "→", list),
+                                  ("repeated-row-and-nullary-bytes", "s", bytes),
+                                  ("repeated-row-and-nullary-list", "s", list)):
         logic, alg = cases[case][:2]
         blocks = [m.algebra for m in logic.matrices] + [alg]
-        assert type(_joint_table(blocks, "→", 2)) is table_type, case
+        assert type(_joint_table(blocks, sym, 2)) is table_type, case
 
 
 def test_a_symbol_may_share_its_name_with_a_canonical_variable():
@@ -426,7 +495,7 @@ def test_suszko_and_reduced_filters_agree_with_the_definitions(logic, inventory)
 
 def test_filter_lattice_is_swept_once_per_key(monkeypatch):
     calls = collections.Counter()
-    for name in ("JointClosure", "_bounded_filter_subsets", "_closed_under_rules"):
+    for name in ("JointClosure", "_bounded_filter_subsets", "_rule_filters"):
         def counted(*args, real=getattr(logics, name), name=name, **kw):
             calls[name] += 1
             return real(*args, **kw)

@@ -144,6 +144,56 @@ def test_a_kept_hash_is_computed_anew_when_unpickled_in_another_process():
     assert loaded.split() == [b"True", b"True"]
 
 
+DUMP_VALUES = """
+import pickle, sys
+from law.gallery import bool2
+from law.logics import Rule
+from law.matrices import Matrix
+from law.terms import Signature, parse_term
+alg = bool2()
+rule = Rule([parse_term(alg.signature, "x")], parse_term(alg.signature, "(or x y)"))
+sys.stdout.buffer.write(pickle.dumps((alg, Matrix(alg, [1]), rule)))
+"""
+
+LOAD_VALUES = """
+import pickle, sys
+from law.gallery import bool2
+from law.logics import Rule
+from law.matrices import Matrix
+from law.terms import parse_term
+alg, matrix, rule = pickle.loads(sys.stdin.buffer.read())
+b2 = bool2()
+want = Rule([parse_term(b2.signature, "x")], parse_term(b2.signature, "(or x y)"))
+print(alg == b2, hash(alg) == hash(b2), alg.name == b2.name,
+      matrix == Matrix(b2, [1]), hash(matrix) == hash(Matrix(b2, [1])),
+      rule == want, hash(rule) == hash(want))
+"""
+
+
+def test_an_algebra_matrix_and_rule_are_hashed_anew_when_unpickled_in_another_process():
+    src = os.path.dirname(os.path.dirname(law.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    dumped = subprocess.run([sys.executable, "-c", DUMP_VALUES], capture_output=True,
+                            check=True, env=dict(env, PYTHONHASHSEED="1")).stdout
+    loaded = subprocess.run([sys.executable, "-c", LOAD_VALUES], input=dumped,
+                            capture_output=True, check=True,
+                            env=dict(env, PYTHONHASHSEED="2")).stdout
+    assert loaded.split() == [b"True"] * 7
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+def test_a_copied_algebra_matrix_and_rule_rebuild_through_their_constructors(copier):
+    alg = FiniteAlgebra(IMP, 2, {"→": (1, 1, 0, 1)}, name="B2→")
+    alg.neighbours()  # a filled cache is not carried over
+    twin = copier(alg)
+    assert twin == alg and hash(twin) == hash(alg) and twin.name == "B2→"
+    assert twin._neighbours is None and twin.neighbours() == alg.neighbours()
+    matrix = copier(Matrix(alg, [1]))
+    assert matrix == Matrix(alg, [1]) and hash(matrix) == hash(Matrix(alg, [1]))
+    rule = copier(MP)
+    assert rule == MP and hash(rule) == hash(MP) and rule.premises == MP.premises
+
+
 def test_config_override_gives_a_fresh_frozen_config():
     deeper = Config().override(depth_default=4)
     assert type(deeper) is Config and deeper is not DEFAULTS
