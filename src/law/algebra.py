@@ -8,6 +8,7 @@ most significant. Product carriers use the same encoding: the index of
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import DEFAULTS, ENUM_CELL_BUDGET
@@ -147,9 +148,14 @@ def term_values(alg: FiniteAlgebra, t: Term, variables: Sequence[str]) -> list[i
     values of a term over placeholders ``x1..xn`` form its table in the
     row-major layout of operation tables."""
     check_term(alg.signature, t)
+    return _values(alg, t, *_columns(alg, variables))
+
+
+def _columns(alg: FiniteAlgebra, variables: Sequence[str]) -> tuple[dict[str, list[int]], int]:
+    """Each variable's values at every assignment of `variables`, in
+    ``itertools.product`` order, and the number of assignments."""
     assignments = list(itertools.product(range(alg.size), repeat=len(variables)))
-    columns = {v: list(col) for v, col in zip(variables, zip(*assignments))}
-    return _values(alg, t, columns, len(assignments))
+    return {v: list(col) for v, col in zip(variables, zip(*assignments))}, len(assignments)
 
 
 def _values(alg: FiniteAlgebra, t: Term, columns: dict[str, list[int]], count: int) -> list[int]:
@@ -237,7 +243,7 @@ def is_congruence(alg: FiniteAlgebra, theta: Partition) -> bool:
     relations by chaining one coordinate at a time."""
     if theta.size != alg.size:
         raise ValueError("partition carrier mismatch")
-    return _split(alg, theta.block_ids)[1] == theta.num_blocks
+    return _split(_row_keys(alg), theta.block_ids)[1] == theta.num_blocks
 
 
 def quotient(alg: FiniteAlgebra, theta: Partition) -> FiniteAlgebra:
@@ -274,7 +280,8 @@ def congruences_bruteforce(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max) -
 
     For every symbol, the block of f(xs) must be a function of the blocks of
     all of xs at once: pairing each argument tuple's block tuple with the
-    block of its value gives no more pairs than there are block tuples. This
+    block of its value gives no more pairs than there are block tuples,
+    blocks ** arity. This
     reads the operation tables directly, not the single-coordinate shortcut
     or the neighbour rows of the refinement engine, so the engine has an
     independent cross-check.
@@ -283,29 +290,35 @@ def congruences_bruteforce(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max) -
         raise CapExceeded(f"carrier {alg.size} exceeds oracle cap {cap}")
     out = []
     for p in all_partitions(alg.size):
-        ids = p.block_ids
+        ids, blocks = p.block_ids, p.num_blocks
         for sym, arity in alg.signature.symbols:
-            keys = list(itertools.product(ids, repeat=arity))
-            if len(set(zip(keys, map(ids.__getitem__, alg.table(sym))))) != len(set(keys)):
+            # every block is nonempty, so every one of the blocks ** arity
+            # block tuples occurs among the argument tuples
+            pairs = zip(itertools.product(ids, repeat=arity), map(ids.__getitem__, alg.table(sym)))
+            if len(set(pairs)) != blocks**arity:
                 break
         else:
             out.append(p)
     return sorted(out, key=lambda q: q.block_ids)
 
 
-def _split(alg: FiniteAlgebra, ids: Sequence[int]) -> tuple[list[int], int]:
-    """One refinement pass: renumber the elements by their rows of
-    `alg.neighbours()` read through `ids`, in first-occurrence order, and
-    count the blocks. Each row starts with the element's own block, so the
-    result refines `ids`."""
+def _row_keys(alg: FiniteAlgebra) -> list[operator.itemgetter]:
+    """One `operator.itemgetter` per element over its row of
+    `alg.neighbours()`: called on block ids, it reads the row as blocks in
+    one C call. Where the rows have width 1 (no symbol of positive arity)
+    it returns the element's block id itself, not a 1-tuple."""
     rows = alg.neighbours()
     width = len(rows) // alg.size
-    mapped = tuple(map(ids.__getitem__, rows))
-    numbering: dict[tuple[int, ...], int] = {}
-    fresh = [
-        numbering.setdefault(mapped[i : i + width], len(numbering))
-        for i in range(0, len(mapped), width)
-    ]
+    return [operator.itemgetter(*rows[i : i + width]) for i in range(0, len(rows), width)]
+
+
+def _split(keys: list[operator.itemgetter], ids: Sequence[int]) -> tuple[list[int], int]:
+    """One refinement pass: renumber the elements by their rows (`_row_keys`)
+    read through `ids`, in first-occurrence order, and count the blocks.
+    Each row starts with the element's own block, so the result refines
+    `ids`."""
+    numbering: dict = {}
+    fresh = [numbering.setdefault(key(ids), len(numbering)) for key in keys]
     return fresh, len(numbering)
 
 
@@ -316,14 +329,20 @@ def largest_congruence_below(alg: FiniteAlgebra, p: Partition) -> Partition:
     built once per algebra) read as blocks, then splits blocks whose members
     disagree. Passes only refine, so a pass that keeps the block count is the
     fixpoint: single-coordinate replacement stays inside blocks, which chains
-    to the full congruence property.
+    to the full congruence property. Every pass stays coarser than or equal
+    to the answer, so one that reaches the identity (`alg.size` blocks) is
+    the answer at once, and so is an identity `p`.
     """
-    if p.size != alg.size:
+    n = alg.size
+    if p.size != n:
         raise ValueError("partition carrier mismatch")
     ids, count = p.block_ids, p.num_blocks
+    if count == n:
+        return p
+    keys = _row_keys(alg)
     while True:
-        ids, fresh_count = _split(alg, ids)
-        if fresh_count == count:
+        ids, fresh_count = _split(keys, ids)
+        if fresh_count == count or fresh_count == n:
             return Partition._of_canonical(tuple(ids))
         count = fresh_count
 

@@ -47,8 +47,8 @@ from .logics import (
 )
 from .matrices import submatrices
 from .partitions import Partition
+from .serialize import inventory_fingerprint
 from .terms import App, Signature, Term, Var, depth, enumerate_terms, substitute, to_sexpr, variables
-from .translations import inventory_fingerprint
 from .verdicts import Verdict, fails, holds, unknown
 
 X, Y = Var("x"), Var("y")

@@ -33,7 +33,7 @@ import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, eval_term, term_values
+from .algebra import FiniteAlgebra, _columns, _values, eval_term
 from .clone import JointClosure
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
 from .errors import CapExceeded, Frozen, NotAFilter, SignatureMismatch
@@ -170,11 +170,13 @@ def _rule_rows(alg: FiniteAlgebra, premises: Sequence[Term], conclusion: Term,
     per distinct (conclusion bit, premises mask), bit v for element v: the
     rows `_violated` tests against a designated set. A row whose conclusion
     is among its premises' values holds under every designated set, so it
-    is left out."""
-    masks = [0] * alg.size ** len(variables)
+    is left out. The caller has checked the terms against the algebra's
+    signature (`check_term`)."""
+    columns, count = _columns(alg, variables)
+    masks = [0] * count
     for p in premises:
-        masks = [m | 1 << v for m, v in zip(masks, term_values(alg, p, variables))]
-    return frozenset((1 << c, m) for c, m in zip(term_values(alg, conclusion, variables), masks)
+        masks = [m | 1 << v for m, v in zip(masks, _values(alg, p, columns, count))]
+    return frozenset((1 << c, m) for c, m in zip(_values(alg, conclusion, columns, count), masks)
                      if not 1 << c & m)
 
 
@@ -196,6 +198,8 @@ def _undesignated(size: int, designated: Iterable[int]) -> int:
 def is_model(m: Matrix, r: Rule) -> bool:
     """True iff every valuation sending all premises into the filter sends
     the conclusion there too."""
+    for t in r.premises + (r.conclusion,):
+        check_term(m.algebra.signature, t)
     rows = _rule_rows(m.algebra, r.premises, r.conclusion, sorted(r.variables()))
     return not _violated(rows, _undesignated(m.algebra.size, m.filter))
 
@@ -210,6 +214,8 @@ def entails(logic: LogicPresentation, gamma: Iterable[Term], phi: Term) -> bool:
         raise CapExceeded(
             f"{len(variables)} variables exceed the budget {logic.variable_budget}"
         )
+    for t in gamma + (phi,):
+        check_term(logic.signature, t)
     return not any(
         _violated(_rule_rows(m.algebra, gamma, phi, variables),
                   _undesignated(m.algebra.size, m.filter))
@@ -225,7 +231,9 @@ def _rule_filters(logic: LogicPresentation, alg: FiniteAlgebra) -> list[tuple[in
     """The subsets of `alg` closed under every rule, in `_subsets_sorted`
     order. A subset is tested against the rules in order up to the first it
     violates; each rule's rows are built once, when a subset first reaches
-    it, so a rule that no subset reaches is never evaluated."""
+    it, so a rule that no subset reaches is never evaluated. The rules were
+    checked when the logic was built and `filter_lattice` checks the
+    algebra's signature, so the terms are not checked again here."""
     rows: list[frozenset[tuple[int, int]]] = []
     filters = []
     for subset in _subsets_sorted(alg.size):

@@ -12,7 +12,6 @@ from .algebra import (
     largest_congruence_below,
     nonindexed_product,
     product_encode,
-    quotient,
 )
 from .config import DEFAULTS
 from .errors import CapExceeded, Frozen, SignatureMismatch
@@ -80,10 +79,13 @@ def is_compatible(theta: Partition, filter: Iterable[int]) -> bool:
 
 
 def reduce_matrix(m: Matrix) -> tuple[Matrix, Partition]:
-    """Quotient by the Leibniz congruence; the result has identity Leibniz."""
+    """Quotient by the Leibniz congruence; the result has identity Leibniz.
+    Omega comes from the refinement engine, so it is a congruence and the
+    quotient skips `quotient`'s re-check."""
     omega = leibniz_congruence(m)
-    alg = quotient(m.algebra, omega)
-    des = sorted({omega.block_of(x) for x in m.filter})
+    ids = omega.block_ids
+    alg = _induced(m.algebra, [b[0] for b in omega.blocks()], ids.__getitem__)
+    des = sorted({ids[x] for x in m.filter})
     return Matrix(alg, des), omega
 
 
@@ -168,8 +170,8 @@ def submatrices(m: Matrix, cap: int = DEFAULTS.oracle_max + 2) -> list[Matrix]:
     """Matrices on every subuniverse with the restricted filter, m itself included."""
     out = []
     for sub in subuniverses(m.algebra, cap=cap):
-        alg = restrict_to_subuniverse(m.algebra, sub)
         index = {x: i for i, x in enumerate(sub)}
+        alg = _induced(m.algebra, sub, index.__getitem__)
         des = sorted(index[x] for x in m.filter if x in index)
         out.append(Matrix(alg, des))
     return out

@@ -17,10 +17,10 @@ significant, matching `algebra.product_encode`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from typing import TYPE_CHECKING, Any, Callable
+import sys
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .algebra import FiniteAlgebra
 from .config import VARIABLE_BUDGET
@@ -33,18 +33,29 @@ if TYPE_CHECKING:
     from .logics import LogicPresentation, Rule
     from .translations import Translation
 
+# the interpreter's built-in SHA-256 spares a cold process hashlib's OpenSSL
+# load; it is `_sha256` up to Python 3.11 and `_sha2` from 3.12, and an
+# interpreter built without it falls back to hashlib
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 
 def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 def fingerprint(data: Any) -> str:
-    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()[:16]
+    return sha256(canonical_json(data).encode("utf-8")).hexdigest()[:16]
 
 
 def file_fingerprint(path: str) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+        return sha256(fh.read()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +146,10 @@ def algebra_fingerprint(alg: FiniteAlgebra) -> str:
     data = algebra_to_json(alg)
     data.pop("name", None)
     return fingerprint(data)
+
+
+def inventory_fingerprint(inventory: Sequence[FiniteAlgebra]) -> str:
+    return "+".join(algebra_fingerprint(a) for a in sorted(inventory, key=lambda a: a.sort_key()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .logics import (
     is_model,
     reduced_filters_on,
 )
+from .serialize import inventory_fingerprint
 from .terms import App, Signature, Term, Var, check_term, substitute, variables
 from .verdicts import Verdict, fails, holds
 
@@ -148,9 +149,3 @@ def check_interpretation_bounded(
                 **bounds,
             )
     return holds(**bounds)
-
-
-def inventory_fingerprint(inventory: Sequence[FiniteAlgebra]) -> str:
-    from .serialize import algebra_fingerprint
-
-    return "+".join(algebra_fingerprint(a) for a in sorted(inventory, key=lambda a: a.sort_key()))

@@ -7,6 +7,8 @@ import pytest
 
 from law.algebra import (
     FiniteAlgebra,
+    _row_keys,
+    _split,
     congruences_bruteforce,
     direct_product,
     enumerate_algebras,
@@ -273,6 +275,49 @@ def test_engine_agrees_with_oracle_exhaustively():
     for alg in algebras:
         for p in all_partitions(alg.size):
             assert largest_congruence_below(alg, p) == coarsest_below(alg, p), (alg, p)
+
+
+def test_engine_on_one_element_algebras():
+    for sig in RANDOM_SIGNATURES + [BOOL, Signature({})]:
+        alg = one_element(sig)
+        only = Partition.total(1)
+        assert largest_congruence_below(alg, only) == coarsest_below(alg, only) == only
+        assert is_congruence(alg, only)
+        assert congruences_bruteforce(alg) == [only]
+
+
+def test_engine_on_nullary_signatures():
+    # rows of width 1: each element's key is its block id, not a 1-tuple,
+    # and every partition is a congruence
+    rng = random.Random(29)
+    for sig in (Signature({"c": 0}), Signature({"c": 0, "d": 0}), Signature({})):
+        for n in range(1, 6):
+            alg = _random_algebra(rng, sig, n)
+            assert len(alg.neighbours()) == n
+            partitions = list(all_partitions(n))
+            assert congruences_bruteforce(alg) == sorted(partitions, key=lambda q: q.block_ids)
+            for p in partitions:
+                assert largest_congruence_below(alg, p) == p == coarsest_below(alg, p), (alg, p)
+                assert is_congruence(alg, p)
+
+
+def test_a_first_pass_that_reaches_the_identity_is_the_answer():
+    # the seed of the filter {3} in B4 splits into singletons in one pass
+    b4 = bool4()
+    seed = Partition.seed_from_subset(4, (3,))
+    assert _split(_row_keys(b4), seed.block_ids)[1] == 4
+    assert largest_congruence_below(b4, seed) == coarsest_below(b4, seed) == Partition.identity(4)
+    rng = random.Random(37)
+    algebras = [bool4(), pointed_set(4), imp2()]
+    algebras += [_random_algebra(rng, sig, rng.randint(2, 5)) for sig in RANDOM_SIGNATURES * 6]
+    stopped = 0
+    for alg in algebras:
+        keys = _row_keys(alg)
+        for p in all_partitions(alg.size):
+            if p.num_blocks < alg.size and _split(keys, p.block_ids)[1] == alg.size:
+                stopped += 1
+                assert largest_congruence_below(alg, p) == coarsest_below(alg, p), (alg, p)
+    assert stopped > 100
 
 
 def test_engine_agrees_on_random_seeds_size4():

@@ -317,14 +317,23 @@ def _cold_imports(tmp_path, argv):
     "argv, unused",
     [(["leibniz", "-m", "m.json"], ["logics", "hierarchy", "gallery"]),
      (["oracle", "congruences", "-a", "b2.json"], ["logics", "hierarchy", "gallery"]),
-     (["product", "-l", "pair.json", "-l", "pair.json"], ["hierarchy", "gallery"])],
-    ids=["leibniz", "oracle", "product"],
+     (["product", "-l", "pair.json", "-l", "pair.json"], ["hierarchy", "gallery"]),
+     (["check", "truth_minimal", "-l", "pair.json", "-i", "b2.json"], ["translations", "gallery"])],
+    ids=["leibniz", "oracle", "product", "check"],
 )
 def test_a_cold_command_imports_only_the_layers_it_runs(tmp_path, argv, unused):
     loaded, report = _cold_imports(tmp_path, argv)
     assert "law.serialize" in loaded
     assert not loaded & {f"law.{layer}" for layer in unused}
     assert report["result"]
+
+
+def test_a_cold_command_hashes_without_openssl(tmp_path):
+    # fingerprints use the interpreter's built-in SHA-256, so `_hashlib`
+    # and its OpenSSL load stay out of a cold process
+    loaded, report = _cold_imports(tmp_path, ["leibniz", "-m", "m.json"])
+    assert "law.serialize" in loaded and report["result"]
+    assert not loaded & {"hashlib", "_hashlib"}
 
 
 @pytest.mark.parametrize(

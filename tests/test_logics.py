@@ -47,6 +47,19 @@ def test_is_model():
     assert not is_model(Matrix(bool2(), (1,)), Rule((), X))
 
 
+def test_is_model_and_entails_check_their_terms():
+    m = Matrix(bool2(), (1,))
+    with pytest.raises(TermError, match="unknown symbol"):
+        is_model(m, Rule([X], App("→", (X, Y))))
+    with pytest.raises(TermError, match="expects 2 arguments"):
+        is_model(m, Rule([App("and", (X,))], X))
+    logic = matrices_logic([m])
+    with pytest.raises(TermError, match="clashes with a symbol name"):
+        entails(logic, [Var("not")], X)
+    with pytest.raises(TermError, match="unknown symbol"):
+        entails(logic, [X], App("→", (X, X)))
+
+
 def test_entails_truth_tables():
     b2one = matrices_logic([Matrix(bool2(), (1,))])
     assert entails(b2one, [X], parse_term(BOOL, "(or x y)"))

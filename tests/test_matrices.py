@@ -331,6 +331,23 @@ def assert_same_algebra(got, want):
     assert subuniverses(got) == subuniverses(want)
 
 
+def test_reduce_matrix_and_submatrices_equal_the_checked_constructions():
+    # both skip the checks of `quotient` and `restrict_to_subuniverse`
+    rng = random.Random(31)
+    sigs = [BOOL, Signature({"c": 0}), Signature({"c": 0, "t": 3}),
+            Signature({"c": 0, "f": 1, "g": 2})]
+    for _ in range(200):
+        sig, n = rng.choice(sigs), rng.randint(1, 4)
+        alg = FiniteAlgebra(sig, n, {s: random_table(rng, n, a) for s, a in sig.symbols})
+        m = Matrix(alg, [x for x in range(n) if rng.random() < 0.5])
+        reduced, omega = reduce_matrix(m)
+        assert omega == leibniz_congruence(m)
+        assert_same_algebra(reduced.algebra, quotient(alg, omega))
+        assert reduced.filter == tuple(sorted({omega.block_of(x) for x in m.filter}))
+        for sm, sub in zip(submatrices(m), subuniverses(alg), strict=True):
+            assert_same_algebra(sm.algebra, restrict_to_subuniverse(alg, sub))
+
+
 def test_restrictions_and_quotients_equal_the_validated_construction():
     rng = random.Random(17)
     algs = [bool4(), imp2(), pointed_set(3)]

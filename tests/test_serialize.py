@@ -1,5 +1,6 @@
 """File formats round-trip and stay canonical."""
 
+import hashlib
 import json
 import os
 
@@ -11,10 +12,14 @@ from law.logics import matrices_logic
 from law.matrices import Matrix
 from law.partitions import Partition
 from law.serialize import (
+    algebra_fingerprint,
     algebra_from_json,
     algebra_to_json,
     canonical_json,
     dump_json,
+    file_fingerprint,
+    fingerprint,
+    inventory_fingerprint,
     load_algebra,
     load_logic,
     load_matrix,
@@ -93,6 +98,19 @@ def test_partition_and_payload_serialization():
 def test_canonical_json_is_sorted_and_stable():
     a = canonical_json({"b": 1, "a": [2, 1]})
     assert a == '{"a":[2,1],"b":1}'
+
+
+def test_fingerprints_are_sha256_prefixes(tmp_path):
+    data = {"b": [1, "é"], "a": None}
+    assert fingerprint(data) == hashlib.sha256(
+        canonical_json(data).encode("utf-8")).hexdigest()[:16]
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"x": 1}\n')
+    assert file_fingerprint(str(path)) == hashlib.sha256(b'{"x": 1}\n').hexdigest()[:16]
+    assert algebra_fingerprint(bool2()) == "049ba4f91b79eaf2"
+    # sorted by size, signature and tables, so the list order does not count
+    assert inventory_fingerprint([imp2(), bool2()]) == "049ba4f91b79eaf2+6fde763415d1f4ff"
+    assert inventory_fingerprint([bool2(), imp2()]) == inventory_fingerprint([imp2(), bool2()])
 
 
 @pytest.mark.parametrize(
