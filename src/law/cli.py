@@ -73,15 +73,12 @@ def _parser() -> argparse.ArgumentParser:
                      help="algebra JSON file or directory of them (repeatable)")
     chk.add_argument("--depth", type=_positive_int, default=None)
     chk.add_argument("--max-set", type=_positive_int, default=2)
-    chk.add_argument("--recheck", action="store_true",
-                     help="re-verify an embedded witness before reporting")
 
     interp = command("interpret", _interpret, "bounded interpretation check")
     interp.add_argument("-t", "--translation", required=True)
     interp.add_argument("--from", dest="source", required=True)
     interp.add_argument("--to", dest="target", required=True)
     interp.add_argument("-i", "--inventory", action="append", required=True)
-    interp.add_argument("--recheck", action="store_true")
 
     gal = command("gallery", _gallery, "write a gallery entry to a directory")
     gal.add_argument("name")
@@ -233,12 +230,7 @@ def _inventory(items: Sequence[str], inputs: _Inputs) -> list[FiniteAlgebra]:
     return [inputs.load(load_algebra, p) for p in paths]
 
 
-def _verdict_report(recheck: bool, check: Callable[[], Verdict], label: str):
-    """Report `check()`. With `recheck`, a Fails verdict is computed once
-    more, and the run errs unless it fails again."""
-    verdict = check()
-    if recheck and verdict.fails and not check().fails:
-        raise LawError("witness failed the recheck pass")
+def _verdict_report(verdict: Verdict, label: str):
     return (0 if verdict.holds else 1), payload_to_json(verdict), f"{label}: {verdict.status}"
 
 
@@ -248,11 +240,7 @@ def _check(args, config: Config, inputs: _Inputs):
     logic = inputs.load(load_logic, args.logic)
     inventory = _inventory(args.inventory, inputs)
     config = config.override(depth_default=args.depth)
-    return _verdict_report(
-        args.recheck,
-        lambda: check_class(args.cls, logic, inventory, args.max_set, config),
-        args.cls,
-    )
+    return _verdict_report(check_class(args.cls, logic, inventory, args.max_set, config), args.cls)
 
 
 def _interpret(args, config: Config, inputs: _Inputs):
@@ -262,11 +250,8 @@ def _interpret(args, config: Config, inputs: _Inputs):
     source = inputs.load(load_logic, args.source)
     target = inputs.load(load_logic, args.target)
     inventory = _inventory(args.inventory, inputs)
-    return _verdict_report(
-        args.recheck,
-        lambda: check_interpretation_bounded(tau, source, target, inventory, config),
-        "interpretation",
-    )
+    return _verdict_report(check_interpretation_bounded(tau, source, target, inventory, config),
+                           "interpretation")
 
 
 def _gallery(args, config: Config, inputs: _Inputs):

@@ -328,10 +328,17 @@ class FilterLattice(Frozen):
             got = self._omegas[f] = leibniz_congruence(Matrix(self.algebra, f))
         return got
 
-    def suszko(self, f: tuple[int, ...]) -> Partition:
-        """Meet of the Leibniz congruences of the filters containing `f`."""
-        above = (self.omega(g) for g in self.filters if set(f).issubset(g))
-        return functools.reduce(Partition.meet, above, Partition.total(self.algebra.size))
+    def meet(self, family: Iterable[tuple[int, ...]]) -> Partition:
+        """Meet of the Leibniz congruences of the filters in `family`; the
+        total partition for an empty family."""
+        return functools.reduce(Partition.meet, map(self.omega, family),
+                                Partition.total(self.algebra.size))
+
+    def suszko(self, f: Iterable[int]) -> Partition:
+        """Meet of the Leibniz congruences of the filters containing `f`,
+        which may be any subset of the carrier, not only a filter."""
+        subset = set(f)
+        return self.meet(g for g in self.filters if subset.issubset(g))
 
 
 @functools.lru_cache(maxsize=1024)  # lattices hold no closures: about 0.8 kB each

@@ -105,9 +105,7 @@ def test_check_subcommand_verdicts(tmp_path):
     code, out, _ = invoke(["check", "truth_minimal", "-l", logic_path, "-i", b2_path])
     assert code == 0
     assert json.loads(out)["result"]["status"] == "holds"
-    code, out, _ = invoke(
-        ["check", "param_truth_equational", "-l", logic_path, "-i", b2_path, "--recheck"]
-    )
+    code, out, _ = invoke(["check", "param_truth_equational", "-l", logic_path, "-i", b2_path])
     assert code == 1
     report = json.loads(out)
     assert report["result"]["status"] == "fails"
@@ -138,9 +136,7 @@ def test_check_protoalgebraic_found(tmp_path):
     nabla = build("nabla")
     logic_path = write(tmp_path, "nabla.json", logic_to_json(nabla.logic))
     inv_path = write(tmp_path, "imp2.json", algebra_to_json(imp2()))
-    code, out, _ = invoke(
-        ["check", "protoalgebraic", "-l", logic_path, "-i", inv_path, "--recheck"]
-    )
+    code, out, _ = invoke(["check", "protoalgebraic", "-l", logic_path, "-i", inv_path])
     assert code == 0
     assert json.loads(out)["result"]["witness"]["terms"] == ["(→ x y)"]
 
@@ -215,8 +211,7 @@ def test_interpret_subcommand(tmp_path):
     bad = Translation(pointed_sig, imp_sig, {"⊤": parse_term(imp_sig, "x1")})
     bad_path = write(tmp_path, "bad.json", translation_to_json(bad))
     code, out, _ = invoke(
-        ["interpret", "-t", bad_path, "--from", src_path, "--to", tgt_path,
-         "-i", inv_path, "--recheck"]
+        ["interpret", "-t", bad_path, "--from", src_path, "--to", tgt_path, "-i", inv_path]
     )
     assert code == 1
     assert json.loads(out)["result"]["status"] == "fails"
@@ -636,6 +631,16 @@ def test_config_oracle_max_reaches_the_submatrix_sweep(tmp_path):
     code, out, _ = invoke(["--config", cfg, "check", "equivalential", "-l", nabla, "-i", inv,
                            "--depth", "2"])
     assert (code, json.loads(out)["result"]["status"]) == (0, "holds")
+
+
+@pytest.mark.parametrize("cls", ["param_truth_equational", "truth_minimal"])
+def test_filter_classes_refuse_an_algebra_above_the_sweep_cap(tmp_path, cls):
+    # every inventory algebra is swept, so 7 elements exceed the cap of 6
+    nabla = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
+    inv = write(tmp_path, "imp7.json", algebra_to_json(_imp_chain7()))
+    code, out, _ = invoke(["check", cls, "-l", nabla, "-i", inv])
+    assert (code, json.loads(out)["error"]) == (
+        2, "CapExceeded: carrier 7 exceeds the filter sweep cap 6")
 
 
 def test_check_has_theorems_sweeps_no_filters(tmp_path):

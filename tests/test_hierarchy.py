@@ -1,13 +1,14 @@
 """Hierarchy checks: witness searches, class verdicts, admissibility."""
 
 import itertools
+import random
 
 import pytest
 
-from law.algebra import congruences_bruteforce, one_element
+from law.algebra import FiniteAlgebra, congruences_bruteforce, direct_product, one_element
 from law.config import DEFAULTS
 from law.errors import UnknownName
-from law.gallery import GALLERY_NAMES, bool4, build, imp2, nabla_hat, pointed_set
+from law.gallery import GALLERY_NAMES, bool2, bool4, build, imp2, nabla_hat, pointed_set
 from law.hierarchy import (
     chain_entails,
     check_admissibility_bounded,
@@ -22,7 +23,15 @@ from law.hierarchy import (
     theorem_search,
     verify_protoalgebraic_witness,
 )
-from law.logics import RULES, Rule, _closed_under_rules, matrices_logic, rules_logic
+from law.logics import (
+    RULES,
+    FilterFamily,
+    Rule,
+    _closed_under_rules,
+    filter_lattice,
+    matrices_logic,
+    rules_logic,
+)
 from law.matrices import Matrix
 from law.partitions import Partition
 from law.terms import App, Signature, Var, enumerate_terms, parse_term, substitute, to_sexpr
@@ -143,6 +152,116 @@ def test_check_class_pte_implies_truth_minimal_on_gallery():
         pte = check_class("param_truth_equational", entry.logic, entry.inventory)
         tm = check_class("truth_minimal", entry.logic, entry.inventory)
         assert not (pte.holds and not tm.holds), name
+
+
+GALLERY_LOGICS = [pytest.param(e.logic, e.inventory, id=e.name)
+                  for e in map(build, GALLERY_NAMES) if e.logic is not None]
+
+
+def _escapes(lattice, f, family):
+    """Whether the Leibniz congruences of `family` meet below Omega(f) while
+    its intersection is not inside f: a Fails of `param_truth_equational`."""
+    meet = Partition.total(lattice.algebra.size)
+    for g in family:
+        meet = meet.meet(lattice.omega(g))
+    return meet.refines(lattice.omega(f)) and not set(family[0]).intersection(*family) <= set(f)
+
+
+def family_loop(logic, inventory):
+    """The slow oracle of `param_truth_equational`, with no size cap: the
+    first nonempty filter f, and for it the first family of nonempty filters
+    (by size, then in combination order) that `_escapes` at f, as (f,
+    family); None if there is none."""
+    for alg in sorted(inventory, key=lambda a: a.sort_key()):
+        lattice = filter_lattice(logic, alg)
+        filters = [f for f in lattice.filters if f]
+        for f in filters:
+            for k in range(1, len(filters) + 1):
+                for family in itertools.combinations(filters, k):
+                    if _escapes(lattice, f, family):
+                        return f, FilterFamily(alg, family)
+    return None
+
+
+def random_matrix_logics(rng, count, own_algebras=False):
+    """`count` (logic, inventory) pairs: one or two matrices of size 2-3 with
+    a nonempty proper filter over one signature, and an inventory of one or
+    two random algebras of size 2-4, plus the matrices' own algebras when
+    `own_algebras` is set."""
+    sigs = (Signature({"f": 2}), Signature({"f": 2, "g": 1}), Signature({"g": 1, "h": 1}))
+
+    def algebra(sig, n):
+        return FiniteAlgebra(sig, n, {s: [rng.randrange(n) for _ in range(n ** arity)]
+                                      for s, arity in sig.symbols})
+
+    for _ in range(count):
+        sig = rng.choice(sigs)
+        mats = []
+        for _ in range(rng.randint(1, 2)):
+            n = rng.randint(2, 3)
+            designated = tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1))))
+            mats.append(Matrix(algebra(sig, n), designated))
+        inventory = [algebra(sig, rng.randint(2, 4)) for _ in range(rng.randint(1, 2))]
+        if own_algebras:
+            inventory += [m.algebra for m in mats]
+        yield matrices_logic(mats), inventory
+
+
+def test_pte_agrees_with_the_family_loop():
+    cases = [p.values for p in GALLERY_LOGICS]
+    cases += random_matrix_logics(random.Random(7), 150)
+    for logic, inventory in cases:
+        v = check_class("param_truth_equational", logic, inventory)
+        found = family_loop(logic, inventory)
+        assert v.fails == (found is not None)
+        if v.fails:
+            assert (v.witness["filter"], v.witness["family"]) == found
+
+
+def test_pte_fails_name_the_loops_filter_and_a_minimal_family():
+    # With the matrices' own algebras in the inventories, far more logics
+    # fail. The check takes the first a outside the filter and the loop the
+    # first family by size, so the families may differ; each is minimal.
+    fails = 0
+    for logic, inventory in random_matrix_logics(random.Random(11), 100, own_algebras=True):
+        v = check_class("param_truth_equational", logic, inventory)
+        found = family_loop(logic, inventory)
+        assert v.fails == (found is not None)
+        if v.fails:
+            fails += 1
+            f, family = v.witness["filter"], v.witness["family"].filters
+            lattice = filter_lattice(logic, v.witness["family"].algebra)
+            assert f == found[0] and _escapes(lattice, f, family)
+            for g in family if len(family) > 1 else ():
+                assert not _escapes(lattice, f, [h for h in family if h != g])
+    assert fails >= 15
+
+
+def kleene3():
+    """The 3-element Kleene chain 0 < 1 < 2: min, max and 2 - x."""
+    return FiniteAlgebra(bool2().signature, 3,
+                         {"and": [min(a, b) for a in range(3) for b in range(3)],
+                          "or": [max(a, b) for a in range(3) for b in range(3)],
+                          "not": [2 - a for a in range(3)]})
+
+
+def test_pte_decides_algebras_above_five_elements():
+    # B2 x K3 has 6 elements, within oracle_max, so it is decided
+    prod = direct_product([bool2(), kleene3()])
+    v = check_class("param_truth_equational", PAIR.logic, [prod])
+    assert v.fails and "skipped_algebras" not in v.bounds_dict()
+    assert (v.witness["filter"], v.witness["family"].filters) == ((0, 1, 2), ((3, 4, 5),))
+    assert family_loop(PAIR.logic, [prod]) == (v.witness["filter"], v.witness["family"])
+
+
+@pytest.mark.parametrize("logic, inventory", GALLERY_LOGICS)
+def test_class_inclusions_on_the_gallery(logic, inventory):
+    # assertional logics are truth-equational, equivalential ones
+    # protoalgebraic (Font 2016)
+    for small, large in (("assertional", "truth_equational"),
+                         ("equivalential", "protoalgebraic")):
+        if check_class(small, logic, inventory).holds:
+            assert check_class(large, logic, inventory).holds, (small, large)
 
 
 def test_check_class_truth_equational():
