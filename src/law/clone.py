@@ -7,8 +7,9 @@ term in `enumerate_terms` order on demand. Its classes are the k-ary part of
 the clone of term operations of the algebras taken jointly. Three readers:
 
 * the bounded filter sweep of `logics`, over one canonical variable per
-  element of a target algebra, reads per-row lanes of each column
-  (`rows_in`);
+  element of a target algebra: one closure per logic and carrier size,
+  which each target of that size follows with its own values
+  (`canonical_rows`), and per-row lanes of each column (`rows_in`);
 * the witness searches of `hierarchy`, over x, or x and y, read each class's
   designation mask (`designation`, `lanes`, `theorems`) and never evaluate a
   term;
@@ -34,10 +35,9 @@ from .terms import App, Signature, Term, Var
 
 # A term over k variables is represented by its joint evaluation row: its
 # value in each of a list of algebras at every assignment of the variables
-# (a column), and, for the filter sweep, its value in the target algebra at
-# one canonical assignment. Terms with equal rows form a class. Rows are
-# closed under the signature pointwise, one level per depth, deduplicating
-# as we go, so each class is found at the depth of its first term.
+# (a column). Terms with equal rows form a class. Rows are closed under the
+# signature pointwise, one level per depth, deduplicating as we go, so each
+# class is found at the depth of its first term.
 #
 # A row is one `bytes` over the columns of every block (the columns of one
 # algebra), one byte per column. An operation meets every row of its last
@@ -64,6 +64,16 @@ from .terms import App, Signature, Term, Var
 # its class, and the rows come in the order of those first terms. The
 # closure keeps one record per (symbol, head) batch that adds rows, enough
 # to rebuild that term on demand (`JointClosure.term`).
+#
+# A target algebra of the filter sweep needs no column of its own. Each
+# class keeps a bitmask of the values in the target, at the canonical
+# assignment (variable i sent to element i), of its terms of depth <= L,
+# and level L+1 adds to it the target's image of the masks of every tuple
+# of earlier classes that yields it. A canonical closure keeps those tuples
+# per level as it grows, with the class each yields, for every target it
+# serves. A class of the closure with the target's column is
+# one (class, value) pair, so the masks hold as many values as that
+# closure has classes, and the cell budget counts them.
 
 _LANES = 256  # a closure cell is one byte
 
@@ -101,30 +111,45 @@ def _indicator(members: Iterable[int]) -> bytes:
     return bytes(table)
 
 
+def _image(alg: FiniteAlgebra, sym: str, head: Sequence[int]) -> list[int]:
+    """`sym`'s image in `alg` over sets of values, as bitmasks (bit v for
+    value v), with its head arguments' sets fixed: for each set of the tail,
+    the set of values taken with each argument in its set. A nullary symbol
+    takes its one value whatever the tail."""
+    arity = alg.signature.arity(sym)
+    heads = list(itertools.product(*([v for v in range(alg.size) if m >> v & 1] for m in head)))
+    single = [functools.reduce(operator.or_, (1 << alg.apply(sym, (*args, v)[:arity])
+                                              for args in heads), 0) for v in range(alg.size)]
+    image = [0] * (1 << alg.size)
+    for m in range(1, len(image)):  # the image of a union is the union of the images
+        image[m] = image[m & (m - 1)] | single[(m & -m).bit_length() - 1]
+    return image
+
+
+# bit v of each byte, as a translation table: runs of 2^v zeros and ones
+_BITS = [(bytes(1 << v) + b"\1" * (1 << v)) * (_LANES >> v + 1) for v in range(8)]
+
+
 class JointClosure:
     """The term classes over `names` and the distinct `algebras`, grown one
     level per `grow` under a cell budget; class i stands for its first term
     in `enumerate_terms` order, `term(i)`.
 
-    With a `target`, the rows also carry the target's value at the canonical
-    assignment (variable i sent to element i); the target's variables are
-    the filter sweep's canonical ones, never rebuilt into terms, so their
-    names may clash with a symbol. Without one, a name that is a symbol
-    raises TermError. `level` is the depth of the deepest classes;
-    `saturated` is set once a level adds none."""
+    A `canonical` closure is the filter sweep's, read by `canonical_rows`:
+    its variables are never rebuilt into terms, so their names may clash
+    with a symbol. Otherwise a name that is a symbol raises TermError.
+    `level` is the depth of the deepest classes; `saturated` is set once a
+    level adds none."""
 
     def __init__(self, sig: Signature, algebras: Iterable[FiniteAlgebra], names: Sequence[str],
-                 cell_budget: int, target: Optional[FiniteAlgebra] = None):
-        if target is None:
+                 cell_budget: float, canonical: bool = False):
+        if not canonical:
             for v in names:
                 if v in sig:
                     raise TermError(f"variable {v!r} clashes with a symbol name")
         # each block's columns, as assignments of the variables, in block order
         self._columns = {b: list(itertools.product(range(b.size), repeat=len(names)))
                          for b in _distinct(algebras)}
-        if target is not None:
-            canonical = tuple(range(target.size))
-            self._columns.setdefault(target, [canonical])
         block_algs = list(self._columns)
         for b in block_algs:
             if b.size > _LANES:
@@ -133,8 +158,6 @@ class JointClosure:
                 )
         offsets = tuple(itertools.accumulate(map(len, self._columns.values()), initial=0))
         self._spans = {b: slice(lo, hi) for b, lo, hi in zip(block_algs, offsets, offsets[1:])}
-        if target is not None:
-            self._canonical = self._spans[target].start + self._columns[target].index(canonical)
         self._width = offsets[-1]
         self.cell_budget = cell_budget
         self.level = 0
@@ -150,51 +173,31 @@ class JointClosure:
         # depth-0 rows: one per variable whose row is new
         self._rows: list[bytes] = []
         self._terms: dict[int, Term] = {}  # rebuilt first terms
-        self._seen: set[bytes] = set()
-        self._blob = b""  # the rows back to back, joined by `rows_in`
+        self._index: dict[bytes, int] = {}  # row -> its index
+        self._variables = []  # each variable's row
         for i, name in enumerate(names):
             row = bytes(inp[i] for cols in self._columns.values() for inp in cols)
-            if row not in self._seen:
-                self._seen.add(row)
+            if row not in self._index:
+                self._index[row] = len(self._rows)
                 self._terms[len(self._rows)] = Var(name)
                 self._rows.append(row)
+            self._variables.append(self._index[row])
         self._batches: list[tuple] = []  # (first new row, symbol, head rows)
         self._old = 0  # rows that predate the previous level's new ones
+        # a canonical closure's tuples per level L + 1, for `canonical_rows`:
+        # (symbol, head rows, first tail row, the row each tail yields)
+        self._yields: Optional[list[list[tuple]]] = [] if canonical else None
 
-    def grow(self) -> bool:
-        """Build the next level. False, building nothing, when it would pass
-        the cell budget or, setting `saturated`, when it adds no row."""
-        rows, seen, width, syms = self._rows, self._seen, self._width, self._syms
-        count = len(rows)
-        projected = sum(count**arity if arity else 1 for _, arity in syms) * width
-        if self.saturated or projected > self.cell_budget:
-            return False
-        old, base, batches = self._old, self._base, self._batches
-        fresh: list[bytes] = []  # this level's new rows
-        # batch length -> the unpack of a Struct that splits it into rows:
-        # a level has two tail lengths, plus the one-row nullary batch
-        splits: dict[int, Callable[[bytes], tuple[bytes, ...]]] = {}
-
-        def absorb(out: bytes, sym: str, head: tuple[int, ...]) -> None:
-            """Keep the unseen rows among the candidates, back to back in
-            `out`, and record the batch when it adds one."""
-            split = splits.get(len(out))
-            if split is None:
-                split = splits[len(out)] = struct.Struct(f"{width}s" * (len(out) // width)).unpack
-            keys = split(out)
-            if not seen.issuperset(keys):
-                batches.append((count + len(fresh), sym, head))
-                for k in keys:
-                    if k not in seen:
-                        seen.add(k)
-                        fresh.append(k)
-
+    def _candidates(self) -> Iterator[tuple[str, tuple[int, ...], int, bytes]]:
+        """The next level's (symbol, head) batches: symbol, head rows, first
+        tail row, and the candidate rows, one per tail row, back to back."""
+        rows, width, base, old, count = self._rows, self._width, self._base, self._old, len(self._rows)
         tails = {}  # (arity, first tail row) -> tags plus tail rows: an int, or cells
-        for sym, arity in syms:
+        for sym, arity in self._syms:
             table, tags = self._tables[sym], self._tags[arity]
             if arity == 0:
                 if self.level == 0:
-                    absorb(bytes(map(table.__getitem__, tags)), sym, ())
+                    yield sym, (), 0, bytes(map(table.__getitem__, tags))
                 continue
             wide = isinstance(table, list)
             weights = [base**k for k in range(arity - 1, 0, -1)]
@@ -213,25 +216,54 @@ class JointClosure:
                 if wide:
                     for h, weight in zip(head, weights):
                         idx = [i + v * weight for i, v in zip(idx, rows[h] * copies)]
-                    absorb(bytes(map(table.__getitem__, idx)), sym, head)
+                    yield sym, head, start, bytes(map(table.__getitem__, idx))
                 else:
                     for h, weight in zip(head, weights):
                         idx += int.from_bytes(rows[h] * copies, "big") * weight
-                    absorb(idx.to_bytes(copies * width, "big").translate(table), sym, head)
+                    yield sym, head, start, idx.to_bytes(copies * width, "big").translate(table)
+
+    def grow(self) -> bool:
+        """Build the next level. False, building nothing, when it would pass
+        the cell budget or, setting `saturated`, when it adds no row. An
+        error part-way through a level leaves the closure as it was."""
+        rows, index, batches, width = self._rows, self._index, self._batches, self._width
+        count, recorded = len(rows), len(batches)
+        projected = sum(count**arity if arity else 1 for _, arity in self._syms) * width
+        if self.saturated or projected > self.cell_budget:
+            return False
+        fresh: list[bytes] = []  # this level's new rows
+        tuples = []  # this level's `_yields`, when kept
+        # batch length -> the unpack of a Struct that splits it into rows: a
+        # level has two tail lengths, plus the one-row nullary batch
+        splits: dict[int, Callable[[bytes], tuple[bytes, ...]]] = {}
+        try:
+            for sym, head, start, out in self._candidates():
+                split = splits.get(len(out))
+                if split is None:
+                    split = splits[len(out)] = struct.Struct(f"{width}s" * (len(out) // width)).unpack
+                keys = split(out)
+                if not all(map(index.__contains__, keys)):  # record the batch when it adds a row
+                    batches.append((count + len(fresh), sym, head))
+                    for k in keys:
+                        if k not in index:
+                            index[k] = count + len(fresh)
+                            fresh.append(k)
+                if self._yields is not None:
+                    tuples.append((sym, head, start, list(map(index.__getitem__, keys))))
+        except BaseException:
+            for k in fresh:
+                del index[k]
+            del batches[recorded:]
+            raise
+        if self._yields is not None:
+            self._yields.append(tuples)
         if not fresh:
             self.saturated = True  # fixpoint: deeper terms add nothing
             return False
-        self._old = count
         rows.extend(fresh)
+        self._old = count
         self.level += 1
         return True
-
-    def grow_to(self, depth_cap: int) -> int:
-        """Grow until `depth_cap`, a fixpoint or the cell budget; the depth
-        reached, or `depth_cap` at a fixpoint, since deeper terms add nothing."""
-        while self.level < depth_cap and self.grow():
-            pass
-        return depth_cap if self.saturated else self.level
 
     def classes(self, depth: int) -> Iterator[int]:
         """The indices of the classes of terms of depth <= `depth`, level by
@@ -269,22 +301,58 @@ class JointClosure:
         return got
 
     def values(self, i: int, alg: FiniteAlgebra) -> bytes:
-        """Class i's values on `alg`, one byte per column of its block: at
-        every assignment of the variables, or at the canonical one alone
-        when `alg` is a target that is no defining algebra."""
+        """Class i's values on `alg`, one byte per column of its block, at
+        every assignment of the variables."""
         return self._rows[i][self._spans[alg]]
 
-    def rows_in(self, members: Iterable[int], alg: Optional[FiniteAlgebra] = None) -> list[int]:
-        """For each column of `alg`'s block, or for the target's canonical
-        column alone when `alg` is None: the rows whose value there lies in
-        `members`, as one int with one byte lane per row, 1 for such a row."""
-        width, table = self._width, _indicator(members)
-        if len(self._blob) != len(self._rows) * width:  # rows joined once per level
-            self._blob = b"".join(self._rows)
-        blob = self._blob
-        span = self._spans[alg] if alg is not None else slice(self._canonical, self._canonical + 1)
-        return [int.from_bytes(blob[c::width].translate(table), "big")
-                for c in range(span.start, span.stop)]
+    def rows_in(self, member_sets: Sequence[Iterable[int]], alg: FiniteAlgebra) -> list[int]:
+        """For each column of `alg`'s block and each set of `member_sets`:
+        the rows whose value there lies in the set, as one int with one byte
+        lane per row, 1 for such a row."""
+        width, blob, span = self._width, b"".join(self._rows), self._spans[alg]
+        tables = [_indicator(members) for members in member_sets]
+        return [int.from_bytes(column.translate(t), "big")
+                for column in (blob[c::width] for c in range(span.start, span.stop))
+                for t in tables]
+
+    def canonical_rows(self, target: FiniteAlgebra, depth_cap: int,
+                       cell_budget: int) -> tuple[list[int], int]:
+        """For each element v of `target`: the rows with a term of depth <= d
+        whose value in `target` at the canonical assignment is v, in the
+        lanes of `rows_in`; and d. The closure grows as far as the target
+        reads. d is `depth_cap`, or less when a closure with the target's
+        own column would pass `cell_budget`; at a fixpoint it is
+        `depth_cap`, since deeper terms add nothing."""
+        width, arities = self._width + (target not in self._spans), list(self._arity.values())
+        masks = [0] * len(self._rows)  # per row, bit v for a term of value v
+        for v, row in enumerate(self._variables):
+            masks[row] |= 1 << v
+        images: dict[tuple, list[int]] = {}  # (symbol, head masks) -> `_image`
+        level, joint = 0, target.size  # joint: the (row, value) pairs
+        while level < depth_cap and sum(map(joint.__pow__, arities)) * width <= cell_budget:
+            while self.level <= level and self.grow():
+                pass
+            # each row gains the image of every tuple of rows of depth <= level
+            # that yields it
+            new = masks + [0] * (len(self._rows) - len(masks))
+            for sym, head, start, rows in itertools.chain.from_iterable(self._yields[:level + 1]):
+                key = (sym, *map(masks.__getitem__, head))
+                image = images.get(key)
+                if image is None:
+                    image = images[key] = _image(target, sym, key[1:])
+                for row, tail in zip(rows, masks[start:start + len(rows)]):
+                    new[row] |= image[tail]
+            grown = sum(map(int.bit_count, new))
+            if grown == joint:
+                level = depth_cap  # fixpoint: deeper terms add nothing
+                break
+            joint, level, masks = grown, level + 1, new
+        masks += [0] * (len(self._rows) - len(masks))
+        # bit v of each mask, eight values to a byte
+        octets = [bytes(masks)] if target.size <= 8 else [
+            bytes(m >> k & 255 for m in masks) for k in range(0, target.size, 8)]
+        return [int.from_bytes(octets[v >> 3].translate(_BITS[v & 7]), "big")
+                for v in range(target.size)], level
 
     def lanes(self, matrices: Sequence[Matrix], keep: Callable[[frozenset[int], tuple], bool]) -> int:
         """One byte lane per column of each matrix's block, matrices in

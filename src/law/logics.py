@@ -12,12 +12,15 @@ Two filter notions, always flagged:
   deduplicated by their joint evaluations so the caps stay feasible.
 
 The bounded sweep reads the term classes of `clone.JointClosure` over the
-canonical variables, with the target's canonical column: G is a bounded
-filter iff no class has canonical value outside G while staying designated
-at every column that keeps the G-valued classes designated. It reads each
-column's classes as ints with one byte lane per class, in pure Python. The
-exact sweep evaluates each rule once per algebra, when a subset first
-reaches it, and tests every subset against the stored values.
+canonical variables, one closure of the defining algebras per (logic,
+carrier size) shared by every target of that size, and the values each
+class's terms take in the target at the canonical assignment: G is a
+bounded filter iff no class has such a value outside G while staying
+designated at every column that keeps the classes with values in G
+designated. It reads each column's classes as ints with one byte lane per
+class, in pure Python. The exact sweep evaluates each rule once per
+algebra, when a subset first reaches it, and tests every subset against
+the stored values.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
@@ -268,33 +271,34 @@ def _closed_under_rules(logic: LogicPresentation, alg: FiniteAlgebra, subset: fr
 
 
 def _bounded_filter_subsets(logic: LogicPresentation, closure: JointClosure,
-                            n: int) -> list[tuple[int, ...]]:
+                            of_value: list[int]) -> list[tuple[int, ...]]:
     # Sets of rows are ints with one byte lane per row, 1 for a member:
-    # of_value[v] holds the rows of canonical value v, and each column of
-    # every matrix gives the rows it leaves undesignated.
-    of_value = [closure.rows_in({v})[0] for v in range(n)]
-    columns: dict[int, None] = {}
+    # of_value[v] holds the rows with a term of canonical value v, and each
+    # column of every matrix gives the rows it leaves undesignated.
+    undesignated: dict[FiniteAlgebra, list[set[int]]] = {}
     for m in logic.matrices:
-        undesignated = set(range(m.algebra.size)) - m.filter_set()
-        columns.update(dict.fromkeys(closure.rows_in(undesignated, m.algebra)))
-    # kills[v]: bit j set when a row of canonical value v kills column j,
-    # i.e. leaves it undesignated, so no G holding v can use that column
-    kills = [sum(1 << j for j, col in enumerate(columns) if col & rows) for rows in of_value]
+        undesignated.setdefault(m.algebra, []).append(set(range(m.algebra.size)) - m.filter_set())
+    # covers[k]: the columns killed by exactly the values in bitmask k, i.e.
+    # each leaves a row with a term of each such value undesignated, so no G
+    # holding one of them can use it; their rows ORed together
+    covers: dict[int, int] = {}
+    for alg, sets in undesignated.items():
+        for col in dict.fromkeys(closure.rows_in(sets, alg)):
+            k = sum(1 << v for v, rows in enumerate(of_value) if col & rows)
+            covers[k] = covers.get(k, 0) | col
 
     results = []
-    for subset in _subsets_sorted(n):
-        killed = outside = 0
-        for v in range(n):
-            if v in subset:
-                killed |= kills[v]
-            else:
-                outside |= of_value[v]
-        cover = 0
-        for j, col in enumerate(columns):
-            if not killed >> j & 1:
+    for subset in _subsets_sorted(len(of_value)):
+        held = sum(1 << v for v in subset)
+        outside = cover = 0
+        for v, rows in enumerate(of_value):
+            if not held >> v & 1:
+                outside |= rows
+        for k, col in covers.items():
+            if not k & held:
                 cover |= col
-        # G is a filter iff every row outside it is undesignated in some
-        # active column
+        # G is a filter iff every row with a term outside it is undesignated
+        # in some column that no value in G kills
         if outside & cover == outside:
             results.append(subset)
     return results
@@ -341,16 +345,27 @@ class FilterLattice(Frozen):
         return self.meet(g for g in self.filters if subset.issubset(g))
 
 
+# one closure per (logic, n), 4 at most, since memory grows with them: Ł3's
+# for n = 3 at depth 3 holds 117 KiB, the criterion-8 product's for n = 4
+# at depth 2 506 KiB
+@functools.lru_cache(maxsize=4)
+def _canonical_classes(logic: LogicPresentation, n: int) -> JointClosure:
+    """The term classes of the defining algebras over n canonical variables,
+    shared by the sweeps of every n-element algebra and grown as far as the
+    deepest of them reads; the cell budget is each sweep's own."""
+    return JointClosure(logic.signature, [m.algebra for m in logic.matrices],
+                        [f"v{i}" for i in range(n)], float("inf"), canonical=True)
+
+
 @functools.lru_cache(maxsize=1024)  # lattices hold no closures: about 0.8 kB each
 def _sweep(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
            cell_budget: int) -> FilterLattice:
     if logic.kind == RULES:
         return FilterLattice(alg, tuple(_rule_filters(logic, alg)))
-    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices],
-                           [f"v{i}" for i in range(alg.size)], cell_budget, target=alg)
-    depth_effective = closure.grow_to(depth_cap)
-    filters = _bounded_filter_subsets(logic, closure, alg.size)
-    return FilterLattice(alg, tuple(filters), depth_effective)
+    closure = _canonical_classes(logic, alg.size)
+    of_value, depth_effective = closure.canonical_rows(alg, depth_cap, cell_budget)
+    return FilterLattice(alg, tuple(_bounded_filter_subsets(logic, closure, of_value)),
+                         depth_effective)
 
 
 def filter_lattice(logic: LogicPresentation, alg: FiniteAlgebra,

@@ -1,13 +1,16 @@
 """Logic presentations: models, entailment, filters, Suszko congruences."""
 
 import collections
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 
 from law import logics
-from law.algebra import FiniteAlgebra, congruences_bruteforce, one_element, term_values
+from law.algebra import (FiniteAlgebra, congruences_bruteforce, eval_term, one_element,
+                         term_values)
 from law.clone import JointClosure, _joint_table
 from law.config import DEFAULTS
 from law.errors import CapExceeded, NotAFilter, SignatureMismatch, TermError
@@ -284,40 +287,87 @@ def test_product_logic_filters_decompose():
 # the joint closure against an oracle: evaluate every term
 
 
+def _blocks(logic):
+    return sorted({m.algebra for m in logic.matrices}, key=lambda a: a.sort_key())
+
+
 def _closure_rows(closure, blocks):
     """The closure's rows, each a tuple of its values on every block."""
     return [tuple(closure.values(i, b) for b in blocks) for i in closure.classes(closure.level)]
 
 
-def _sweep_closure(logic, alg, depth_cap, budget):
-    """The filter sweep's closure of `alg` under `logic`, over one canonical
-    variable per element, and its effective depth."""
+def _sweep_pairs(logic, alg, depth_cap, budget):
+    """The filter sweep's (row, canonical value) pairs for `alg` under
+    `logic`, each row as its values on every defining block, read from a
+    closure of its own over one canonical variable per element; and the
+    sweep's effective depth."""
     closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices],
-                           [f"v{i}" for i in range(alg.size)], budget, target=alg)
-    return closure, closure.grow_to(depth_cap)
+                           [f"v{i}" for i in range(alg.size)], float("inf"), canonical=True)
+    of_value, depth_effective = closure.canonical_rows(alg, depth_cap, budget)
+    rows = _closure_rows(closure, _blocks(logic))
+    pairs = {(rows[i], v) for v, lanes in enumerate(of_value)
+             for i, lane in enumerate(lanes.to_bytes(len(rows), "big")) if lane}
+    return pairs, depth_effective
 
 
-def _assert_classes(closure, sig, algebras, names, depth, target=None):
+def _joint_evaluations(logic, alg, depth):
+    """The (row, canonical value) pair of every term over the canonical
+    variables of depth <= `depth`: its values on each defining block at
+    every assignment, and its value in `alg` with variable i sent to i."""
+    names = [f"v{i}" for i in range(alg.size)]
+    canonical = dict(zip(names, range(alg.size)))
+    return {(tuple(bytes(term_values(b, t, names)) for b in _blocks(logic)),
+             eval_term(alg, t, canonical)) for t in enumerate_terms(logic.signature, names, depth)}
+
+
+def _filters_by_definition(logic, alg, pairs):
+    """The bounded filters on `alg` that the (row, value) pairs give by the
+    sweep's definition: G is a filter iff every pair of value outside G is
+    undesignated at some column of a defining matrix that designates every
+    pair of value in G. A pair's designated columns are one int, bit j for
+    column j."""
+    blocks = _blocks(logic)
+    columns = [(blocks.index(m.algebra), c, m.filter_set())
+               for m in logic.matrices for c in range(m.algebra.size ** alg.size)]
+    designated = [(sum(1 << j for j, (b, c, f) in enumerate(columns) if row[b][c] in f), v)
+                  for row, v in pairs]
+    every = (1 << len(columns)) - 1
+    filters = []
+    for k in range(alg.size + 1):
+        for g in itertools.combinations(range(alg.size), k):
+            active = functools.reduce(operator.and_, (d for d, v in designated if v in g), every)
+            if all(active & ~d for d, v in designated if v not in g):
+                filters.append(g)
+    return filters
+
+
+def _assert_classes(closure, sig, algebras, names, depth):
     """The closure's rows are the joint evaluations of the terms over `names`
-    of depth <= `depth`: in each algebra at every assignment and, when
-    `target` is no such algebra, in `target` at the canonical one (variable i
-    sent to element i). Each row comes once, in the order of the first term
-    with that row in `enumerate_terms`, and that term is the one `term`
-    rebuilds."""
+    of depth <= `depth` in each algebra at every assignment. Each row comes
+    once, in the order of the first term with that row in `enumerate_terms`,
+    and that term is the one `term` rebuilds."""
     blocks = sorted(set(algebras), key=lambda a: a.sort_key())
     first = {}
     for t in enumerate_terms(sig, names, depth):
-        row = tuple(bytes(term_values(b, t, names)) for b in blocks)
-        if target is not None and target not in blocks:
-            canonical = sum(i * target.size ** (target.size - 1 - i) for i in range(target.size))
-            row += (bytes([term_values(target, t, names)[canonical]]),)
-        first.setdefault(row, t)
-    if target is not None and target not in blocks:
-        blocks.append(target)
+        first.setdefault(tuple(bytes(term_values(b, t, names)) for b in blocks), t)
     rows = _closure_rows(closure, blocks)
     assert rows == list(first)
     for i, row in enumerate(rows):
         assert closure.term(i) == first[row]
+
+
+def _assert_sweep(logic, alg, depth_cap, budget):
+    """At every depth cap up to `depth_cap`, the sweep's (row, value) pairs
+    are the joint evaluations of the terms up to its effective depth, and
+    `deductive_filters`, through the cache shared by every algebra of this
+    size, gives the filters those evaluations define."""
+    for cap in range(depth_cap + 1):
+        pairs, depth_effective = _sweep_pairs(logic, alg, cap, budget)
+        assert pairs == _joint_evaluations(logic, alg, depth_effective), cap
+        assert deductive_filters(logic, alg, oracle_max=alg.size, depth_cap=cap,
+                                 cell_budget=budget) == _filters_by_definition(logic, alg, pairs)
+        assert filter_bounds(logic, alg, cap, budget, alg.size)["depth_effective"] == depth_effective
+        assert depth_effective <= cap
 
 
 def _closure_cases():
@@ -327,7 +377,7 @@ def _closure_cases():
     for i, size in enumerate((1, 2, 2, 3, 3)):
         table = [rng.randrange(size) for _ in range(size * size)]
         alg = FiniteAlgebra(IMP, size, {"→": table})
-        yield pytest.param(l3, alg, 3 if size < 3 else 2, None, id=f"luk3-on-size-{size}-{i}")
+        yield pytest.param(l3, alg, 3, None, id=f"luk3-on-size-{size}-{i}")
     yield pytest.param(l3, luk, 3, None, id="luk3-on-itself")
 
     constant = Signature({"c": 0, "f": 2})
@@ -357,7 +407,7 @@ def _closure_cases():
     # does too: 144 + 14 = 158 lanes, the 2-element block's digits in base 12
     twelve = FiniteAlgebra(IMP, 12, {"→": [(a * b + 1) % 12 for a in range(12) for b in range(12)]})
     alg = FiniteAlgebra(IMP, 2, {"→": [1, 1, 0, 1]})
-    yield pytest.param(matrices_logic([Matrix(twelve, (0,))]), alg, 2, None,
+    yield pytest.param(matrices_logic([Matrix(twelve, (0,))]), alg, 3, None,
                        id="joint-table-over-256")
 
     # s(a, b) = a + 1 ignores b, so each (s, head) batch yields one new row
@@ -368,18 +418,23 @@ def _closure_cases():
         cyclic = FiniteAlgebra(successor, n, {"c": [n - 1], "s": [(a + 1) % n for a in range(n)
                                                                  for _ in range(n)]})
         alg = FiniteAlgebra(successor, 2, {"c": [1], "s": [1, 1, 0, 0]})
-        yield pytest.param(matrices_logic([Matrix(cyclic, (0,))]), alg, 2, None,
+        yield pytest.param(matrices_logic([Matrix(cyclic, (0,))]), alg, 3, None,
                            id=f"repeated-row-and-nullary-{kind}")
+
+    # a class's set of values in a 9-element target no longer fits a byte
+    unary = Signature({"s": 1})
+    flip = FiniteAlgebra(unary, 2, {"s": [1, 0]})
+    alg = FiniteAlgebra(unary, 9, {"s": [(a + 1) % 9 for a in range(9)]})
+    yield pytest.param(matrices_logic([Matrix(flip, (0,))], variable_budget=9), alg, 3, None,
+                       id="nine-elements")
 
 
 @pytest.mark.parametrize("logic, alg, depth_cap, budget", _closure_cases())
 def test_closure_rows_are_the_joint_evaluations_of_bounded_terms(logic, alg, depth_cap, budget):
     budget = budget or DEFAULTS.closure_cell_budget
-    closure, depth_effective = _sweep_closure(logic, alg, depth_cap, budget)
-    _assert_classes(closure, logic.signature, [m.algebra for m in logic.matrices],
-                    [f"v{i}" for i in range(alg.size)], depth_effective, target=alg)
+    _assert_sweep(logic, alg, depth_cap, budget)
     if budget < DEFAULTS.closure_cell_budget:
-        assert depth_effective == 2
+        assert _sweep_pairs(logic, alg, depth_cap, budget)[1] == 2
 
 
 def test_a_joint_table_is_bytes_while_its_packed_blocks_fit_256_lanes():
@@ -425,16 +480,14 @@ def test_random_closures_are_the_joint_evaluations_of_bounded_terms():
     for _ in range(30):
         logic, alg, depth_cap = _random_closure_case(rng)
         algebras = [m.algebra for m in logic.matrices]
-        closure, depth_effective = _sweep_closure(logic, alg, depth_cap,
-                                                  DEFAULTS.closure_cell_budget)
-        _assert_classes(closure, logic.signature, algebras,
-                        [f"v{i}" for i in range(alg.size)], depth_effective, target=alg)
+        _assert_sweep(logic, alg, depth_cap, DEFAULTS.closure_cell_budget)
         # the witness searches' closures: x, or x and y, and no canonical column
         for names in (("x",), ("x", "y")):
             closure = JointClosure(logic.signature, algebras, names,
                                    DEFAULTS.closure_cell_budget)
-            depth_effective = closure.grow_to(depth_cap)
-            _assert_classes(closure, logic.signature, algebras, names, depth_effective)
+            while closure.level < depth_cap and closure.grow():
+                pass
+            _assert_classes(closure, logic.signature, algebras, names, closure.level)
 
 
 def test_bounded_filters_refuse_algebras_over_256_elements():
@@ -506,14 +559,13 @@ def test_suszko_and_reduced_filters_agree_with_the_definitions(logic, inventory)
         assert [m.filter for m in reduced_filters_on(logic, alg)] == want_reduced
 
 
-def test_filter_lattice_is_swept_once_per_key(monkeypatch):
+def test_filter_lattice_is_swept_once_per_key(monkeypatch, fresh_caches):
     calls = collections.Counter()
-    for name in ("JointClosure", "_bounded_filter_subsets", "_rule_filters"):
+    for name in ("_canonical_classes", "_bounded_filter_subsets", "_rule_filters"):
         def counted(*args, real=getattr(logics, name), name=name, **kw):
             calls[name] += 1
             return real(*args, **kw)
         monkeypatch.setattr(logics, name, counted)
-    logics._sweep.cache_clear()
     for logic, alg in ((PAIR, bool2()), (NABLA, imp2())):
         def every_reader():
             filters = deductive_filters(logic, alg)
@@ -533,28 +585,92 @@ def test_filter_lattice_is_swept_once_per_key(monkeypatch):
     assert calls == swept
 
 
-def test_repeated_inventory_scans_sweep_each_algebra_once():
+def test_repeated_inventory_scans_sweep_each_algebra_once(fresh_caches):
     # basic-proto's inventory has 65 algebras: a cache smaller than that
     # evicts every lattice before the second scan reads it
     entry = build("basic-proto")
-    logics._sweep.cache_clear()
     for _ in range(2):
         check_class("truth_equational", entry.logic, entry.inventory)
     assert logics._sweep.cache_info().misses == len(set(entry.inventory)) == 65
 
 
-def test_filter_bounds_keeps_the_carrier_cap(monkeypatch):
+def test_filter_bounds_keeps_the_carrier_cap(monkeypatch, fresh_caches):
     pointed = matrices_logic([Matrix(pointed_set(2), (0,))])
     sweeps = []
     real = logics._bounded_filter_subsets
     monkeypatch.setattr(logics, "_bounded_filter_subsets",
                         lambda *a: sweeps.append(a) or real(*a))
-    logics._sweep.cache_clear()
     with pytest.raises(CapExceeded, match="filter sweep cap 6"):
         filter_bounds(pointed, pointed_set(7))
     assert not sweeps
     assert filter_bounds(pointed, pointed_set(7), oracle_max=7)["depth_effective"] == 3
     assert len(sweeps) == 1
+
+
+LUK3 = FiniteAlgebra(IMP, 3, {"→": [min(2, 2 - a + b) for a in range(3) for b in range(3)]})
+L3 = matrices_logic([Matrix(LUK3, (2,))], name="Ł3")
+# two three-element targets that are no defining algebra of Ł3
+TARGETS = (FiniteAlgebra(IMP, 3, {"→": [1, 2, 0, 0, 0, 1, 2, 2, 1]}),
+           FiniteAlgebra(IMP, 3, {"→": [2, 2, 2, 0, 2, 2, 0, 1, 2]}))
+
+
+def _read(logic, alg, **caps):
+    return deductive_filters(logic, alg, **caps), filter_bounds(logic, alg, **caps)
+
+
+def _cold(logic, alg, **caps):
+    logics._sweep.cache_clear()
+    logics._canonical_classes.cache_clear()
+    return _read(logic, alg, **caps)
+
+
+def test_targets_of_one_size_share_the_defining_classes(fresh_caches):
+    warm = [_read(L3, alg) for alg in TARGETS]
+    info = logics._canonical_classes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert warm == [_cold(L3, alg) for alg in TARGETS]
+
+
+@pytest.mark.parametrize("alg", TARGETS + (LUK3,), ids=("target-0", "target-1", "luk3-itself"))
+def test_warm_shared_classes_sweep_as_cold_ones(alg, fresh_caches):
+    # each sweep reads the classes the one before it grew: depth 2, then
+    # depth 3, then depth 2 again, stopped by the budget under classes of depth 3
+    sweeps = [{"depth_cap": 2}, {"depth_cap": 3}, {"depth_cap": 3, "cell_budget": 10_000}]
+    cold = [_cold(L3, alg, **caps) for caps in sweeps]
+    logics._sweep.cache_clear()
+    logics._canonical_classes.cache_clear()
+    assert [_read(L3, alg, **caps) for caps in sweeps] == cold
+    assert logics._canonical_classes.cache_info().misses == 1
+    assert [bounds["depth_effective"] for _, bounds in cold] == [2, 3, 2]
+
+
+def test_an_error_part_way_through_a_level_leaves_the_shared_classes_whole(monkeypatch,
+                                                                         fresh_caches):
+    _read(L3, TARGETS[0], depth_cap=2)
+    closure = logics._canonical_classes(L3, 3)
+    real = closure._candidates
+
+    def interrupted():
+        for k, batch in enumerate(real()):
+            if k == 40:  # well into level 3, past batches that add classes
+                raise MemoryError
+            yield batch
+
+    monkeypatch.setattr(closure, "_candidates", interrupted)
+    with pytest.raises(MemoryError):
+        _read(L3, TARGETS[1], depth_cap=3)
+    monkeypatch.undo()
+    assert (closure.level, len(closure._index)) == (2, len(closure._rows))
+    assert _read(L3, TARGETS[1], depth_cap=3) == _cold(L3, TARGETS[1], depth_cap=3)
+
+
+def test_the_cell_budget_counts_the_target_column():
+    # level 3 needs rows**2 * width cells, the rows being (class, value)
+    # pairs: 81 over Ł3's 27 columns and the target's own, or Ł3's 52
+    # classes over its 27 columns for Ł3 itself
+    for alg, need in ((TARGETS[0], 81**2 * 28), (LUK3, 52**2 * 27)):
+        assert filter_bounds(L3, alg, 3, need)["depth_effective"] == 3
+        assert filter_bounds(L3, alg, 3, need - 1)["depth_effective"] == 2
 
 
 def test_returned_lists_are_fresh():
