@@ -22,10 +22,16 @@ from law.gallery import (
     verify_entry,
     write_entry,
 )
-from law.hierarchy import derive_theorems, find_injective_theorem, nabla_theorem_oracle
+from law.hierarchy import (
+    CLASS_NAMES,
+    check_class,
+    derive_theorems,
+    find_injective_theorem,
+    nabla_theorem_oracle,
+)
 from law.logics import entails, matrices_logic
 from law.matrices import Matrix
-from law.serialize import fingerprint, load_matrix
+from law.serialize import fingerprint, load_matrix, payload_to_json
 from law.terms import App, Var, enumerate_terms, parse_term, to_sexpr
 
 X, Y = Var("x"), Var("y")
@@ -103,6 +109,16 @@ def test_written_files_at_the_defaults_are_pinned(tmp_path):
                 docs[file] = json.load(fh)
         got[name] = fingerprint(docs)
     assert got == pinned
+
+
+def test_class_reports_at_the_defaults_are_pinned():
+    """fingerprint of {"<class> <entry>": report JSON} for every class check
+    on every gallery entry that has a logic and an inventory"""
+    entries = [e for e in map(build, GALLERY_NAMES) if e.logic is not None and e.inventory]
+    assert len(entries) == 7
+    reports = {f"{cls} {e.name}": payload_to_json(check_class(cls, e.logic, e.inventory))
+               for e in entries for cls in CLASS_NAMES}
+    assert fingerprint(reports) == "54ce0f7c44e72c23"
 
 
 def test_the_config_reaches_the_injective_search_and_verify_entry():

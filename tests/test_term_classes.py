@@ -147,11 +147,14 @@ def test_searches_agree_with_the_per_term_references():
                 consequence = consequence_presentation(logic, inventory)
                 assert verify_protoalgebraic_witness(consequence, got.terms)
             answers += 1
-        if logic.kind != RULES:
-            # reduced models from depth-2 filter sweeps: cheaper, and as good
+        # reduced models from depth-2 filter sweeps: cheaper, and as good; a
+        # rule logic's chaining cap is max(depth, depth_default), so its
+        # search runs at depth_default 3 too
+        for depth_cap in (2, 3) if logic.kind == RULES else (2,):
             got = find_injective_theorem(logic, inventory, 2,
-                                         config=DEFAULTS.override(depth_default=2))
-            assert got == reference_injective_theorem(logic, inventory, 2, 2), name
+                                         config=DEFAULTS.override(depth_default=depth_cap))
+            assert got == reference_injective_theorem(logic, inventory, 2, depth_cap), \
+                (name, depth_cap)
             answers += 1
     assert answers >= 850
 
