@@ -102,9 +102,6 @@ class FiniteAlgebra(Frozen):
             _set_neighbours(self, tuple(itertools.chain.from_iterable(rows)))
         return self._neighbours
 
-    def carrier(self) -> range:
-        return range(self.size)
-
     def sort_key(self):
         return (self.size, self.signature.symbols, self.tables)
 

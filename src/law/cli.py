@@ -123,7 +123,7 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     try:
         config = load_config(args.config)
         code, result, summary = args.handler(args, config, inputs)
-    except (LawError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (LawError, OSError, ValueError, KeyError) as exc:
         report = {
             "command": list(argv),
             "error": f"{type(exc).__name__}: {exc}",

@@ -138,10 +138,10 @@ def _small_algebras(sig: Signature) -> tuple[FiniteAlgebra, ...]:
 _NABLA_RULES = (Rule((), App("→", (X, X))), Rule([X, App("→", (X, Y))], Y))
 
 
-def nabla_hat(max_depth: int = 2, params: Sequence[str] = ("z1",)) -> list[Term]:
-    """Implication instances phi(x, zs) → phi(y, zs) of bounded depth."""
+def nabla_hat(max_depth: int = 2) -> list[Term]:
+    """Implication instances phi(x, z1) → phi(y, z1) of bounded depth."""
     out = []
-    for phi in enumerate_terms(IMP_SIG, ("x", *params), max_depth - 1):
+    for phi in enumerate_terms(IMP_SIG, ("x", "z1"), max_depth - 1):
         out.append(App("→", (phi, substitute(phi, {"x": Y}))))
     return out
 

@@ -8,7 +8,9 @@ and every verdict records that through its bounds. Every check and search
 takes one `Config` and runs its filter sweeps, consequence matrices and term
 classes under that config's caps; a search's own `depth` is its argument.
 
-The witness searches over matrices (theorems and injective theorems of a
+`theorem_search` and `find_injective_theorem` read one stream of theorems
+in x (`_theorems`), each with a reader of its values on an algebra. The
+witness searches over matrices (theorems and injective theorems of a
 matrix presentation, protoalgebraic sets of any presentation through its
 consequence matrices) read one stream of term classes from the joint closure
 of `clone`: terms with equal values in every matrix are interchangeable in
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import FiniteAlgebra, term_values
 from .clone import JointClosure
@@ -42,8 +44,9 @@ from .logics import (
     entails,
     filter_lattice,
     filter_notion,
-    models_presentation,
+    matrices_logic,
     reduced_filters_on,
+    reduced_models,
 )
 from .matrices import submatrices
 from .serialize import inventory_fingerprint
@@ -242,24 +245,44 @@ def consequence_presentation(
         return logic
     if inventory is None:
         raise ValueError("a rule presentation needs an inventory to decide consequence")
-    return models_presentation(logic, inventory, config)
+    mats = reduced_models(logic, inventory, config)
+    if not mats:
+        raise ValueError("inventory produced no reduced models")
+    return matrices_logic(mats, name=f"reduced models of {logic.name or logic.kind}",
+                          variable_budget=logic.variable_budget)
 
 
-def standard_bounds(
-    logic: LogicPresentation,
-    inventory: Optional[Sequence[FiniteAlgebra]],
-    depth: int,
-    **extra,
-) -> dict:
-    out = {
+def standard_bounds(logic: LogicPresentation, inventory: Sequence[FiniteAlgebra],
+                    depth: int) -> dict:
+    return {
         "filter_notion": filter_notion(logic),
         "variable_budget": logic.variable_budget,
         "depth": depth,
+        "inventory": inventory_fingerprint(inventory),
     }
-    if inventory is not None:
-        out["inventory"] = inventory_fingerprint(list(inventory))
-    out.update(extra)
-    return out
+
+
+def _theorems(
+    logic: LogicPresentation,
+    depth: int,
+    chain_cap: int,
+    config: Config,
+    algebras: Iterable[FiniteAlgebra] = (),
+) -> Iterator[tuple[Term, Callable[[FiniteAlgebra], Sequence[int]]]]:
+    """The theorems in x of depth <= `depth`, in enumeration order, each with
+    a reader of its values on an algebra at every value of x. A rule
+    presentation's are the enumerated terms among its theorems by saturation
+    up to depth `chain_cap`, read by evaluation on any algebra; a matrix
+    presentation's are the term classes designated in every matrix column,
+    read off the closure on a defining algebra or one of `algebras`."""
+    if logic.kind == RULES:
+        theorems = derive_theorems(logic, ("x",), chain_cap)
+        return ((t, functools.partial(term_values, t=t, variables=("x",)))
+                for t in enumerate_terms(logic.signature, ("x",), depth) if t in theorems)
+    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices] + list(algebras),
+                           ("x",), config.closure_cell_budget)
+    return ((closure.term(i), functools.partial(closure.values, i))
+            for i in closure.theorems(logic.matrices, depth))
 
 
 def theorem_search(
@@ -268,16 +291,9 @@ def theorem_search(
     config: Config = DEFAULTS,
 ) -> Optional[Term]:
     """First theorem in x of depth <= `depth`, in enumeration order, if any:
-    by saturation for a rule presentation, else the first term class
-    designated in every matrix column."""
-    if logic.kind == RULES:
-        theorems = derive_theorems(logic, ("x",), depth)
-        return next((t for t in enumerate_terms(logic.signature, ("x",), depth)
-                     if t in theorems), None)
-    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices], ("x",),
-                           config.closure_cell_budget)
-    hit = next(closure.theorems(logic.matrices, depth), None)
-    return None if hit is None else closure.term(hit)
+    by saturation up to depth `depth` for a rule presentation, else the first
+    term class designated in every matrix column."""
+    return next((t for t, _ in _theorems(logic, depth, depth, config)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -339,26 +355,28 @@ def find_protoalgebraic_witness(
     return None
 
 
-def monotonicity_probe_on_filters(
-    alg: FiniteAlgebra, filters: Sequence[Sequence[int]], **bounds
-) -> Verdict:
+def monotonicity_probe_on_filters(alg: FiniteAlgebra, filters: Sequence[Sequence[int]]) -> Verdict:
     """Compare Leibniz congruences along inclusions within a given filter list."""
     filt = tuple(tuple(sorted(set(f))) for f in filters)
-    return _monotonicity_probe(FilterLattice(alg, filt), bounds)
+    return _monotonicity_probe([FilterLattice(alg, filt)], {})
 
 
-def _monotonicity_probe(lattice: FilterLattice, bounds: dict) -> Verdict:
-    filt = sorted(lattice.filters)
-    for small, large in itertools.product(filt, repeat=2):
-        if small == large or not set(small) <= set(large):
-            continue
-        omega_small, omega_large = lattice.omega(small), lattice.omega(large)
-        if not omega_small.refines(omega_large):
-            return fails(
-                {"algebra": lattice.algebra, "filter_small": small, "filter_large": large,
-                 "omega_small": omega_small, "omega_large": omega_large},
-                **bounds,
-            )
+def _monotonicity_probe(lattices: Iterable[FilterLattice], bounds: dict) -> Verdict:
+    """Fails at the first lattice, in order, with filters F within G whose
+    Leibniz congruences are not ordered by refinement; reads each lattice
+    only once the ones before it hold."""
+    for lattice in lattices:
+        filt = sorted(lattice.filters)
+        for small, large in itertools.product(filt, repeat=2):
+            if small == large or not set(small) <= set(large):
+                continue
+            omega_small, omega_large = lattice.omega(small), lattice.omega(large)
+            if not omega_small.refines(omega_large):
+                return fails(
+                    {"algebra": lattice.algebra, "filter_small": small, "filter_large": large,
+                     "omega_small": omega_small, "omega_large": omega_large},
+                    **bounds,
+                )
     return holds(**bounds)
 
 
@@ -370,13 +388,10 @@ def leibniz_monotonicity_probe(
     """Fails when some inventory algebra carries filters F within G whose
     Leibniz congruences are not ordered by refinement; a necessary condition
     for protoalgebraicity, so a failure on exact filters is conclusive."""
-    bounds = standard_bounds(logic, inventory, config.depth_default)
-    for alg in sorted(inventory, key=lambda a: a.sort_key()):
-        lattice = filter_lattice(logic, alg, **config.caps())
-        verdict = _monotonicity_probe(lattice, bounds)
-        if verdict.fails:
-            return verdict
-    return holds(**bounds)
+    caps = config.caps()
+    inv = sorted(inventory, key=lambda a: a.sort_key())
+    return _monotonicity_probe((filter_lattice(logic, alg, **caps) for alg in inv),
+                               standard_bounds(logic, inv, config.depth_default))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +416,11 @@ def check_class(
     if any(alg.signature != logic.signature for alg in inv):
         raise SignatureMismatch("algebra signature differs from the logic's")
 
-    if class_name == "has_theorems":
+    if class_name == "assertional":
+        for m in reduced_models(logic, inv, config):
+            if len(m.filter) != 1:
+                return fails({"reason": "non-singleton reduced filter", "model": m}, **bounds)
+    if class_name in ("assertional", "has_theorems"):
         t = theorem_search(logic, depth, config)
         return holds(t, **bounds) if t is not None else unknown(**bounds)
 
@@ -439,62 +458,46 @@ def check_class(
         if logic.kind == RULES:
             # protoalgebraic iff Ω is monotone on the filters (Blok and
             # Pigozzi); only exact filters make a non-monotone pair conclusive
-            probe = leibniz_monotonicity_probe(logic, inv, config)
+            probe = _monotonicity_probe((filter_lattice(logic, alg, **caps) for alg in inv), bounds)
             if probe.fails:
-                return fails(probe.witness, **bounds)
+                return probe
         witness = find_protoalgebraic_witness(logic, depth, max_set, inv, config)
         if witness is None:
             return unknown(**bounds)
         if class_name == "protoalgebraic":
             return holds(witness, **bounds)
+        for m in reduced_models(logic, inv, config):
+            for sub in submatrices(m, cap=config.oracle_max + 2):
+                if sub not in reduced_filters_on(logic, sub.algebra, **caps):
+                    return fails(
+                        {"reason": "submatrix of a reduced model is not reduced",
+                         "model": m, "submatrix": sub, "witness": witness},
+                        **bounds,
+                    )
+        return holds(witness, **bounds)
 
-    reduced = {alg: reduced_filters_on(logic, alg, **caps) for alg in inv}
-
-    if class_name == "assertional":
-        for alg in inv:
-            for m in reduced[alg]:
-                if len(m.filter) != 1:
-                    return fails({"reason": "non-singleton reduced filter", "model": m}, **bounds)
-        t = theorem_search(logic, depth, config)
-        return holds(t, **bounds) if t is not None else unknown(**bounds)
-
-    if class_name == "truth_equational":
-        # uniqueness of the nonempty reduced truth set per algebra
-        for alg in inv:
-            nonempty = [m for m in reduced[alg] if m.filter]
+    # truth_equational and truth_minimal compare the reduced filters on each algebra
+    for alg, models in itertools.groupby(reduced_models(logic, inv, config),
+                                         key=operator.attrgetter("algebra")):
+        filters = [m.filter for m in models]
+        if class_name == "truth_equational":
+            # uniqueness of the nonempty reduced truth set per algebra
+            nonempty = [f for f in filters if f]
             if len(nonempty) >= 2:
                 return fails(
                     {"reason": "two reduced filters on one algebra",
-                     "algebra": alg,
-                     "filters": (nonempty[0].filter, nonempty[1].filter)},
+                     "algebra": alg, "filters": tuple(nonempty[:2])},
                     **bounds,
                 )
-        return holds(**bounds)
-
-    if class_name == "truth_minimal":
-        for alg in inv:
-            for small, large in itertools.product(reduced[alg], repeat=2):
-                if small.filter and set(small.filter) < set(large.filter):
-                    return fails(
-                        {"reason": "reduced filter properly inside another",
-                         "algebra": alg, "filters": (small.filter, large.filter)},
-                        **bounds,
-                    )
-        return holds(**bounds)
-
-    if class_name == "equivalential":
-        for alg in inv:
-            for m in reduced[alg]:
-                for sub in submatrices(m, cap=config.oracle_max + 2):
-                    if sub not in reduced_filters_on(logic, sub.algebra, **caps):
-                        return fails(
-                            {"reason": "submatrix of a reduced model is not reduced",
-                             "model": m, "submatrix": sub, "witness": witness},
-                            **bounds,
-                        )
-        return holds(witness, **bounds)
-
-    raise UnknownName(class_name)
+            continue
+        for small, large in itertools.product(filters, repeat=2):
+            if small and set(small) < set(large):
+                return fails(
+                    {"reason": "reduced filter properly inside another",
+                     "algebra": alg, "filters": (small, large)},
+                    **bounds,
+                )
+    return holds(**bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -511,24 +514,10 @@ def find_injective_theorem(
     every reduced inventory model: for a matrix presentation, the first
     theorem class whose slice on each model's algebra has no repeated
     value."""
-    inv = sorted(inventory, key=lambda a: a.sort_key())
-    models = [m for alg in inv for m in reduced_filters_on(logic, alg, **config.caps())]
-    if logic.kind == RULES:
-        theorems = derive_theorems(logic, ("x",), max(depth, config.depth_default))
-        return next((t for t in enumerate_terms(logic.signature, ("x",), depth)
-                     if t in theorems and all(_injective_on(m.algebra, t) for m in models)),
-                    None)
-    algs = {m.algebra for m in models}
-    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices] + list(algs),
-                           ("x",), config.closure_cell_budget)
-    for i in closure.theorems(logic.matrices, depth):
-        if all(len(set(closure.values(i, a))) == a.size for a in algs):
-            return closure.term(i)
-    return None
-
-
-def _injective_on(alg: FiniteAlgebra, t: Term) -> bool:
-    return len(set(term_values(alg, t, ("x",)))) == alg.size
+    algs = list(dict.fromkeys(m.algebra for m in reduced_models(logic, inventory, config)))
+    return next((t for t, values in _theorems(logic, depth, max(depth, config.depth_default),
+                                              config, algs)
+                 if all(len(set(values(a))) == a.size for a in algs)), None)
 
 
 def check_admissibility_bounded(

@@ -412,14 +412,12 @@ def filter_bounds(
     oracle_max: int = DEFAULTS.oracle_max,
 ) -> dict:
     """Metadata describing the filter notion used on this algebra; reads the
-    filter lattice of a matrix presentation, under the same carrier cap."""
+    filter lattice, so it runs the same guards as `filter_lattice`."""
+    lattice = filter_lattice(logic, alg, oracle_max, depth_cap, cell_budget)
     meta = {"filter_notion": filter_notion(logic), "variable_budget": logic.variable_budget}
     if logic.kind == MATRICES:
         meta["depth_cap"] = depth_cap
-        lattice = filter_lattice(logic, alg, oracle_max, depth_cap, cell_budget)
         meta["depth_effective"] = lattice.depth_effective
-    elif logic.signature != alg.signature:
-        raise SignatureMismatch("algebra signature differs from the logic's")
     return meta
 
 
@@ -454,21 +452,13 @@ def reduced_filters_on(
     return [Matrix(alg, g) for g in lattice.filters if lattice.suszko(g).is_identity()]
 
 
-def models_presentation(
+def reduced_models(
     logic: LogicPresentation,
-    inventory: Sequence[FiniteAlgebra],
+    inventory: Iterable[FiniteAlgebra],
     config: Config = DEFAULTS,
-) -> LogicPresentation:
-    """Matrix presentation collecting the reduced models over an inventory.
-
-    Used to decide consequence for rule-presented logics; the result is a
-    bounded stand-in and is flagged as such by its notion.
-    """
-    inv = sorted(inventory, key=lambda a: a.sort_key())
-    mats = [m for alg in inv for m in reduced_filters_on(logic, alg, **config.caps())]
-    if not mats:
-        raise ValueError("inventory produced no reduced models")
-    return matrices_logic(
-        mats, name=f"reduced models of {logic.name or logic.kind}",
-        variable_budget=logic.variable_budget,
-    )
+) -> list[Matrix]:
+    """Every reduced model on the inventory's distinct algebras, the
+    algebras in `sort_key` order and each one's filters in lattice order."""
+    caps = config.caps()
+    return [m for alg in sorted(set(inventory), key=lambda a: a.sort_key())
+            for m in reduced_filters_on(logic, alg, **caps)]

@@ -15,7 +15,7 @@ from .logics import (
     filter_lattice,
     filter_notion,
     is_model,
-    reduced_filters_on,
+    reduced_models,
 )
 from .serialize import inventory_fingerprint
 from .terms import App, Signature, Term, Var, check_term, substitute, variables
@@ -109,24 +109,22 @@ def check_interpretation_bounded(
         raise SignatureMismatch("translation source differs from the source logic")
     if tau.target != target_logic.signature:
         raise SignatureMismatch("translation target differs from the target logic")
-    inv = sorted(inventory, key=lambda a: a.sort_key())
     bounds = {
         "depth_cap": config.depth_default,
-        "inventory": inventory_fingerprint(inv),
+        "inventory": inventory_fingerprint(inventory),
         "filter_notion": f"{filter_notion(source_logic)}/{filter_notion(target_logic)}",
         "variable_budget": target_logic.variable_budget,
     }
     caps = config.caps()
-    reduced = [m for alg in inv for m in reduced_filters_on(target_logic, alg, **caps)]
+    reduced = reduced_models(target_logic, inventory, config)
 
     if source_logic.kind == RULES:
+        translated = [Rule([translate_term(tau, p) for p in rule.premises],
+                           translate_term(tau, rule.conclusion))
+                      for rule in source_logic.rules]
         for model in reduced:
-            for rule in source_logic.rules:
-                translated = Rule(
-                    [translate_term(tau, p) for p in rule.premises],
-                    translate_term(tau, rule.conclusion),
-                )
-                if not is_model(model, translated):
+            for rule, image in zip(source_logic.rules, translated):
+                if not is_model(model, image):
                     return fails(
                         {"reason": "translated rule fails on a reduced target model",
                          "model": model, "rule": rule},

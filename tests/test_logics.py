@@ -26,6 +26,7 @@ from law.logics import (
     is_model,
     matrices_logic,
     reduced_filters_on,
+    reduced_models,
     rules_logic,
     suszko_congruence,
 )
@@ -249,6 +250,11 @@ def test_reduced_filters_on():
     assert pair_reduced == {(), (0,), (1,)}
     trivial = reduced_filters_on(ASSERTIONAL, one_element(POINTED))
     assert [m.filter for m in trivial] == [(0,)]
+    # over an inventory: each distinct algebra once, in sort_key order, so a
+    # repeated algebra adds no second truth set to the per-algebra checks
+    models = reduced_models(ASSERTIONAL, [pointed_set(3), pointed_set(1), pointed_set(3)])
+    assert [(m.algebra.size, m.filter) for m in models] == [(1, (0,)), (3, (0,))]
+    assert check_class("truth_equational", NABLA, [imp2(), imp2()]).holds
 
 
 def test_reduced_models_validate_their_rules():
@@ -605,6 +611,11 @@ def test_filter_bounds_keeps_the_carrier_cap(monkeypatch, fresh_caches):
     assert not sweeps
     assert filter_bounds(pointed, pointed_set(7), oracle_max=7)["depth_effective"] == 3
     assert len(sweeps) == 1
+    # the exact notion has no closure to bound, but the same carrier cap
+    with pytest.raises(CapExceeded, match="carrier 7 exceeds the filter sweep cap 6"):
+        filter_bounds(ASSERTIONAL, pointed_set(7))
+    assert filter_bounds(ASSERTIONAL, pointed_set(7), oracle_max=7) == {
+        "filter_notion": "exact", "variable_budget": ASSERTIONAL.variable_budget}
 
 
 LUK3 = FiniteAlgebra(IMP, 3, {"→": [min(2, 2 - a + b) for a in range(3) for b in range(3)]})
