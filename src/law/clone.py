@@ -21,7 +21,6 @@ Nothing outside this module knows how a class is stored.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -61,9 +60,9 @@ from .terms import App, Signature, Term, Var
 # a class's first term are first terms of their own classes (swapping in an
 # earlier argument of the same class gives an earlier term of the same
 # class). So the first tuple that yields a new row spells the first term of
-# its class, and the rows come in the order of those first terms. The
-# closure keeps one record per (symbol, head) batch that adds rows, enough
-# to rebuild that term on demand (`JointClosure.term`).
+# its class, and the rows come in the order of those first terms. Each new
+# row records that tuple, its symbol and argument rows, as it is found:
+# enough to rebuild its first term on demand (`JointClosure.term`).
 #
 # A target algebra of the filter sweep needs no column of its own. Each
 # class keeps a bitmask of the values in the target, at the canonical
@@ -182,7 +181,8 @@ class JointClosure:
                 self._terms[len(self._rows)] = Var(name)
                 self._rows.append(row)
             self._variables.append(self._index[row])
-        self._batches: list[tuple] = []  # (first new row, symbol, head rows)
+        # each row's first term's symbol and argument rows; none for a variable
+        self._origins: list[Optional[tuple[str, tuple[int, ...]]]] = [None] * len(self._rows)
         self._old = 0  # rows that predate the previous level's new ones
         # a canonical closure's tuples per level L + 1, for `canonical_rows`:
         # (symbol, head rows, first tail row, the row each tail yields)
@@ -226,8 +226,8 @@ class JointClosure:
         """Build the next level. False, building nothing, when it would pass
         the cell budget or, setting `saturated`, when it adds no row. An
         error part-way through a level leaves the closure as it was."""
-        rows, index, batches, width = self._rows, self._index, self._batches, self._width
-        count, recorded = len(rows), len(batches)
+        rows, index, origins, width = self._rows, self._index, self._origins, self._width
+        count = len(rows)
         projected = sum(count**arity if arity else 1 for _, arity in self._syms) * width
         if self.saturated or projected > self.cell_budget:
             return False
@@ -242,18 +242,18 @@ class JointClosure:
                 if split is None:
                     split = splits[len(out)] = struct.Struct(f"{width}s" * (len(out) // width)).unpack
                 keys = split(out)
-                if not all(map(index.__contains__, keys)):  # record the batch when it adds a row
-                    batches.append((count + len(fresh), sym, head))
-                    for k in keys:
+                if not all(map(index.__contains__, keys)):
+                    for tail, k in enumerate(keys, start):
                         if k not in index:
                             index[k] = count + len(fresh)
                             fresh.append(k)
+                            origins.append((sym, (*head, tail) if self._arity[sym] else ()))
                 if self._yields is not None:
                     tuples.append((sym, head, start, list(map(index.__getitem__, keys))))
         except BaseException:
             for k in fresh:
                 del index[k]
-            del batches[recorded:]
+            del origins[count:]
             raise
         if self._yields is not None:
             self._yields.append(tuples)
@@ -280,23 +280,11 @@ class JointClosure:
                                   f"classes at depth {self.level} of {depth}")
 
     def term(self, i: int) -> Term:
-        """The first term of class i in `enumerate_terms` order: its batch's
-        symbol applied to the head rows and the first tail row that yields
-        row i, each argument rebuilt in turn. The tails are searched from
-        row 0, cell by cell: a tuple the batch skipped has only rows that
-        predate the previous level, so it yields an older row."""
+        """The first term of class i in `enumerate_terms` order: its origin's
+        symbol applied to its argument rows' first terms."""
         got = self._terms.get(i)
         if got is None:
-            first, sym, head = self._batches[
-                bisect.bisect_right(self._batches, i, key=operator.itemgetter(0)) - 1]
-            rows, base, table, want = self._rows, self._base, self._tables[sym], self._rows[i]
-            args = ()
-            if self._arity[sym]:
-                # each column's lane index with the head rows in place
-                lanes = [tag + base * functools.reduce(lambda x, h: x * base + rows[h][c], head, 0)
-                         for c, tag in enumerate(self._tags[self._arity[sym]])]
-                args = head + (next(t for t in range(first) if all(
-                    table[lane + v] == w for lane, v, w in zip(lanes, rows[t], want))),)
+            sym, args = self._origins[i]
             got = self._terms[i] = App(sym, tuple(map(self.term, args)))
         return got
 

@@ -85,10 +85,8 @@ def imp2() -> FiniteAlgebra:
     return FiniteAlgebra(IMP_SIG, 2, {"→": (1, 1, 0, 1)}, name="B2→")
 
 
-def pointed_set(n: int, point: int = 0) -> FiniteAlgebra:
-    if not 0 <= point < n:
-        raise ValueError("point out of range")
-    return FiniteAlgebra(POINTED_SIG, n, {"⊤": (point,) * n}, name=f"pointed{n}")
+def pointed_set(n: int) -> FiniteAlgebra:
+    return FiniteAlgebra(POINTED_SIG, n, {"⊤": (0,) * n}, name=f"pointed{n}")
 
 
 def boolean_algebras_up_to(max_size: int = 4) -> list[FiniteAlgebra]:

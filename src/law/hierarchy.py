@@ -525,17 +525,16 @@ def check_admissibility_bounded(
     rule: Rule,
     subst_depth: int = 2,
     theorem_oracle: Optional[Callable[[Term], bool]] = None,
-    pool: Sequence[str] = ("x", "y", "z1"),
-    chain_depth: int = 4,
 ) -> Verdict:
     """For every substitution of bounded depth: if all premise instances are
     theorems, the conclusion instance must be one. Fails carries the
     substitution. Theoremhood comes from the supplied oracle or, for rule
-    presentations, bounded forward chaining."""
+    presentations, forward chaining to depth 4 over the substitutions' pool."""
+    pool = ("x", "y", "z1")  # the variables of the substituted terms
     if theorem_oracle is None:
         if logic.kind != RULES:
             raise ValueError("need a theorem oracle or a rule presentation")
-        theorems = derive_theorems(logic, pool, chain_depth)
+        theorems = derive_theorems(logic, pool, 4)
         theorem_oracle = lambda t: t in theorems
     bounds = {
         "subst_depth": subst_depth,

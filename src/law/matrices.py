@@ -9,6 +9,7 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     FiniteAlgebra,
     _induced,
+    _set_subuniverses,
     largest_congruence_below,
     nonindexed_product,
     product_encode,
@@ -109,7 +110,7 @@ def subuniverses(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max + 2) -> list
             below = generated[mask ^ (1 << top)]
             generated.append(below if top in below else _close(n, ops, below, (top,)))
         subs = tuple(sorted(set(generated[1:]), key=lambda s: (len(s), s)))
-        object.__setattr__(alg, "_subuniverses", subs)
+        _set_subuniverses(alg, subs)
     return list(alg._subuniverses)
 
 

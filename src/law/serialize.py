@@ -6,7 +6,7 @@ Formats:
   "ops": {sym: nested-array}}`` where nested array depth equals the arity
   and a nullary op is a bare integer
 * matrix: ``{"algebra": <inline algebra | {"path": str}>, "filter": [ints]}``
-* logic: ``{"signature": {...}, "kind": "rules"|"matrices",
+* logic: ``{"name": str, "signature": {...}, "kind": "rules"|"matrices",
   "rules": [{"premises": [sexpr], "conclusion": sexpr}],
   "matrices": [matrix], "variable_budget": int}``
 * translation: ``{"source": sig, "target": sig, "map": {sym: sexpr}}``
@@ -27,7 +27,7 @@ from .config import VARIABLE_BUDGET
 from .errors import LawError
 from .matrices import Matrix
 from .partitions import Partition
-from .terms import Signature, parse_term, to_sexpr
+from .terms import Signature, Term, parse_term, to_sexpr
 
 if TYPE_CHECKING:
     from .logics import LogicPresentation, Rule
@@ -59,8 +59,8 @@ def file_fingerprint(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shapes: a value of the wrong JSON type raises LawError naming its field, and
-# the loaders add the file
+# shapes: a value of the wrong JSON type, or a field the loader does not
+# read, raises LawError naming the field, and the loaders add the file
 
 
 _TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
@@ -72,6 +72,13 @@ def _expect(value: Any, kind: type, what: str) -> Any:
         got = _TYPE_NAMES.get(type(value), type(value).__name__)
         raise LawError(f"{what} must be {_TYPE_NAMES[kind]}, got {got}")
     return value
+
+
+def _only(data: dict, fields: tuple[str, ...], what: str = "the document") -> None:
+    """Refuse a field outside `fields`; called after the reads, so a missing field is named first."""
+    stray = sorted(data.keys() - set(fields))
+    if stray:
+        raise LawError(f"{what} has no field {stray[0]!r} (known: {', '.join(sorted(fields))})")
 
 
 def _field(data: dict, name: str, kind: type) -> Any:
@@ -132,6 +139,7 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     sig = _signature(data, "signature")
     size = _field(data, "size", int)
     ops = _field(data, "ops", dict)
+    _only(data, ("name", "ops", "signature", "size"))
     stray = next((sym for sym in sorted(ops) if sym not in sig), None)
     if stray is not None:
         raise LawError(f"field 'ops' has a table for {stray!r}, which the signature lacks")
@@ -164,10 +172,13 @@ def matrix_from_json(data: dict, base_dir: str = ".") -> Matrix:
     data = _expect(data, dict, "the document")
     algdata = _field(data, "algebra", dict)
     if "path" in algdata:
+        _only(algdata, ("path",), "field 'algebra'")
         alg = load_algebra(os.path.join(base_dir, _field(algdata, "path", str)))
     else:
         alg = algebra_from_json(algdata)
-    return Matrix(alg, _items(data["filter"], int, "filter"))
+    designated = _items(data["filter"], int, "filter")
+    _only(data, ("algebra", "filter"))
+    return Matrix(alg, designated)
 
 
 def partition_to_json(p: Partition) -> list[list[int]]:
@@ -210,23 +221,22 @@ def logic_from_json(data: dict, base_dir: str = ".") -> LogicPresentation:
     kind = _field(data, "kind", str)
     budget = _expect(data.get("variable_budget", VARIABLE_BUDGET), int, "field 'variable_budget'")
     name = str(data.get("name", ""))
+    if kind not in (RULES, MATRICES):
+        raise LawError(f"unknown logic kind {kind!r}")
+    # the field that holds a logic's rules or matrices is named by its kind
+    _only(data, ("kind", kind, "name", "signature", "variable_budget"), f"a {kind} logic")
     if kind == RULES:
-        rules = [
-            Rule(
-                [parse_term(sig, s) for s in _items(r.get("premises", []), str, "premises")],
-                parse_term(sig, _field(r, "conclusion", str)),
-            )
-            for r in _items(data.get("rules", []), dict, "rules")
-        ]
+        rules = []
+        for r in _items(data.get("rules", []), dict, "rules"):
+            premises = [parse_term(sig, s) for s in _items(r.get("premises", []), str, "premises")]
+            rules.append(Rule(premises, parse_term(sig, _field(r, "conclusion", str))))
+            _only(r, ("conclusion", "premises"), "each item of field 'rules'")
         return rules_logic(sig, rules, name=name, variable_budget=budget)
-    if kind == MATRICES:
-        mats = [matrix_from_json(m, base_dir)
-                for m in _items(data.get("matrices", []), dict, "matrices")]
-        logic = matrices_logic(mats, name=name, variable_budget=budget)
-        if logic.signature != sig:
-            raise LawError("logic signature differs from its matrices")
-        return logic
-    raise LawError(f"unknown logic kind {kind!r}")
+    mats = [matrix_from_json(m, base_dir) for m in _items(data.get("matrices", []), dict, "matrices")]
+    logic = matrices_logic(mats, name=name, variable_budget=budget)
+    if logic.signature != sig:
+        raise LawError("logic signature differs from its matrices")
+    return logic
 
 
 def translation_to_json(tau: Translation) -> dict:
@@ -245,6 +255,7 @@ def translation_from_json(data: dict) -> Translation:
     target = _signature(data, "target")
     mapping = {sym: parse_term(target, _expect(s, str, f"the image of {sym!r} in field 'map'"))
                for sym, s in _field(data, "map", dict).items()}
+    _only(data, ("map", "source", "target"))
     return Translation(source, target, mapping)
 
 
@@ -253,7 +264,7 @@ def translation_from_json(data: dict) -> Translation:
 
 
 def payload_to_json(value: Any) -> Any:
-    """Best-effort canonical JSON for report payloads and witnesses."""
+    """Canonical JSON for report payloads and witnesses; TypeError for any other type."""
     from .logics import LogicPresentation, Rule
     from .verdicts import Verdict
 
@@ -272,6 +283,8 @@ def payload_to_json(value: Any) -> Any:
         return logic_to_json(value)
     if isinstance(value, Rule):
         return rule_to_json(value)
+    if isinstance(value, Term):
+        return to_sexpr(value)
     if isinstance(value, dict):
         return {str(k): payload_to_json(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
@@ -280,7 +293,7 @@ def payload_to_json(value: Any) -> Any:
         return payload_to_json(value.to_json())
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    return repr(value)
+    raise TypeError(f"no JSON form for a {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,21 @@ def test_inventory_file_missing_a_field_is_named(tmp_path):
     assert logic_path in err
 
 
+def test_a_misspelt_logic_field_exits_2(tmp_path):
+    # "rule" for "rules": ignored, the logic would have no rules and every
+    # subset of B2→ would be a filter
+    data = logic_to_json(build("nabla").logic)
+    data["rule"] = data.pop("rules")
+    typo = write(tmp_path, "typo.json", data)
+    b2 = write(tmp_path, "b2.json", algebra_to_json(imp2()))
+    for argv in (["filters", "-l", typo, "-a", b2], ["check", "has_theorems", "-l", typo, "-i", b2]):
+        code, out, _ = invoke(argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == (
+            f"LawError: {typo}: a rules logic has no field 'rule' "
+            "(known: kind, name, rules, signature, variable_budget)")
+
+
 @pytest.mark.parametrize(
     "data, message",
     [([], "the document must be an object, got an array"),

@@ -496,6 +496,17 @@ def test_random_closures_are_the_joint_evaluations_of_bounded_terms():
             _assert_classes(closure, logic.signature, algebras, names, closure.level)
 
 
+@pytest.mark.parametrize("logic, alg, depth_cap, budget", _closure_cases())
+def test_witness_closures_rebuild_the_first_term_of_each_class(logic, alg, depth_cap, budget):
+    # over x on the defining algebras, at depth 3: in the repeated-row cases
+    # one batch yields a new row from several tails, and the first one counts
+    algebras = [m.algebra for m in logic.matrices]
+    closure = JointClosure(logic.signature, algebras, ("x",), DEFAULTS.closure_cell_budget)
+    while closure.level < 3 and closure.grow():
+        pass
+    _assert_classes(closure, logic.signature, algebras, ("x",), closure.level)
+
+
 def test_bounded_filters_refuse_algebras_over_256_elements():
     sig = Signature({"s": 1})
     big = FiniteAlgebra(sig, 257, {"s": [(x + 1) % 257 for x in range(257)]})
@@ -673,6 +684,31 @@ def test_an_error_part_way_through_a_level_leaves_the_shared_classes_whole(monke
     monkeypatch.undo()
     assert (closure.level, len(closure._index)) == (2, len(closure._rows))
     assert _read(L3, TARGETS[1], depth_cap=3) == _cold(L3, TARGETS[1], depth_cap=3)
+
+
+def test_an_error_part_way_through_a_level_leaves_a_witness_closure_whole(monkeypatch):
+    closure = JointClosure(IMP, [LUK3], ("x", "y"), DEFAULTS.closure_cell_budget)
+    while closure.level < 2 and closure.grow():
+        pass
+    known = [closure.term(i) for i in closure.classes(2)]
+    real = closure._candidates
+
+    def interrupted():
+        for k, batch in enumerate(real()):
+            if k == 5:  # part-way through level 3, past batches that add classes
+                assert len(closure._origins) > len(closure._rows)
+                raise MemoryError
+            yield batch
+
+    monkeypatch.setattr(closure, "_candidates", interrupted)
+    with pytest.raises(MemoryError):
+        closure.grow()
+    monkeypatch.undo()
+    assert closure.level == 2
+    assert len(closure._index) == len(closure._origins) == len(closure._rows) == len(known)
+    cold = JointClosure(IMP, [LUK3], ("x", "y"), DEFAULTS.closure_cell_budget)
+    assert [closure.term(i) for i in closure.classes(4)] == [cold.term(i)
+                                                              for i in cold.classes(4)]
 
 
 def test_the_cell_budget_counts_the_target_column():

@@ -95,6 +95,16 @@ def test_partition_and_payload_serialization():
     json.dumps(data)  # JSON-safe all the way down
 
 
+def test_payload_terms_are_sexprs_and_unknown_types_are_refused():
+    sig = imp2().signature
+    assert payload_to_json({"terms": (parse_term(sig, "(→ x y)"), parse_term(sig, "x"))}) == {
+        "terms": ["(→ x y)", "x"]}
+    # a set's repr would depend on the hash seed
+    for value in ({"x", "y"}, frozenset(), object()):
+        with pytest.raises(TypeError, match=f"no JSON form for a {type(value).__name__}"):
+            payload_to_json({"witness": value})
+
+
 def test_canonical_json_is_sorted_and_stable():
     a = canonical_json({"b": 1, "a": [2, 1]})
     assert a == '{"a":[2,1],"b":1}'
@@ -179,6 +189,45 @@ def test_loaders_name_the_file_and_a_field_of_the_wrong_shape(tmp_path, loader, 
 )
 def test_loaders_name_the_file_for_a_decoding_error(tmp_path, loader, data, message):
     path = os.path.join(tmp_path, "undecodable.json")
+    dump_json(path, data)
+    with pytest.raises(LawError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def _rules_logic(**fields):
+    """The nabla logic's file with `fields` set, or removed where None."""
+    data = {**logic_to_json(build("nabla").logic), **fields}
+    return {k: v for k, v in data.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "loader, data, message",
+    [(load_algebra, {**algebra_to_json(bool2()), "tables": {}},
+      "the document has no field 'tables' (known: name, ops, signature, size)"),
+     (load_matrix, {**matrix_to_json(Matrix(bool2(), (1,))), "filters": [1]},
+      "the document has no field 'filters' (known: algebra, filter)"),
+     (load_matrix, {"algebra": {"path": "b.json", "name": "B2"}, "filter": [1]},
+      "field 'algebra' has no field 'name' (known: path)"),
+     (load_logic, _rules_logic(rules=None, rule=[{"premises": [], "conclusion": "(→ x x)"}]),
+      "a rules logic has no field 'rule' (known: kind, name, rules, signature, variable_budget)"),
+     (load_logic, _rules_logic(rules=[{"premise": ["x"], "conclusion": "(→ x x)"}]),
+      "each item of field 'rules' has no field 'premise' (known: conclusion, premises)"),
+     (load_logic, _rules_logic(matrices=[]),
+      "a rules logic has no field 'matrices' (known: kind, name, rules, signature, "
+      "variable_budget)"),
+     (load_logic, {**logic_to_json(build("two-valued-pair").logic), "rules": []},
+      "a matrices logic has no field 'rules' (known: kind, matrices, name, signature, "
+      "variable_budget)"),
+     (load_translation,
+      {**translation_to_json(Translation.identity(imp2().signature)), "name": "id"},
+      "the document has no field 'name' (known: map, source, target)")],
+    ids=["algebra", "matrix", "matrix-algebra-path", "logic-rule", "logic-rule-premise",
+         "rules-logic-matrices", "matrices-logic-rules", "translation"],
+)
+def test_loaders_refuse_a_field_they_do_not_read(tmp_path, loader, data, message):
+    dump_json(os.path.join(tmp_path, "b.json"), algebra_to_json(bool2()))
+    path = os.path.join(tmp_path, "stray.json")
     dump_json(path, data)
     with pytest.raises(LawError) as info:
         loader(path)
