@@ -12,16 +12,18 @@ import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import DEFAULTS, ENUM_CELL_BUDGET
-from .errors import CapExceeded, Frozen, NotACongruence, SignatureMismatch, TermError
+from .errors import CapExceeded, Hashed, NotACongruence, SignatureMismatch, TermError
 from .partitions import Partition, all_partitions
 from .terms import App, Signature, Term, Var, check_term
 
 
-class FiniteAlgebra(Frozen):
-    """A total interpretation of a signature on the carrier {0..size-1}."""
+class FiniteAlgebra(Hashed):
+    """A total interpretation of a signature on the carrier {0..size-1}. The
+    name is not compared, but pickle and copy keep it."""
 
-    __slots__ = ("signature", "size", "tables", "name", "_hash", "_ops", "_neighbours",
-                 "_subuniverses")
+    _fields = ("signature", "size", "tables")
+    _args = _fields + ("name",)
+    __slots__ = _args + ("_hash", "_ops", "_neighbours", "_subuniverses")
 
     def __init__(
         self,
@@ -54,22 +56,6 @@ class FiniteAlgebra(Frozen):
         _set_ops(self, dict(tables))
         _set_neighbours(self, None)
         _set_subuniverses(self, None)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which hashes anew
-        return (FiniteAlgebra, (self.signature, self.size, self.tables, self.name))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteAlgebra)
-            and self._hash == other._hash
-            and self.size == other.size
-            and self.signature == other.signature
-            and self.tables == other.tables
-        )
 
     def table(self, sym: str) -> tuple[int, ...]:
         return self._ops[sym]

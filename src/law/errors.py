@@ -81,3 +81,27 @@ class Frozen:
     def __repr__(self):
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({inner})"
+
+
+class Hashed(Frozen):
+    """A frozen value that keeps its hash: the constructor sets the `_hash`
+    slot, `==` (exact class) compares it before the fields, and pickle and
+    copy rebuild through the constructor from the fields `_args` names (the
+    compared fields unless a class adds more), which hashes anew, since a
+    string's hash differs between processes."""
+
+    __slots__ = ()
+    _args: tuple[str, ...] = ()  # empty: the compared fields, `_fields`
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or (self._hash == other._hash
+                                     and self._values() == other._values())
+        return NotImplemented
+
+    def __reduce__(self):
+        names = self._args or self._fields
+        return (self.__class__, tuple([getattr(self, name) for name in names]))

@@ -39,34 +39,21 @@ from typing import Iterable, Optional, Sequence
 from .algebra import FiniteAlgebra, _columns, _values, eval_term
 from .clone import JointClosure
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
-from .errors import CapExceeded, Frozen, NotAFilter, SignatureMismatch
+from .errors import CapExceeded, Frozen, Hashed, NotAFilter, SignatureMismatch
 from .matrices import Matrix, leibniz_congruence, matrix_product
 from .partitions import Partition
 from .terms import Signature, Term, check_term, to_sexpr, variables_of
 
 
-class Rule(Frozen):
+class Rule(Hashed):
     """Finitely many premises and one conclusion over a shared signature."""
 
-    __slots__ = ("premises", "conclusion", "_hash")
+    _fields = ("premises", "conclusion")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, premises: Iterable[Term], conclusion: Term):
         prem = tuple(sorted(set(premises), key=to_sexpr))
         self._assign(prem, conclusion, hash((prem, conclusion)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which hashes anew
-        return (Rule, (self.premises, self.conclusion))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Rule)
-            and self.premises == other.premises
-            and self.conclusion == other.conclusion
-        )
 
     def variables(self) -> frozenset[str]:
         return variables_of(self.premises + (self.conclusion,))
@@ -80,12 +67,13 @@ RULES = "rules"
 MATRICES = "matrices"
 
 
-class LogicPresentation(Frozen):
+class LogicPresentation(Hashed):
     """A logic given either by rules or by defining matrices. The name is
-    not compared, and the hash of the compared fields is kept."""
+    not compared, but pickle and copy keep it."""
 
     _fields = ("signature", "kind", "rules", "matrices", "variable_budget")
-    __slots__ = _fields + ("name", "_hash")
+    _args = _fields + ("name",)
+    __slots__ = _args + ("_hash",)
 
     def __init__(self, signature: Signature, kind: str, rules: tuple[Rule, ...] = (),
                  matrices: tuple[Matrix, ...] = (), variable_budget: int = VARIABLE_BUDGET,
@@ -104,13 +92,6 @@ class LogicPresentation(Frozen):
                 raise SignatureMismatch("defining matrix over a different signature")
         values = (signature, kind, rules, matrices, variable_budget)
         self._assign(*values, name, hash(values))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which hashes anew
-        return (LogicPresentation, (*self._values(), self.name))
 
     def __repr__(self) -> str:
         label = self.name or f"{self.kind} logic"
@@ -419,12 +400,6 @@ def filter_bounds(
         meta["depth_cap"] = depth_cap
         meta["depth_effective"] = lattice.depth_effective
     return meta
-
-
-def is_deductive_filter(
-    logic: LogicPresentation, alg: FiniteAlgebra, subset: Iterable[int], **kw
-) -> bool:
-    return tuple(sorted(set(subset))) in filter_lattice(logic, alg, **kw).filters
 
 
 def suszko_congruence(

@@ -15,14 +15,15 @@ from .algebra import (
     product_encode,
 )
 from .config import DEFAULTS
-from .errors import CapExceeded, Frozen, SignatureMismatch
+from .errors import CapExceeded, Hashed, SignatureMismatch
 from .partitions import Partition
 
 
-class Matrix(Frozen):
+class Matrix(Hashed):
     """An algebra together with a designated filter, stored sorted."""
 
-    __slots__ = ("algebra", "filter", "_hash")
+    _fields = ("algebra", "filter")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, algebra: FiniteAlgebra, filter: Iterable[int]):
         des = tuple(sorted(set(filter)))
@@ -31,20 +32,6 @@ class Matrix(Frozen):
         _set_algebra(self, algebra)
         _set_filter(self, des)
         _set_hash(self, hash((algebra, des)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which hashes anew
-        return (Matrix, (self.algebra, self.filter))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.algebra == other.algebra
-            and self.filter == other.filter
-        )
 
     def filter_set(self) -> frozenset[int]:
         return frozenset(self.filter)
@@ -112,11 +99,6 @@ def subuniverses(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max + 2) -> list
         subs = tuple(sorted(set(generated[1:]), key=lambda s: (len(s), s)))
         _set_subuniverses(alg, subs)
     return list(alg._subuniverses)
-
-
-def subuniverse_closure(alg: FiniteAlgebra, seed: Iterable[int]) -> tuple[int, ...]:
-    """Sg(seed): the least subuniverse holding `seed` and every constant, sorted."""
-    return _close(alg.size, _operations(alg), (), set(seed) | _constants(alg))
 
 
 def _operations(alg: FiniteAlgebra) -> list[tuple[tuple[int, ...], int]]:

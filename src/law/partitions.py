@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import Frozen
+from .errors import Hashed
 
 
 def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
@@ -21,10 +21,11 @@ def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Partition(Frozen):
+class Partition(Hashed):
     """Block-id array, block ids numbered by first occurrence."""
 
-    __slots__ = ("block_ids", "_hash")
+    _fields = ("block_ids",)
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, block_ids: Sequence[int]):
         ids = _canonical(block_ids)
@@ -40,12 +41,6 @@ class Partition(Frozen):
         _set_block_ids(p, ids)
         _set_hash(p, hash(ids))
         return p
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.block_ids == other.block_ids
 
     @property
     def size(self) -> int:

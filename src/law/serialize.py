@@ -92,6 +92,11 @@ def _items(items: Any, kind: type, name: str) -> list:
     return [_expect(item, kind, f"each item of field {name!r}") for item in items]
 
 
+def _reason(exc: Exception) -> str:
+    """The message of a decoding error; a KeyError names the missing field."""
+    return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _signature(data: dict, name: str) -> Signature:
     arities = _field(data, name, dict)
     return Signature({str(k): _expect(v, int, f"arity of {k!r} in field {name!r}")
@@ -139,6 +144,7 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     sig = _signature(data, "signature")
     size = _field(data, "size", int)
     ops = _field(data, "ops", dict)
+    name = _expect(data.get("name", ""), str, "field 'name'")
     _only(data, ("name", "ops", "signature", "size"))
     stray = next((sym for sym in sorted(ops) if sym not in sig), None)
     if stray is not None:
@@ -147,7 +153,7 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     if missing is not None:
         raise LawError(f"field 'ops' has no table for {missing!r}")
     tables = {sym: tuple(_flatten(ops[sym], arity, sym)) for sym, arity in sig.symbols}
-    return FiniteAlgebra(sig, size, tables, name=str(data.get("name", "")))
+    return FiniteAlgebra(sig, size, tables, name=name)
 
 
 def algebra_fingerprint(alg: FiniteAlgebra) -> str:
@@ -175,7 +181,10 @@ def matrix_from_json(data: dict, base_dir: str = ".") -> Matrix:
         _only(algdata, ("path",), "field 'algebra'")
         alg = load_algebra(os.path.join(base_dir, _field(algdata, "path", str)))
     else:
-        alg = algebra_from_json(algdata)
+        try:
+            alg = algebra_from_json(algdata)
+        except (KeyError, LawError, ValueError) as exc:
+            raise LawError(f"in field 'algebra': {_reason(exc)}") from None
     designated = _items(data["filter"], int, "filter")
     _only(data, ("algebra", "filter"))
     return Matrix(alg, designated)
@@ -220,7 +229,7 @@ def logic_from_json(data: dict, base_dir: str = ".") -> LogicPresentation:
     sig = _signature(data, "signature")
     kind = _field(data, "kind", str)
     budget = _expect(data.get("variable_budget", VARIABLE_BUDGET), int, "field 'variable_budget'")
-    name = str(data.get("name", ""))
+    name = _expect(data.get("name", ""), str, "field 'name'")
     if kind not in (RULES, MATRICES):
         raise LawError(f"unknown logic kind {kind!r}")
     # the field that holds a logic's rules or matrices is named by its kind
@@ -311,12 +320,10 @@ def _load(path: str, from_json: Callable[..., Any], *args: Any) -> Any:
     algebra file of a matrix names that file, not the matrix's."""
     try:
         return from_json(load_json(path), *args)
-    except KeyError as exc:
-        message = f"missing field {exc.args[0]!r}"
-    except (LawError, ValueError) as exc:
+    except (KeyError, LawError, ValueError) as exc:
         if getattr(exc, "path", None) is not None:
             raise
-        message = str(exc)
+        message = _reason(exc)
     located = LawError(f"{path}: {message}")
     located.path = path
     raise located

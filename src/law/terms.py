@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import Frozen, TermError
+from .errors import Frozen, Hashed, TermError
 
 
-class Signature(Frozen):
+class Signature(Hashed):
     """Symbol names with arities. Stored sorted so signatures hash and compare."""
 
     _fields = ("symbols",)
@@ -34,13 +34,6 @@ class Signature(Frozen):
             if arity < 0:
                 raise TermError(f"negative arity for {name!r}")
         self._assign(items, hash((items,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which hashes anew
-        return (Signature, (self.symbols,))
 
     def arity(self, name: str) -> int:
         for sym, ar in self.symbols:

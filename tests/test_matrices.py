@@ -23,7 +23,6 @@ from law.matrices import (
     reduce_matrix,
     restrict_to_subuniverse,
     submatrices,
-    subuniverse_closure,
     subuniverses,
 )
 from law.partitions import Partition
@@ -132,22 +131,6 @@ def test_subuniverses_returns_a_fresh_list_each_call():
     assert subuniverses(b4) == [(0, 3), (0, 1, 2, 3)]
     with pytest.raises(CapExceeded):
         subuniverses(b4, cap=3)
-
-
-def test_subuniverse_closure_is_the_least_closed_superset():
-    rng = random.Random(7)
-    sigs = [Signature({"c": 0, "t": 3}), Signature({"c": 0, "d": 0, "f": 1}),
-            Signature({"g": 2}), Signature({"t": 3})]
-    for _ in range(60):
-        sig, n = rng.choice(sigs), rng.randint(1, 5)
-        tables = {sym: [rng.randrange(n) for _ in range(n**arity)] for sym, arity in sig.symbols}
-        alg = FiniteAlgebra(sig, n, tables)
-        closed = brute_subuniverses(alg)
-        if all(arity for _, arity in sig.symbols):
-            closed.insert(0, ())  # no constants: the empty set is closed too
-        seed = [x for x in range(n) if rng.random() < 0.3]
-        want = min((s for s in closed if set(seed) <= set(s)), key=len)
-        assert subuniverse_closure(alg, seed) == want
 
 
 def _check_subuniverses(alg, f):

@@ -151,17 +151,21 @@ def _reshaped(data, field, value):
       "field 'signature' must be an object, got an array"),
      (load_algebra, _reshaped(algebra_to_json(bool2()), "size", "2"),
       "field 'size' must be an integer, got a string"),
+     (load_algebra, _reshaped(algebra_to_json(bool2()), "name", ["B", 2]),
+      "field 'name' must be a string, got an array"),
      (load_matrix, _reshaped(matrix_to_json(Matrix(bool2(), (1,))), "filter", {"1": True}),
       "field 'filter' must be an array, got an object"),
      (load_logic, _reshaped(logic_to_json(build("nabla").logic), "rules", ["(→ x x)"]),
       "each item of field 'rules' must be an object, got a string"),
      (load_logic, _reshaped(logic_to_json(build("two-valued-pair").logic), "matrices", {}),
       "field 'matrices' must be an array, got an object"),
+     (load_logic, _reshaped(logic_to_json(build("nabla").logic), "name", {"a": 1}),
+      "field 'name' must be a string, got an object"),
      (load_translation,
       _reshaped(translation_to_json(Translation.identity(imp2().signature)), "map", []),
       "field 'map' must be an object, got an array")],
-    ids=["algebra-document", "algebra-signature", "algebra-size", "matrix-filter",
-         "logic-rules", "logic-matrices", "translation-map"],
+    ids=["algebra-document", "algebra-signature", "algebra-size", "algebra-name",
+         "matrix-filter", "logic-rules", "logic-matrices", "logic-name", "translation-map"],
 )
 def test_loaders_name_the_file_and_a_field_of_the_wrong_shape(tmp_path, loader, data, message):
     path = os.path.join(tmp_path, "misshapen.json")
@@ -232,6 +236,23 @@ def test_loaders_refuse_a_field_they_do_not_read(tmp_path, loader, data, message
     with pytest.raises(LawError) as info:
         loader(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "algebra, message",
+    [({**algebra_to_json(bool2()), "x": 1},
+      "the document has no field 'x' (known: name, ops, signature, size)"),
+     ({"signature": {"f": 1, "g": 1}, "size": 2, "ops": {"g": [1, 0]}},
+      "field 'ops' has no table for 'f'"),
+     ({"signature": {"f": 1}, "size": 2}, "missing field 'ops'")],
+    ids=["stray-field", "missing-table", "missing-field"],
+)
+def test_an_inline_algebra_error_names_the_matrix_field(tmp_path, algebra, message):
+    path = os.path.join(tmp_path, "m.json")
+    dump_json(path, {"algebra": algebra, "filter": [1]})
+    with pytest.raises(LawError) as info:
+        load_matrix(path)
+    assert str(info.value) == f"{path}: in field 'algebra': {message}"
 
 
 @pytest.mark.parametrize(

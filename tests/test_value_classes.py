@@ -10,9 +10,10 @@ import types
 import pytest
 
 import law
+import law.cli
 from law.algebra import FiniteAlgebra
 from law.config import DEFAULTS, Config
-from law.errors import Frozen
+from law.errors import Frozen, Hashed
 from law.gallery import GalleryEntry, imp2
 from law.hierarchy import WitnessSet
 from law.logics import FilterFamily, FilterLattice, Rule, matrices_logic, rules_logic
@@ -33,10 +34,10 @@ MP = Rule([X, parse_term(IMP, "(→ x y)")], Y)
 CASES = {
     "Signature": (IMP, lambda s: (s.symbols,), True),
     "Config": (DEFAULTS, lambda c: (6, 64, 3, 1 << 23), True),
-    "Partition": (Partition([0, 1, 0]), lambda p: p.block_ids, False),
-    "FiniteAlgebra": (B2, lambda a: (a.signature, a.size, a.tables), False),
-    "Matrix": (Matrix(B2, [1]), lambda m: (m.algebra, m.filter), False),
-    "Rule": (MP, lambda r: (r.premises, r.conclusion), False),
+    "Partition": (Partition([0, 1, 0]), lambda p: p.block_ids, True),
+    "FiniteAlgebra": (B2, lambda a: (a.signature, a.size, a.tables), True),
+    "Matrix": (Matrix(B2, [1]), lambda m: (m.algebra, m.filter), True),
+    "Rule": (MP, lambda r: (r.premises, r.conclusion), True),
     "LogicPresentation": (
         rules_logic(IMP, [MP], name="mp"),
         lambda g: (g.signature, g.kind, g.rules, g.matrices, g.variable_budget), True),
@@ -78,6 +79,21 @@ def _twin(x, cls):
     for name in _slots(x):
         object.__setattr__(twin, name, getattr(x, name))
     return twin
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("law."):  # not a test's throwaway subclass
+            yield sub
+            yield from _subclasses(sub)
+
+
+def test_every_value_class_has_a_case():
+    # law.cli imports every layer, so every value class is defined
+    names = {cls.__name__ for cls in _subclasses(Frozen)} - {"Hashed", "Term", "Var", "App"}
+    assert names == set(CASES)
+    assert {cls.__name__ for cls in _subclasses(Hashed)} == {
+        "Signature", "Partition", "FiniteAlgebra", "Matrix", "Rule", "LogicPresentation"}
 
 
 @pytest.mark.parametrize("name", CASES)
