@@ -107,6 +107,13 @@ _set_neighbours = FiniteAlgebra._neighbours.__set__
 _set_subuniverses = FiniteAlgebra._subuniverses.__set__
 
 
+def distinct(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
+    """The distinct algebras in `sort_key` order, each as it first occurs:
+    an inventory is a set, and this is the one order every check, search,
+    fingerprint and closure reads it in."""
+    return sorted(dict.fromkeys(algebras), key=FiniteAlgebra.sort_key)
+
+
 def eval_term(alg: FiniteAlgebra, t: Term, valuation: Mapping[str, int]) -> int:
     """Evaluate `t` in `alg` under `valuation` by structural recursion."""
     if isinstance(t, Var):

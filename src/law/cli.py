@@ -157,37 +157,28 @@ def _reduce(args, config: Config, inputs: _Inputs):
             f"reduced to size {reduced.algebra.size}")
 
 
-def _with_filter_bounds(args, config: Config, inputs: _Inputs, sweep):
-    """Load `-l` and `-a`, run `sweep(logic, alg, **caps)` for a (result,
-    summary) pair and add the filter bounds to the result. The bounds come
-    second, so the sweep's carrier cap and signature check report first."""
-    from .logics import filter_bounds
+def _filters(args, config: Config, inputs: _Inputs):
+    from .logics import deductive_filters, filter_bounds
 
     logic = inputs.load(load_logic, args.logic)
     alg = inputs.load(load_algebra, args.algebra)
-    result, summary = sweep(logic, alg, **config.caps())
-    result["bounds"] = filter_bounds(logic, alg, **config.caps())
-    return 0, result, summary
-
-
-def _filters(args, config: Config, inputs: _Inputs):
-    from .logics import deductive_filters
-
-    def sweep(logic, alg, **caps):
-        filters = deductive_filters(logic, alg, **caps)
-        return {"filters": [list(f) for f in filters]}, f"{len(filters)} deductive filters"
-
-    return _with_filter_bounds(args, config, inputs, sweep)
+    # the sweep runs before the bounds, so its carrier cap and signature check report first
+    filters = deductive_filters(logic, alg, **config.caps())
+    return (0, {"filters": [list(f) for f in filters],
+                "bounds": filter_bounds(logic, alg, **config.caps())},
+            f"{len(filters)} deductive filters")
 
 
 def _suszko(args, config: Config, inputs: _Inputs):
-    from .logics import suszko_congruence
+    from .logics import filter_bounds, suszko_congruence
 
-    def sweep(logic, alg, **caps):
-        p = suszko_congruence(logic, alg, _parse_filter(args.filter), **caps)
-        return {"partition": partition_to_json(p)}, f"suszko congruence has {p.num_blocks} blocks"
-
-    return _with_filter_bounds(args, config, inputs, sweep)
+    logic = inputs.load(load_logic, args.logic)
+    alg = inputs.load(load_algebra, args.algebra)
+    # the sweep runs before the bounds, as in `_filters`
+    p = suszko_congruence(logic, alg, _parse_filter(args.filter), **config.caps())
+    return (0, {"partition": partition_to_json(p),
+                "bounds": filter_bounds(logic, alg, **config.caps())},
+            f"suszko congruence has {p.num_blocks} blocks")
 
 
 def _parse_filter(text: str) -> tuple[int, ...]:

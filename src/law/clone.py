@@ -27,7 +27,7 @@ import operator
 import struct
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, distinct
 from .errors import CapExceeded, TermError
 from .matrices import Matrix
 from .terms import App, Signature, Term, Var
@@ -97,11 +97,6 @@ def _joint_table(block_algs: Sequence[FiniteAlgebra], sym: str, arity: int) -> b
     return bytes(table).ljust(_LANES, b"\0") if len(table) <= _LANES else table
 
 
-def _distinct(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
-    """The distinct algebras in `sort_key` order: a closure's blocks."""
-    return sorted(set(algebras), key=lambda a: a.sort_key())
-
-
 def _indicator(members: Iterable[int]) -> bytes:
     """A translation table sending members to 1 and everything else to 0."""
     table = bytearray(_LANES)
@@ -148,7 +143,7 @@ class JointClosure:
                     raise TermError(f"variable {v!r} clashes with a symbol name")
         # each block's columns, as assignments of the variables, in block order
         self._columns = {b: list(itertools.product(range(b.size), repeat=len(names)))
-                         for b in _distinct(algebras)}
+                         for b in distinct(algebras)}
         block_algs = list(self._columns)
         for b in block_algs:
             if b.size > _LANES:

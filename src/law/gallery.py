@@ -8,7 +8,7 @@ import itertools
 import os
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import FiniteAlgebra, enumerate_algebras, one_element
+from .algebra import FiniteAlgebra, distinct, enumerate_algebras, one_element
 from .config import DEFAULTS, Config
 from .errors import Frozen, LawError, UnknownName
 from .hierarchy import (
@@ -347,7 +347,7 @@ def companions(
     base = consequence_presentation(logic, inventory, config)
     mats = list(base.matrices)
     if which == "theoremless":
-        for alg in sorted({m.algebra for m in mats}, key=lambda a: a.sort_key()):
+        for alg in distinct(m.algebra for m in mats):
             empty = Matrix(alg, ())
             if empty not in mats:
                 mats.append(empty)

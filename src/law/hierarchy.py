@@ -30,7 +30,7 @@ import itertools
 import operator
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .algebra import FiniteAlgebra, term_values
+from .algebra import FiniteAlgebra, distinct, term_values
 from .clone import JointClosure
 from .config import DEFAULTS, Config
 from .errors import CapExceeded, Frozen, SignatureMismatch, UnknownName
@@ -389,7 +389,7 @@ def leibniz_monotonicity_probe(
     Leibniz congruences are not ordered by refinement; a necessary condition
     for protoalgebraicity, so a failure on exact filters is conclusive."""
     caps = config.caps()
-    inv = sorted(inventory, key=lambda a: a.sort_key())
+    inv = distinct(inventory)
     return _monotonicity_probe((filter_lattice(logic, alg, **caps) for alg in inv),
                                standard_bounds(logic, inv, config.depth_default))
 
@@ -409,7 +409,7 @@ def check_class(
     config's default depth."""
     if class_name not in CLASS_NAMES:
         raise UnknownName(f"unknown class {class_name!r}; choose from {CLASS_NAMES}")
-    inv = sorted(inventory, key=lambda a: a.sort_key())
+    inv = distinct(inventory)
     depth = config.depth_default
     bounds = standard_bounds(logic, inv, depth)
     caps = config.caps()
@@ -514,7 +514,7 @@ def find_injective_theorem(
     every reduced inventory model: for a matrix presentation, the first
     theorem class whose slice on each model's algebra has no repeated
     value."""
-    algs = list(dict.fromkeys(m.algebra for m in reduced_models(logic, inventory, config)))
+    algs = distinct(m.algebra for m in reduced_models(logic, inventory, config))
     return next((t for t, values in _theorems(logic, depth, max(depth, config.depth_default),
                                               config, algs)
                  if all(len(set(values(a))) == a.size for a in algs)), None)

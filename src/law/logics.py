@@ -36,7 +36,7 @@ import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, _columns, _values, eval_term
+from .algebra import FiniteAlgebra, _columns, _values, distinct, eval_term
 from .clone import JointClosure
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
 from .errors import CapExceeded, Frozen, Hashed, NotAFilter, SignatureMismatch
@@ -435,5 +435,5 @@ def reduced_models(
     """Every reduced model on the inventory's distinct algebras, the
     algebras in `sort_key` order and each one's filters in lattice order."""
     caps = config.caps()
-    return [m for alg in sorted(set(inventory), key=lambda a: a.sort_key())
+    return [m for alg in distinct(inventory)
             for m in reduced_filters_on(logic, alg, **caps)]

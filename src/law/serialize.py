@@ -17,12 +17,13 @@ significant, matching `algebra.product_encode`.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, distinct
 from .config import VARIABLE_BUDGET
 from .errors import LawError
 from .matrices import Matrix
@@ -92,9 +93,20 @@ def _items(items: Any, kind: type, name: str) -> list:
     return [_expect(item, kind, f"each item of field {name!r}") for item in items]
 
 
-def _reason(exc: Exception) -> str:
-    """The message of a decoding error; a KeyError names the missing field."""
-    return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+def _within(where: str, read: Callable[..., Any], *args: Any, path: Optional[str] = None) -> Any:
+    """`read(*args)`, a decoding error prefixed with `where: ` and located in
+    `path` if given; a KeyError names the missing field. An error already
+    located passes through, so an error in the algebra file of a matrix names
+    that file, not the matrix's."""
+    try:
+        return read(*args)
+    except (KeyError, LawError, ValueError) as exc:
+        if getattr(exc, "path", None) is not None:
+            raise
+        reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+        located = LawError(f"{where}: {reason}")
+    located.path = path
+    raise located
 
 
 def _signature(data: dict, name: str) -> Signature:
@@ -163,7 +175,7 @@ def algebra_fingerprint(alg: FiniteAlgebra) -> str:
 
 
 def inventory_fingerprint(inventory: Sequence[FiniteAlgebra]) -> str:
-    return "+".join(algebra_fingerprint(a) for a in sorted(inventory, key=lambda a: a.sort_key()))
+    return "+".join(map(algebra_fingerprint, distinct(inventory)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +193,7 @@ def matrix_from_json(data: dict, base_dir: str = ".") -> Matrix:
         _only(algdata, ("path",), "field 'algebra'")
         alg = load_algebra(os.path.join(base_dir, _field(algdata, "path", str)))
     else:
-        try:
-            alg = algebra_from_json(algdata)
-        except (KeyError, LawError, ValueError) as exc:
-            raise LawError(f"in field 'algebra': {_reason(exc)}") from None
+        alg = _within("in field 'algebra'", algebra_from_json, algdata)
     designated = _items(data["filter"], int, "filter")
     _only(data, ("algebra", "filter"))
     return Matrix(alg, designated)
@@ -236,12 +245,14 @@ def logic_from_json(data: dict, base_dir: str = ".") -> LogicPresentation:
     _only(data, ("kind", kind, "name", "signature", "variable_budget"), f"a {kind} logic")
     if kind == RULES:
         rules = []
-        for r in _items(data.get("rules", []), dict, "rules"):
-            premises = [parse_term(sig, s) for s in _items(r.get("premises", []), str, "premises")]
-            rules.append(Rule(premises, parse_term(sig, _field(r, "conclusion", str))))
+        for i, r in enumerate(_items(data.get("rules", []), dict, "rules")):
+            parse = functools.partial(_within, f"in item [{i}] of field 'rules'", parse_term, sig)
+            premises = [parse(s) for s in _items(r.get("premises", []), str, "premises")]
+            rules.append(Rule(premises, parse(_field(r, "conclusion", str))))
             _only(r, ("conclusion", "premises"), "each item of field 'rules'")
         return rules_logic(sig, rules, name=name, variable_budget=budget)
-    mats = [matrix_from_json(m, base_dir) for m in _items(data.get("matrices", []), dict, "matrices")]
+    mats = [_within(f"in item [{i}] of field 'matrices'", matrix_from_json, m, base_dir)
+            for i, m in enumerate(_items(data.get("matrices", []), dict, "matrices"))]
     logic = matrices_logic(mats, name=name, variable_budget=budget)
     if logic.signature != sig:
         raise LawError("logic signature differs from its matrices")
@@ -315,18 +326,8 @@ def load_json(path: str) -> Any:
 
 
 def _load(path: str, from_json: Callable[..., Any], *args: Any) -> Any:
-    """`from_json` of the document at `path`. A decoding error becomes a
-    LawError that names the innermost file it was found in: an error in the
-    algebra file of a matrix names that file, not the matrix's."""
-    try:
-        return from_json(load_json(path), *args)
-    except (KeyError, LawError, ValueError) as exc:
-        if getattr(exc, "path", None) is not None:
-            raise
-        message = _reason(exc)
-    located = LawError(f"{path}: {message}")
-    located.path = path
-    raise located
+    """`from_json` of the document at `path`, a decoding error located in it."""
+    return _within(path, lambda: from_json(load_json(path), *args), path=path)
 
 
 def load_algebra(path: str) -> FiniteAlgebra:

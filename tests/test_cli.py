@@ -112,6 +112,18 @@ def test_check_subcommand_verdicts(tmp_path):
     assert report["result"]["witness"]["family"]["filters"] == [[1]]
 
 
+def test_a_repeated_inventory_file_counts_once(tmp_path):
+    logic_path = write(tmp_path, "pair.json", logic_to_json(build("two-valued-pair").logic))
+    b2_path = write(tmp_path, "b2.json", algebra_to_json(bool2()))
+    argv = ["check", "truth_minimal", "-l", logic_path, "-i", b2_path]
+    (code, once, _), (code_twice, twice, _) = invoke(argv), invoke(argv + ["-i", b2_path])
+    # the report echoes its command; everything else is equal
+    once, twice = json.loads(once), json.loads(twice)
+    assert twice.pop("command") == once.pop("command") + ["-i", b2_path]
+    assert (code_twice, twice) == (code, once)
+    assert once["result"]["bounds"]["inventory"] == "049ba4f91b79eaf2"
+
+
 def test_check_protoalgebraic_unknown(tmp_path):
     logic_path = write(
         tmp_path, "assertional.json", logic_to_json(build("basic-assertional").logic)
@@ -354,19 +366,45 @@ def test_importing_law_cli_leaves_dataclasses_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_importing_law_cli_loads_every_traced_layer():
-    # the benchmark's tracer imports law.cli, then wraps the functions of
-    # every module named in its LAYERS
+def _tracing():
+    """The benchmark's `bench/tracing.py`, loaded as a module."""
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
     spec = importlib.util.spec_from_file_location("tracing", os.path.join(bench, "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_importing_law_cli_loads_every_traced_layer():
+    # the benchmark's tracer imports law.cli, then wraps the functions of
+    # every module named in its LAYERS
+    tracing = _tracing()
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, law.cli; print(' '.join(m for m in sys.modules if m.startswith('law.')))"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert {f"law.{layer}" for layer in tracing.LAYERS} <= set(proc.stdout.split())
+
+
+def test_the_tracer_hooks_bind_the_names_they_read():
+    # the hooks bind `deductive_filters`' and `enumerate_algebras`' parameters
+    # by name and call `filter_bounds` positionally; only a traced run reads them
+    from law import algebra, logics
+
+    tracer = _tracing().Tracer()
+    try:
+        tracer.install()
+        logics.deductive_filters(build("two-valued-pair").logic, bool2())
+        for _ in algebra.enumerate_algebras(Signature({"f": 1}), 2):
+            pass
+    finally:
+        tracer.uninstall()
+    tracer.closure_saturation()
+    assert tracer.counts["logics.deductive_filters.first_busy_s"] > 0
+    # B2's closure reaches the default depth, as `filter_bounds` reports
+    assert tracer.counts["logics.closure.pairs"] == tracer.counts["logics.closure.saturated"] == 1
+    assert tracer.counts["algebra.enumerate_algebras.tried"] == 2 ** 2
 
 
 def test_every_export_is_its_module_object():

@@ -10,6 +10,7 @@ from law.config import DEFAULTS
 from law.errors import UnknownName
 from law.gallery import GALLERY_NAMES, bool2, bool4, build, imp2, nabla_hat, pointed_set
 from law.hierarchy import (
+    CLASS_NAMES,
     chain_entails,
     check_admissibility_bounded,
     check_class,
@@ -34,6 +35,7 @@ from law.logics import (
 )
 from law.matrices import Matrix
 from law.partitions import Partition
+from law.serialize import payload_to_json
 from law.terms import App, Signature, Var, enumerate_terms, parse_term, substitute, to_sexpr
 
 IMP = imp2().signature
@@ -121,6 +123,27 @@ def test_monotonicity_probe_full_logic():
     omega_small = leibniz_congruence(Matrix(w["algebra"], w["filter_small"]))
     omega_large = leibniz_congruence(Matrix(w["algebra"], w["filter_large"]))
     assert not omega_small.refines(omega_large)
+
+
+def as_a_set(inventory):
+    """The inventory, the same reversed, and the same with its first algebra
+    appended again: one set of algebras, so one report."""
+    inventory = list(inventory)
+    return inventory, inventory[::-1], inventory + inventory[:1]
+
+
+def test_reports_read_an_inventory_as_a_set():
+    for entry in map(build, GALLERY_NAMES):
+        if entry.logic is None:
+            continue
+        for cls in CLASS_NAMES:
+            own, *others = (payload_to_json(check_class(cls, entry.logic, inv))
+                            for inv in as_a_set(entry.inventory))
+            assert others == [own, own], f"{cls} {entry.name}"
+    bastar = build("ba-star-logic")
+    own, *others = (payload_to_json(leibniz_monotonicity_probe(bastar.logic, inv))
+                    for inv in as_a_set(bastar.inventory))
+    assert others == [own, own]
 
 
 def test_monotonicity_probe_holds_cases():

@@ -187,7 +187,7 @@ def test_loaders_name_the_file_and_a_field_of_the_wrong_shape(tmp_path, loader, 
       "cell [1] of 'f' in field 'ops' must be an integer, got a boolean"),
      (load_logic, {"signature": {"→": 2}, "kind": "rules",
                    "rules": [{"premises": [], "conclusion": "(→ x)"}]},
-      "'→' expects 2 arguments, got 1")],
+      "in item [0] of field 'rules': '→' expects 2 arguments, got 1")],
     ids=["algebra-nesting", "algebra-cells", "algebra-stray-op", "algebra-boolean-cell",
          "logic-conclusion"],
 )
@@ -271,3 +271,39 @@ def test_a_matrix_names_its_algebra_file_once(tmp_path, contents, message):
     with pytest.raises(LawError) as info:
         load_matrix(matrix_path)
     assert str(info.value) == f"{alg_path}: {message}"
+
+
+def _pair_logic(edit):
+    """The two-valued-pair logic's file with `edit` applied to its second matrix."""
+    data = logic_to_json(build("two-valued-pair").logic)
+    edit(data["matrices"][1])
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [(_pair_logic(lambda m: m.pop("filter")),
+      "in item [1] of field 'matrices': missing field 'filter'"),
+     (_pair_logic(lambda m: m["algebra"].pop("ops")),
+      "in item [1] of field 'matrices': in field 'algebra': missing field 'ops'"),
+     (_rules_logic(rules=[{"premises": [], "conclusion": "(→ x x)"},
+                          {"premises": ["(→ x y)", "(g x)"], "conclusion": "y"}]),
+      "in item [1] of field 'rules': unknown symbol 'g'")],
+    ids=["matrix-filter", "matrix-algebra-ops", "rule-term"],
+)
+def test_a_logic_error_names_the_item_that_holds_it(tmp_path, data, message):
+    path = os.path.join(tmp_path, "l.json")
+    dump_json(path, data)
+    with pytest.raises(LawError) as info:
+        load_logic(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_a_logic_names_the_algebra_file_of_its_matrix_once(tmp_path):
+    alg_path = os.path.join(tmp_path, "b.json")
+    dump_json(alg_path, {"signature": {"f": 1}, "size": 2})
+    path = os.path.join(tmp_path, "l.json")
+    dump_json(path, _pair_logic(lambda m: m.update(algebra={"path": "b.json"})))
+    with pytest.raises(LawError) as info:
+        load_logic(path)
+    assert str(info.value) == f"{alg_path}: missing field 'ops'"

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from law import clone, hierarchy, logics
-from law.algebra import FiniteAlgebra, one_element, term_values
+from law import hierarchy, logics
+from law.algebra import FiniteAlgebra, distinct, one_element, term_values
 from law.config import DEFAULTS
 from law.errors import CapExceeded
 from law.gallery import GALLERY_NAMES, build
@@ -119,11 +119,11 @@ def _agreement_cases():
         if entry.logic is not None:
             yield name, entry.logic, entry.inventory
     logic = _implications(2)
-    yield "two-implications", logic, clone._distinct(m.algebra for m in logic.matrices)
+    yield "two-implications", logic, distinct(m.algebra for m in logic.matrices)
     rng = random.Random(5)
     for i in range(150):
         logic = _random_logic(rng)
-        yield f"random-{i}", logic, clone._distinct(m.algebra for m in logic.matrices)
+        yield f"random-{i}", logic, distinct(m.algebra for m in logic.matrices)
 
 
 def test_searches_agree_with_the_per_term_references():

@@ -10,6 +10,7 @@ from law.errors import SignatureMismatch, TermError
 from law.gallery import build, bool2, imp2
 from law.logics import matrices_logic
 from law.matrices import Matrix, restrict_to_subuniverse, subuniverses
+from law.serialize import payload_to_json
 from law.terms import Signature, Var, enumerate_terms, parse_term, substitute, to_sexpr
 from law.translations import (
     Translation,
@@ -143,6 +144,15 @@ def test_interpretation_monotone_under_inventory_shrink():
                 TOP_TO_SELF_IMP, ASSERTIONAL, IMP_LOGIC, list(subset)
             )
             assert v.holds
+
+
+def test_interpretation_reads_the_inventory_as_a_set():
+    # reversed, or with an algebra repeated, the inventory is the same set
+    inventory = imp_inventory()
+    for tau in (TOP_TO_SELF_IMP, TOP_TO_ARG):
+        own, *others = (payload_to_json(check_interpretation_bounded(tau, ASSERTIONAL, IMP_LOGIC, inv))
+                        for inv in (inventory, inventory[::-1], inventory + inventory[:1]))
+        assert others == [own, own]
 
 
 def test_verdict_merge():
