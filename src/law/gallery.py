@@ -24,9 +24,9 @@ from .hierarchy import (
 from .logics import (  # noqa: F401  (product_of_logics is re-exported)
     LogicPresentation,
     Rule,
+    filter_lattice,
     matrices_logic,
     product_of_logics,
-    reduced_filters_on,
     rules_logic,
 )
 from .matrices import Matrix, leibniz_congruence
@@ -413,15 +413,14 @@ def verify_entry(entry: GalleryEntry, config: Config = DEFAULTS) -> list[str]:
                     break
         elif kind == "reduced_singleton_filters":
             for alg in entry.inventory:
-                mats = reduced_filters_on(entry.logic, alg, **config.caps())
-                if [m.filter for m in mats] != [(0,)]:
+                if filter_lattice(entry.logic, alg, **config.caps()).reduced() != ((0,),):
                     problems.append(f"{entry.name}: reduced filters on {alg!r} not [{{point}}]")
         elif kind == "theorem_exists":
             if theorem_search(entry.logic, exp["depth"], config) is None:
                 problems.append(f"{entry.name}: no theorem found")
         elif kind == "reduced_contains":
             for alg in entry.inventory:
-                got = {m.filter for m in reduced_filters_on(entry.logic, alg, **config.caps())}
+                got = filter_lattice(entry.logic, alg, **config.caps()).reduced()
                 for f in exp["filters"]:
                     if tuple(f) not in got:
                         problems.append(f"{entry.name}: reduced filters miss {f}")

@@ -45,10 +45,9 @@ from .logics import (
     filter_lattice,
     filter_notion,
     matrices_logic,
-    reduced_filters_on,
     reduced_models,
 )
-from .matrices import submatrices
+from .matrices import Matrix, submatrices
 from .serialize import inventory_fingerprint
 from .terms import App, Signature, Term, Var, depth, enumerate_terms, substitute, to_sexpr, variables
 from .verdicts import Verdict, fails, holds, unknown
@@ -417,9 +416,11 @@ def check_class(
         raise SignatureMismatch("algebra signature differs from the logic's")
 
     if class_name == "assertional":
-        for m in reduced_models(logic, inv, config):
-            if len(m.filter) != 1:
-                return fails({"reason": "non-singleton reduced filter", "model": m}, **bounds)
+        for alg in inv:
+            for f in filter_lattice(logic, alg, **caps).reduced():
+                if len(f) != 1:
+                    return fails({"reason": "non-singleton reduced filter",
+                                  "model": Matrix(alg, f)}, **bounds)
     if class_name in ("assertional", "has_theorems"):
         t = theorem_search(logic, depth, config)
         return holds(t, **bounds) if t is not None else unknown(**bounds)
@@ -468,7 +469,7 @@ def check_class(
             return holds(witness, **bounds)
         for m in reduced_models(logic, inv, config):
             for sub in submatrices(m, cap=config.oracle_max + 2):
-                if sub not in reduced_filters_on(logic, sub.algebra, **caps):
+                if sub.filter not in filter_lattice(logic, sub.algebra, **caps).reduced():
                     return fails(
                         {"reason": "submatrix of a reduced model is not reduced",
                          "model": m, "submatrix": sub, "witness": witness},
@@ -477,9 +478,8 @@ def check_class(
         return holds(witness, **bounds)
 
     # truth_equational and truth_minimal compare the reduced filters on each algebra
-    for alg, models in itertools.groupby(reduced_models(logic, inv, config),
-                                         key=operator.attrgetter("algebra")):
-        filters = [m.filter for m in models]
+    for alg in inv:
+        filters = filter_lattice(logic, alg, **caps).reduced()
         if class_name == "truth_equational":
             # uniqueness of the nonempty reduced truth set per algebra
             nonempty = [f for f in filters if f]

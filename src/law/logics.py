@@ -294,17 +294,18 @@ def _subsets_sorted(n: int) -> list[tuple[int, ...]]:
 
 
 class FilterLattice(Frozen):
-    """Filters on one algebra, with the Leibniz congruence of each computed
-    on first use. `depth_effective` is the bounded closure's depth; None for
-    an exact sweep or a given family. Compared by identity."""
+    """Filters on one algebra, with the Leibniz congruence of each and the
+    reduced filters computed on first use. `depth_effective` is the bounded
+    closure's depth; None for an exact sweep or a given family. Compared by
+    identity."""
 
     _fields = ("algebra", "filters", "depth_effective")
-    __slots__ = _fields + ("_omegas",)
+    __slots__ = _fields + ("_omegas", "_reduced")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, algebra: FiniteAlgebra, filters: tuple[tuple[int, ...], ...],
                  depth_effective: Optional[int] = None):
-        self._assign(algebra, filters, depth_effective, {})
+        self._assign(algebra, filters, depth_effective, {}, None)
 
     def omega(self, f: tuple[int, ...]) -> Partition:
         """The Leibniz congruence of the matrix with filter `f`."""
@@ -324,6 +325,14 @@ class FilterLattice(Frozen):
         which may be any subset of the carrier, not only a filter."""
         subset = set(f)
         return self.meet(g for g in self.filters if subset.issubset(g))
+
+    def reduced(self) -> tuple[tuple[int, ...], ...]:
+        """The filters whose Suszko congruence is the identity, in lattice
+        order: those of the reduced models on the algebra."""
+        if self._reduced is None:
+            object.__setattr__(self, "_reduced", tuple(
+                f for f in self.filters if self.suszko(f).is_identity()))
+        return self._reduced
 
 
 # one closure per (logic, n), 4 at most, since memory grows with them: Ł3's
@@ -423,8 +432,7 @@ def reduced_filters_on(
     logic: LogicPresentation, alg: FiniteAlgebra, **kw
 ) -> list[Matrix]:
     """Matrices on `alg` whose filter has identity Suszko congruence."""
-    lattice = filter_lattice(logic, alg, **kw)
-    return [Matrix(alg, g) for g in lattice.filters if lattice.suszko(g).is_identity()]
+    return [Matrix(alg, g) for g in filter_lattice(logic, alg, **kw).reduced()]
 
 
 def reduced_models(

@@ -112,6 +112,18 @@ def test_check_subcommand_verdicts(tmp_path):
     assert report["result"]["witness"]["family"]["filters"] == [[1]]
 
 
+def test_check_stops_at_the_first_algebra_that_refutes_the_class(tmp_path, chain7):
+    logic_path = write(tmp_path, "pair.json", logic_to_json(build("two-valued-pair").logic))
+    b2_path = write(tmp_path, "b2.json", algebra_to_json(bool2()))
+    chain_path = write(tmp_path, "chain7.json", algebra_to_json(chain7))
+    argv = ["-l", logic_path, "-i", b2_path, "-i", chain_path]
+    code, out, _ = invoke(["check", "truth_equational", *argv])
+    assert code == 1 and json.loads(out)["result"]["status"] == "fails"
+    # truth_minimal holds on B2, so it sweeps the chain, above the carrier cap
+    code, _, err = invoke(["check", "truth_minimal", *argv])
+    assert code == 2 and "carrier 7 exceeds the filter sweep cap 6" in err
+
+
 def test_a_repeated_inventory_file_counts_once(tmp_path):
     logic_path = write(tmp_path, "pair.json", logic_to_json(build("two-valued-pair").logic))
     b2_path = write(tmp_path, "b2.json", algebra_to_json(bool2()))

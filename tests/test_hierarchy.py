@@ -1,5 +1,6 @@
 """Hierarchy checks: witness searches, class verdicts, admissibility."""
 
+import functools
 import itertools
 import random
 
@@ -7,7 +8,7 @@ import pytest
 
 from law.algebra import FiniteAlgebra, congruences_bruteforce, direct_product, one_element
 from law.config import DEFAULTS
-from law.errors import UnknownName
+from law.errors import CapExceeded, UnknownName
 from law.gallery import GALLERY_NAMES, bool2, bool4, build, imp2, nabla_hat, pointed_set
 from law.hierarchy import (
     CLASS_NAMES,
@@ -33,10 +34,20 @@ from law.logics import (
     matrices_logic,
     rules_logic,
 )
-from law.matrices import Matrix
+from law.matrices import Matrix, leibniz_congruence
 from law.partitions import Partition
 from law.serialize import payload_to_json
-from law.terms import App, Signature, Var, enumerate_terms, parse_term, substitute, to_sexpr
+from law.terms import (
+    App,
+    Signature,
+    Var,
+    depth,
+    enumerate_terms,
+    parse_term,
+    substitute,
+    to_sexpr,
+    variables,
+)
 
 IMP = imp2().signature
 POINTED = Signature({"⊤": 1})
@@ -98,6 +109,9 @@ def test_witness_reverifies_by_contract():
     consequence = consequence_presentation(NABLA.logic, NABLA.inventory)
     assert verify_protoalgebraic_witness(consequence, w.terms)
     assert not verify_protoalgebraic_witness(consequence, (X,))
+    # y at y = x is x, no theorem; and an empty set yields nothing
+    assert verify_protoalgebraic_witness(consequence, (Y,)) is False
+    assert verify_protoalgebraic_witness(consequence, ()) is False
 
 
 def test_monotonicity_probe_on_gallery_bundle():
@@ -295,6 +309,19 @@ def test_check_class_truth_equational():
     assert v2.witness["filters"] == ((0,), (1,))
 
 
+def test_every_filter_class_stops_at_the_first_algebra_that_refutes_it(chain7):
+    # B2 refutes these three, so none sweeps the chain above the carrier cap
+    grown = [*PAIR.inventory, chain7]
+    for cls in ("assertional", "truth_equational", "param_truth_equational"):
+        alone, v = (payload_to_json(check_class(cls, PAIR.logic, inv))
+                    for inv in (PAIR.inventory, grown))
+        assert v["status"] == alone["status"] == "fails" and v["witness"] == alone["witness"], cls
+    # truth_minimal holds on B2, so it reaches the chain
+    with pytest.raises(CapExceeded, match="carrier 7 exceeds the filter sweep cap 6"):
+        check_class("truth_minimal", PAIR.logic, grown)
+    assert check_class("has_theorems", PAIR.logic, grown).unknown
+
+
 def test_check_class_has_theorems():
     assert check_class("has_theorems", NABLA.logic, NABLA.inventory).holds
     assert check_class("has_theorems", PAIR.logic, PAIR.inventory).unknown
@@ -309,6 +336,33 @@ def test_check_class_equivalential():
     v2 = check_class("equivalential", NABLA.logic, NABLA.inventory)
     assert v2.holds
     assert v2.bounds_dict()["inventory"]
+
+
+def suszko_by_subsets(logic, m):
+    """Oracle: the meet of the Leibniz congruences of every subset that
+    contains m's filter and is closed under the rules."""
+    n = m.algebra.size
+    subsets = (s for k in range(n + 1) for s in itertools.combinations(range(n), k))
+    above = [s for s in subsets
+             if set(m.filter) <= set(s) and _closed_under_rules(logic, m.algebra, frozenset(s))]
+    return functools.reduce(Partition.meet, (leibniz_congruence(Matrix(m.algebra, s))
+                                             for s in above), Partition.total(n))
+
+
+def test_check_class_equivalential_fails_on_a_submatrix_that_is_not_reduced():
+    # ⟨A, {0, 1}⟩ is a reduced nabla model; → is constantly 0 on {0, 1}, a
+    # subalgebra whose whole carrier is the filter
+    a = FiniteAlgebra(IMP, 3, {"→": (0, 0, 2, 0, 0, 2, 0, 2, 0)})
+    v = check_class("equivalential", NABLA.logic, [*NABLA.inventory, a])
+    assert v.fails
+    w = v.witness
+    assert w["reason"] == "submatrix of a reduced model is not reduced"
+    assert w["model"] == Matrix(a, (0, 1))
+    sub = w["submatrix"]
+    assert (sub.algebra.size, sub.algebra.table("→"), sub.filter) == (2, (0, 0, 0, 0), (0, 1))
+    assert [to_sexpr(t) for t in w["witness"].terms] == ["(→ x y)"]
+    assert suszko_by_subsets(NABLA.logic, w["model"]).is_identity()
+    assert not suszko_by_subsets(NABLA.logic, sub).is_identity()
 
 
 def _rule_presented_cases():
@@ -495,3 +549,48 @@ def test_chain_entails_agrees_with_derive_theorems(depth_cap):
         theorems = derive_theorems(logic, pool, depth_cap)
         for t in enumerate_terms(logic.signature, pool, depth_cap + 1):
             assert chain_entails(logic, (), t, pool, depth_cap) == (t in theorems), (name, t)
+
+
+GH = Signature({"g": 1, "h": 1})
+
+
+def naive_theorems(logic, pool, cap):
+    """Oracle: every rule instance over the terms of depth <= cap, the
+    conclusion variables that no premise binds ranging over the pool's
+    variables, applied until nothing changes."""
+    terms = list(enumerate_terms(logic.signature, pool, cap))
+    derived = set()
+    changed = True
+    while changed:
+        changed = False
+        for rule in logic.rules:
+            bound = set().union(*map(variables, rule.premises))
+            names = sorted(rule.variables())
+            ranges = [terms if v in bound or not rule.premises else [Var(p) for p in pool]
+                      for v in names]
+            for images in itertools.product(*ranges):
+                sigma = dict(zip(names, images))
+                t = substitute(rule.conclusion, sigma)
+                if (depth(t) <= cap and t not in derived
+                        and all(substitute(p, sigma) in derived for p in rule.premises)):
+                    derived.add(t)
+                    changed = True
+    return derived
+
+
+GX, HX, HY = (parse_term(GH, s) for s in ("(g x)", "(h x)", "(h y)"))
+G_TO_H = rules_logic(GH, [Rule((), GX), Rule([GX], HX), Rule([GX], HY)], name="g-to-h")
+G_TO_ANY_H = rules_logic(GH, [Rule((), GX), Rule([GX], HY)], name="g-to-any-h")
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("pool", [("x",), ("x", "y")])
+@pytest.mark.parametrize("logic", [G_TO_H, G_TO_ANY_H], ids=lambda logic: logic.name)
+def test_forward_chaining_agrees_with_a_naive_fixpoint(logic, pool, cap):
+    # the axiom gives the g-terms and the rules derive the h-terms; (g x) /
+    # (h y) leaves y unbound, so it gives h of each pool variable
+    theorems = derive_theorems(logic, pool, cap)
+    assert theorems == naive_theorems(logic, pool, cap)
+    g_args = {t.args[0] for t in theorems if t.sym == "g"}
+    h_args = {t.args[0] for t in theorems if t.sym == "h"}
+    assert h_args == (g_args if logic is G_TO_H else {Var(v) for v in pool})

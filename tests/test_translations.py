@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from law.algebra import eval_term
+from law.algebra import FiniteAlgebra, eval_term
 from law.errors import SignatureMismatch, TermError
 from law.gallery import build, bool2, imp2
 from law.logics import matrices_logic
-from law.matrices import Matrix, restrict_to_subuniverse, subuniverses
-from law.serialize import payload_to_json
+from law.matrices import Matrix, leibniz_congruence, restrict_to_subuniverse, subuniverses
+from law.partitions import Partition
+from law.serialize import fingerprint, payload_to_json
 from law.terms import Signature, Var, enumerate_terms, parse_term, substitute, to_sexpr
 from law.translations import (
     Translation,
@@ -31,6 +32,22 @@ IMP_LOGIC = matrices_logic([Matrix(imp2(), (1,))], name="b2-implication")
 
 def imp_inventory():
     return [restrict_to_subuniverse(imp2(), s) for s in subuniverses(imp2())]
+
+
+# ⊤ ↦ x1 → (x1 → x1) is constantly 0 on A', so on the reduct of ⟨A', {0, 2}⟩,
+# a reduced model, {0, 2} is a filter whose Suszko congruence identifies 0 and 2
+THREE = FiniteAlgebra(IMP, 3, {"→": (0, 0, 0, 0, 0, 0, 0, 0, 1)})
+TOP_TO_NESTED_IMP = Translation(POINTED, IMP, {"⊤": parse_term(IMP, "(→ x1 (→ x1 x1))")})
+THREE_LOGIC = matrices_logic([Matrix(THREE, (0, 2))])
+
+
+def interpretations():
+    """The checks whose reports are pinned: each kind of verdict and Fails reason."""
+    return {
+        "good": check_interpretation_bounded(TOP_TO_SELF_IMP, ASSERTIONAL, IMP_LOGIC, imp_inventory()),
+        "bad": check_interpretation_bounded(TOP_TO_ARG, ASSERTIONAL, IMP_LOGIC, imp_inventory()),
+        "suszko": check_interpretation_bounded(TOP_TO_NESTED_IMP, ASSERTIONAL, THREE_LOGIC, [THREE]),
+    }
 
 
 def test_translation_validation():
@@ -131,6 +148,27 @@ def test_interpretation_bad_translation_fails_with_witness():
     model = witness["model"]
     translated = Rule((), translate_term(TOP_TO_ARG, parse_term(POINTED, "(⊤ x)")))
     assert not is_model(model, translated)
+
+
+def test_interpretation_fails_on_a_reduct_that_is_not_suszko_reduced():
+    v = interpretations()["suszko"]
+    assert v.fails
+    assert v.witness["reason"] == "reduct is not Suszko-reduced for the source logic"
+    assert v.witness["model"] == Matrix(THREE, (0, 2))
+    reduct = v.witness["reduct"]
+    assert reduct == tau_reduct(TOP_TO_NESTED_IMP, THREE) and reduct.table("⊤") == (0, 0, 0)
+    # the reduct's filters are the sets holding 0, so those above {0, 2} are
+    # {0, 2} and the carrier; the meet of their Leibniz congruences is not
+    # the identity
+    omegas = [leibniz_congruence(Matrix(reduct, f)) for f in ((0, 2), (0, 1, 2))]
+    assert omegas[0].meet(omegas[1]) == Partition([0, 1, 0])
+
+
+def test_interpretation_reports_are_pinned():
+    """fingerprint of {case: report JSON} over `interpretations`"""
+    reports = {name: payload_to_json(v) for name, v in interpretations().items()}
+    assert reports["bad"]["witness"]["reason"] == "reduct filter is not a source filter"
+    assert fingerprint(reports) == "c858985535fa4b96"
 
 
 def test_interpretation_monotone_under_inventory_shrink():
