@@ -7,6 +7,7 @@ most significant. Product carriers use the same encoding: the index of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -292,11 +293,16 @@ def congruences_bruteforce(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max) -
     return sorted(out, key=lambda q: q.block_ids)
 
 
+# a cache, not a slot of the algebra: keys for the last 256 algebras read,
+# not for every algebra alive
+@functools.lru_cache(maxsize=256)
 def _row_keys(alg: FiniteAlgebra) -> list[operator.itemgetter]:
     """One `operator.itemgetter` per element over its row of
     `alg.neighbours()`: called on block ids, it reads the row as blocks in
     one C call. Where the rows have width 1 (no symbol of positive arity)
-    it returns the element's block id itself, not a 1-tuple."""
+    it returns the element's block id itself, not a 1-tuple. A caller that
+    stays on one algebra (a lattice's filters, a matrix's subsets) builds
+    them once; the list is shared, so read-only."""
     rows = alg.neighbours()
     width = len(rows) // alg.size
     return [operator.itemgetter(*rows[i : i + width]) for i in range(0, len(rows), width)]
@@ -316,12 +322,14 @@ def largest_congruence_below(alg: FiniteAlgebra, p: Partition) -> Partition:
     """Coarsest congruence refining `p`, by iterated signature splitting.
 
     Each pass tags every element with its row of neighbours (`neighbours`,
-    built once per algebra) read as blocks, then splits blocks whose members
-    disagree. Passes only refine, so a pass that keeps the block count is the
-    fixpoint: single-coordinate replacement stays inside blocks, which chains
-    to the full congruence property. Every pass stays coarser than or equal
-    to the answer, so one that reaches the identity (`alg.size` blocks) is
-    the answer at once, and so is an identity `p`.
+    built once per algebra) read as blocks through `_row_keys`, cached for
+    the last 256 algebras, so a caller that stays on one algebra builds its
+    itemgetters once; then it splits blocks whose members disagree. Passes
+    only refine, so a pass that keeps the block count is the fixpoint:
+    single-coordinate replacement stays inside blocks, which chains to the
+    full congruence property. Every pass stays coarser than or equal to the
+    answer, so one that reaches the identity (`alg.size` blocks) is the
+    answer at once, and so is an identity `p`.
     """
     n = alg.size
     if p.size != n:

@@ -467,14 +467,16 @@ def check_class(
             return unknown(**bounds)
         if class_name == "protoalgebraic":
             return holds(witness, **bounds)
-        for m in reduced_models(logic, inv, config):
-            for sub in submatrices(m, cap=config.oracle_max + 2):
-                if sub.filter not in filter_lattice(logic, sub.algebra, **caps).reduced():
-                    return fails(
-                        {"reason": "submatrix of a reduced model is not reduced",
-                         "model": m, "submatrix": sub, "witness": witness},
-                        **bounds,
-                    )
+        for alg in inv:
+            for f in filter_lattice(logic, alg, **caps).reduced():
+                m = Matrix(alg, f)
+                for sub in submatrices(m, cap=config.oracle_max + 2):
+                    if sub.filter not in filter_lattice(logic, sub.algebra, **caps).reduced():
+                        return fails(
+                            {"reason": "submatrix of a reduced model is not reduced",
+                             "model": m, "submatrix": sub, "witness": witness},
+                            **bounds,
+                        )
         return holds(witness, **bounds)
 
     # truth_equational and truth_minimal compare the reduced filters on each algebra

@@ -6,6 +6,7 @@ them by refinement and intersect them, so both live here.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import Hashed
@@ -22,15 +23,18 @@ def _canonical(ids: Sequence[int]) -> tuple[int, ...]:
 
 
 class Partition(Hashed):
-    """Block-id array, block ids numbered by first occurrence."""
+    """Block-id array, block ids numbered by first occurrence. `size` (the
+    carrier's) and `num_blocks` are set with the ids, not compared."""
 
     _fields = ("block_ids",)
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("_hash", "size", "num_blocks")
 
     def __init__(self, block_ids: Sequence[int]):
         ids = _canonical(block_ids)
         _set_block_ids(self, ids)
         _set_hash(self, hash(ids))
+        _set_size(self, len(ids))
+        _set_num_blocks(self, max(ids, default=-1) + 1)
 
     @classmethod
     def _of_canonical(cls, ids: tuple[int, ...]) -> "Partition":
@@ -40,15 +44,9 @@ class Partition(Hashed):
         p = object.__new__(cls)
         _set_block_ids(p, ids)
         _set_hash(p, hash(ids))
+        _set_size(p, len(ids))
+        _set_num_blocks(p, max(ids, default=-1) + 1)
         return p
-
-    @property
-    def size(self) -> int:
-        return len(self.block_ids)
-
-    @property
-    def num_blocks(self) -> int:
-        return max(self.block_ids, default=-1) + 1
 
     @staticmethod
     def identity(n: int) -> "Partition":
@@ -74,11 +72,10 @@ class Partition(Hashed):
 
     @staticmethod
     def seed_from_subset(n: int, subset: Iterable[int]) -> "Partition":
-        """Two blocks, the subset and its complement; total if either is empty."""
-        inside = set(subset)
-        first = 0 in inside  # element 0's side is block 0
-        ids = tuple([0 if (i in inside) == first else 1 for i in range(n)])
-        return Partition._of_canonical(ids)
+        """Two blocks, the subset and its complement; total if either is empty.
+        One partition per (n, subset), kept in `_seed` (a tuple subset is the
+        key as it is, any other iterable its tuple)."""
+        return _seed(n, subset if isinstance(subset, tuple) else tuple(subset))
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.num_blocks)]
@@ -102,11 +99,8 @@ class Partition(Hashed):
         """True iff every block of self lies inside a block of other."""
         if self.size != other.size:
             raise ValueError("partitions over different carriers")
-        image: dict[int, int] = {}
-        for mine, theirs in zip(self.block_ids, other.block_ids):
-            if image.setdefault(mine, theirs) != theirs:
-                return False
-        return True
+        # each block of self meets exactly one block of other
+        return len(set(zip(self.block_ids, other.block_ids))) == self.num_blocks
 
     def meet(self, other: "Partition") -> "Partition":
         """Intersection of the equivalence relations."""
@@ -143,6 +137,16 @@ class Partition(Hashed):
 # the slots' own setters, which the constructors call since assignment is refused
 _set_block_ids = Partition.block_ids.__set__
 _set_hash = Partition._hash.__set__
+_set_size = Partition.size.__set__
+_set_num_blocks = Partition.num_blocks.__set__
+
+
+# the seeds of one pass over a matrix's filters repeat a few (n, subset) keys
+@functools.lru_cache(maxsize=1024)
+def _seed(n: int, subset: tuple[int, ...]) -> Partition:
+    inside = set(subset)
+    first = 0 in inside  # element 0's side is block 0
+    return Partition._of_canonical(tuple([0 if (i in inside) == first else 1 for i in range(n)]))
 
 
 def all_partitions(n: int) -> Iterator[Partition]:

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import FiniteAlgebra, term_values
+from .algebra import FiniteAlgebra, distinct, term_values
 from .config import DEFAULTS, Config
 from .errors import Frozen, SignatureMismatch, TermError
-from .logics import LogicPresentation, filter_lattice, filter_notion, reduced_models
+from .logics import LogicPresentation, filter_lattice, filter_notion
+from .matrices import Matrix
 from .serialize import inventory_fingerprint
 from .terms import App, Signature, Term, Var, check_term, substitute, variables
 from .verdicts import Verdict, fails, holds
@@ -105,19 +106,23 @@ def check_interpretation_bounded(
         "variable_budget": target_logic.variable_budget,
     }
     caps = config.caps()
-    for model in reduced_models(target_logic, inventory, config):
-        reduct = tau_reduct(tau, model.algebra)
+    inv = distinct(inventory)
+    if any(alg.signature != target_logic.signature for alg in inv):
+        raise SignatureMismatch("algebra signature differs from the logic's")
+    # algebra by algebra, so the first refuting model ends the walk
+    for alg in inv:
+        models = filter_lattice(target_logic, alg, **caps).reduced()
+        if not models:
+            continue
+        reduct = tau_reduct(tau, alg)
         lattice = filter_lattice(source_logic, reduct, **caps)
-        if model.filter not in lattice.filters:
-            return fails(
-                {"reason": "reduct filter is not a source filter",
-                 "model": model, "reduct": reduct},
-                **bounds,
-            )
-        if model.filter not in lattice.reduced():
-            return fails(
-                {"reason": "reduct is not Suszko-reduced for the source logic",
-                 "model": model, "reduct": reduct},
-                **bounds,
-            )
+        for f in models:
+            if f not in lattice.filters:
+                reason = "reduct filter is not a source filter"
+            elif f not in lattice.reduced():
+                reason = "reduct is not Suszko-reduced for the source logic"
+            else:
+                continue
+            return fails({"reason": reason, "model": Matrix(alg, f), "reduct": reduct},
+                         **bounds)
     return holds(**bounds)

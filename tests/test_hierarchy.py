@@ -8,7 +8,7 @@ import pytest
 
 from law.algebra import FiniteAlgebra, congruences_bruteforce, direct_product, one_element
 from law.config import DEFAULTS
-from law.errors import CapExceeded, UnknownName
+from law.errors import CapExceeded, SignatureMismatch, UnknownName
 from law.gallery import GALLERY_NAMES, bool2, bool4, build, imp2, nabla_hat, pointed_set
 from law.hierarchy import (
     CLASS_NAMES,
@@ -48,6 +48,7 @@ from law.terms import (
     to_sexpr,
     variables,
 )
+from law.translations import Translation, check_interpretation_bounded
 
 IMP = imp2().signature
 POINTED = Signature({"⊤": 1})
@@ -320,6 +321,39 @@ def test_every_filter_class_stops_at_the_first_algebra_that_refutes_it(chain7):
     with pytest.raises(CapExceeded, match="carrier 7 exceeds the filter sweep cap 6"):
         check_class("truth_minimal", PAIR.logic, grown)
     assert check_class("has_theorems", PAIR.logic, grown).unknown
+
+
+def imp_chain7():
+    """The 7-element →-chain: a → b is the top if a ≤ b, else b."""
+    return FiniteAlgebra(IMP, 7, {"→": [6 if a <= b else b for a in range(7) for b in range(7)]})
+
+
+def test_interpretation_and_submatrix_checks_stop_at_the_first_refuting_model():
+    # each refutes on its 3- or 2-element algebra, so neither sweeps the
+    # chain above the carrier cap
+    top_to_arg = Translation(POINTED, IMP, {"⊤": Var("x1")})
+    imp_logic = matrices_logic([Matrix(imp2(), (1,))], name="b2-implication")
+    a = FiniteAlgebra(IMP, 3, {"→": (1, 2, 1, 2, 1, 1, 0, 2, 2)})
+    checks = [
+        (lambda inv: check_interpretation_bounded(top_to_arg, ASSERTIONAL.logic, imp_logic, inv),
+         imp2(), "reduct filter is not a source filter"),
+        (lambda inv: check_class("equivalential", matrices_logic([Matrix(a, (1, 2))]), inv),
+         a, "submatrix of a reduced model is not reduced"),
+    ]
+    for check, alg, reason in checks:
+        alone, v = (payload_to_json(check(inv)) for inv in ([alg], [alg, imp_chain7()]))
+        assert v["status"] == alone["status"] == "fails" and v["witness"] == alone["witness"]
+        assert v["witness"]["reason"] == reason
+
+
+def test_interpretation_refuses_an_inventory_algebra_of_another_signature():
+    # refused before any model is read, as check_class does, although B2→
+    # comes first and refutes the translation
+    top_to_arg = Translation(POINTED, IMP, {"⊤": Var("x1")})
+    imp_logic = matrices_logic([Matrix(imp2(), (1,))])
+    with pytest.raises(SignatureMismatch, match="algebra signature differs"):
+        check_interpretation_bounded(top_to_arg, ASSERTIONAL.logic, imp_logic,
+                                     [imp2(), bool4()])
 
 
 def test_check_class_has_theorems():

@@ -1,10 +1,15 @@
 """Partitions: canonical form, refinement, lattice operations."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
+from law import algebra
 from law.algebra import enumerate_algebras, largest_congruence_below
+from law.gallery import bool4
+from law.matrices import Matrix, leibniz_congruence
 from law.partitions import Partition, _canonical, all_partitions
 from law.terms import Signature
 
@@ -96,3 +101,65 @@ def test_largest_congruence_below_builds_canonical_ids(sig, max_n):
             for seed in seeds:
                 p = largest_congruence_below(alg, seed)
                 assert_canonical(p, p.block_ids)
+
+
+def refines_by_image(p, q):
+    """Oracle: p refines q iff the map from p's blocks to q's is a function."""
+    image = {}
+    for mine, theirs in zip(p.block_ids, q.block_ids):
+        if image.setdefault(mine, theirs) != theirs:
+            return False
+    return True
+
+
+def test_refines_agrees_with_the_block_image_oracle():
+    for n in range(6):
+        parts = list(all_partitions(n))
+        for p, q in itertools.product(parts, repeat=2):
+            assert p.refines(q) == refines_by_image(p, q), (p, q)
+    for p, q in ((Partition.identity(3), Partition.total(4)), (Partition.total(0), Partition.total(1))):
+        with pytest.raises(ValueError, match="different carriers"):
+            p.refines(q)
+
+
+def assert_counts(p):
+    assert p.size == len(p.block_ids)
+    assert p.num_blocks == max(p.block_ids, default=-1) + 1
+
+
+def test_size_and_block_count_are_set_by_every_constructor():
+    built = [Partition((5, 5, 2, 5)), Partition((3, 1, 4, 1, 5, 9, 2, 6)), Partition(()),
+             Partition._of_canonical((0, 1, 0, 2)), Partition._of_canonical(()),
+             Partition.from_blocks(5, [[4], [3, 1], [0, 2]])]
+    parts = list(all_partitions(4))
+    built += [p.meet(q) for p, q in itertools.product(parts[::3], repeat=2)]
+    built += [p.join(q) for p, q in itertools.product(parts[::3], repeat=2)]
+    for p in built:
+        assert_counts(p)
+        for again in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert again == p and hash(again) == hash(p)
+            assert (again.size, again.num_blocks) == (p.size, p.num_blocks)
+            assert_counts(again)
+
+
+def uncached_seed(n, subset):
+    inside = set(subset)
+    return Partition([0 if i in inside else 1 for i in range(n)])
+
+
+def test_seed_from_subset_reads_any_iterable_and_keeps_one_partition_per_key():
+    n = 5
+    for subset in [(1, 3), (3, 1), [3, 1], {1, 3}, (1, 3, 3, 1), (1, 3, 7), (), (0, 1, 2, 3, 4),
+                   [0, 2, 9]]:
+        assert Partition.seed_from_subset(n, subset) == uncached_seed(n, subset), subset
+    assert Partition.seed_from_subset(n, (x for x in (3, 1))) == uncached_seed(n, (1, 3))
+    assert Partition.seed_from_subset(4, (0, 2)) is Partition.seed_from_subset(4, (0, 2))
+
+
+def test_row_keys_are_built_once_over_every_filter_of_one_algebra(fresh_caches):
+    alg = bool4()
+    for k in range(alg.size + 1):
+        for f in itertools.combinations(range(alg.size), k):
+            leibniz_congruence(Matrix(alg, f))
+    info = algebra._row_keys.cache_info()
+    assert (info.misses, info.hits) == (1, 2 ** alg.size - 1)
