@@ -341,7 +341,7 @@ def largest_congruence_below(alg: FiniteAlgebra, p: Partition) -> Partition:
     while True:
         ids, fresh_count = _split(keys, ids)
         if fresh_count == count or fresh_count == n:
-            return Partition._of_canonical(tuple(ids))
+            return Partition._of_canonical(tuple(ids), fresh_count)
         count = fresh_count
 
 

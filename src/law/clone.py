@@ -9,7 +9,9 @@ the clone of term operations of the algebras taken jointly. Three readers:
 * the bounded filter sweep of `logics`, over one canonical variable per
   element of a target algebra: one closure per logic and carrier size,
   which each target of that size follows with its own values
-  (`canonical_rows`), and per-row lanes of each column (`rows_in`);
+  (`canonical_rows`), and the distinct per-row lanes of each column
+  (`rows_in`), kept for every target until the closure grows
+  (`distinct_rows_in`);
 * the witness searches of `hierarchy`, over x, or x and y, read each class's
   designation mask (`designation`, `lanes`, `theorems`) and never evaluate a
   term;
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import struct
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -108,13 +109,22 @@ def _indicator(members: Iterable[int]) -> bytes:
 def _image(alg: FiniteAlgebra, sym: str, head: Sequence[int]) -> list[int]:
     """`sym`'s image in `alg` over sets of values, as bitmasks (bit v for
     value v), with its head arguments' sets fixed: for each set of the tail,
-    the set of values taken with each argument in its set. A nullary symbol
-    takes its one value whatever the tail."""
-    arity = alg.signature.arity(sym)
-    heads = list(itertools.product(*([v for v in range(alg.size) if m >> v & 1] for m in head)))
-    single = [functools.reduce(operator.or_, (1 << alg.apply(sym, (*args, v)[:arity])
-                                              for args in heads), 0) for v in range(alg.size)]
-    image = [0] * (1 << alg.size)
+    the set of values taken with each argument in its set, read off the
+    table in one pass over the cells whose head arguments lie in their sets.
+    A nullary symbol takes its one value at every nonempty tail set."""
+    n, table = alg.size, alg.table(sym)
+    if alg.signature.arity(sym) == 0:
+        single = [1 << table[0]] * n
+    else:
+        # the first cell of each head tuple's run of n tail cells
+        starts = [0]
+        for m in head:
+            starts = [(s + v) * n for s in starts for v in range(n) if m >> v & 1]
+        single = [0] * n
+        for s in starts:
+            for t, value in enumerate(table[s:s + n]):
+                single[t] |= 1 << value
+    image = [0] * (1 << n)
     for m in range(1, len(image)):  # the image of a union is the union of the images
         image[m] = image[m & (m - 1)] | single[(m & -m).bit_length() - 1]
     return image
@@ -179,6 +189,8 @@ class JointClosure:
         # each row's first term's symbol and argument rows; none for a variable
         self._origins: list[Optional[tuple[str, tuple[int, ...]]]] = [None] * len(self._rows)
         self._old = 0  # rows that predate the previous level's new ones
+        # (algebra, member sets) -> `distinct_rows_in`, until a level adds rows
+        self._kept_lanes: dict[tuple, tuple[int, ...]] = {}
         # a canonical closure's tuples per level L + 1, for `canonical_rows`:
         # (symbol, head rows, first tail row, the row each tail yields)
         self._yields: Optional[list[list[tuple]]] = [] if canonical else None
@@ -256,6 +268,7 @@ class JointClosure:
             self.saturated = True  # fixpoint: deeper terms add nothing
             return False
         rows.extend(fresh)
+        self._kept_lanes.clear()
         self._old = count
         self.level += 1
         return True
@@ -297,6 +310,17 @@ class JointClosure:
         return [int.from_bytes(column.translate(t), "big")
                 for column in (blob[c::width] for c in range(span.start, span.stop))
                 for t in tables]
+
+    def distinct_rows_in(self, member_sets: tuple[frozenset[int], ...],
+                         alg: FiniteAlgebra) -> tuple[int, ...]:
+        """The distinct ints of `rows_in`, in first order, built once per
+        (alg, member_sets) and kept until `grow` adds rows, so every target
+        that reads this closure at one depth shares them."""
+        key = (alg, member_sets)
+        got = self._kept_lanes.get(key)
+        if got is None:
+            got = self._kept_lanes[key] = tuple(dict.fromkeys(self.rows_in(member_sets, alg)))
+        return got
 
     def canonical_rows(self, target: FiniteAlgebra, depth_cap: int,
                        cell_budget: int) -> tuple[list[int], int]:

@@ -18,9 +18,9 @@ class's terms take in the target at the canonical assignment: G is a
 bounded filter iff no class has such a value outside G while staying
 designated at every column that keeps the classes with values in G
 designated. It reads each column's classes as ints with one byte lane per
-class, in pure Python. The exact sweep evaluates each rule once per
-algebra, when a subset first reaches it, and tests every subset against
-the stored values.
+class, which the closure builds once per depth for every target, in pure
+Python. The exact sweep evaluates each rule once per algebra, when a
+subset first reaches it, and tests every subset against the stored values.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
@@ -255,16 +255,18 @@ def _bounded_filter_subsets(logic: LogicPresentation, closure: JointClosure,
                             of_value: list[int]) -> list[tuple[int, ...]]:
     # Sets of rows are ints with one byte lane per row, 1 for a member:
     # of_value[v] holds the rows with a term of canonical value v, and each
-    # column of every matrix gives the rows it leaves undesignated.
-    undesignated: dict[FiniteAlgebra, list[set[int]]] = {}
+    # column of every matrix gives the rows it leaves undesignated, read
+    # from the closure, which keeps them for every target of its size.
+    undesignated: dict[FiniteAlgebra, list[frozenset[int]]] = {}
     for m in logic.matrices:
-        undesignated.setdefault(m.algebra, []).append(set(range(m.algebra.size)) - m.filter_set())
+        undesignated.setdefault(m.algebra, []).append(
+            frozenset(range(m.algebra.size)) - m.filter_set())
     # covers[k]: the columns killed by exactly the values in bitmask k, i.e.
     # each leaves a row with a term of each such value undesignated, so no G
     # holding one of them can use it; their rows ORed together
     covers: dict[int, int] = {}
     for alg, sets in undesignated.items():
-        for col in dict.fromkeys(closure.rows_in(sets, alg)):
+        for col in closure.distinct_rows_in(tuple(sets), alg):
             k = sum(1 << v for v, rows in enumerate(of_value) if col & rows)
             covers[k] = covers.get(k, 0) | col
 
@@ -337,7 +339,8 @@ class FilterLattice(Frozen):
 
 # one closure per (logic, n), 4 at most, since memory grows with them: Ł3's
 # for n = 3 at depth 3 holds 117 KiB, the criterion-8 product's for n = 4
-# at depth 2 506 KiB
+# at depth 2 506 KiB; the column lanes each keeps for its targets
+# (`distinct_rows_in`) add 14 KiB and 320 KiB
 @functools.lru_cache(maxsize=4)
 def _canonical_classes(logic: LogicPresentation, n: int) -> JointClosure:
     """The term classes of the defining algebras over n canonical variables,

@@ -37,24 +37,25 @@ class Partition(Hashed):
         _set_num_blocks(self, max(ids, default=-1) + 1)
 
     @classmethod
-    def _of_canonical(cls, ids: tuple[int, ...]) -> "Partition":
+    def _of_canonical(cls, ids: tuple[int, ...], num_blocks: int) -> "Partition":
         """The partition whose block ids are `ids`, which must already be in
-        first-occurrence form (``ids == _canonical(ids)``); skips the
-        relabelling pass of the constructor."""
+        first-occurrence form (``ids == _canonical(ids)``), with `num_blocks`
+        distinct ids, which the caller knows; skips the relabelling pass of
+        the constructor."""
         p = object.__new__(cls)
         _set_block_ids(p, ids)
         _set_hash(p, hash(ids))
         _set_size(p, len(ids))
-        _set_num_blocks(p, max(ids, default=-1) + 1)
+        _set_num_blocks(p, num_blocks)
         return p
 
     @staticmethod
     def identity(n: int) -> "Partition":
-        return Partition._of_canonical(tuple(range(n)))
+        return Partition._of_canonical(tuple(range(n)), n)
 
     @staticmethod
     def total(n: int) -> "Partition":
-        return Partition._of_canonical((0,) * n)
+        return Partition._of_canonical((0,) * n, min(n, 1))
 
     @staticmethod
     def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
@@ -146,22 +147,24 @@ _set_num_blocks = Partition.num_blocks.__set__
 def _seed(n: int, subset: tuple[int, ...]) -> Partition:
     inside = set(subset)
     first = 0 in inside  # element 0's side is block 0
-    return Partition._of_canonical(tuple([0 if (i in inside) == first else 1 for i in range(n)]))
+    ids = tuple([0 if (i in inside) == first else 1 for i in range(n)])
+    return Partition._of_canonical(ids, min(n, 1) + (1 in ids))
 
 
 def all_partitions(n: int) -> Iterator[Partition]:
     """Every partition of {0..n-1}, in lexicographic restricted-growth order."""
     if n == 0:
-        yield Partition._of_canonical(())
+        yield Partition._of_canonical((), 0)
         return
 
-    def rec(prefix: list[int], top: int) -> Iterator[Partition]:
+    def rec(prefix: list[int], blocks: int) -> Iterator[Partition]:
+        """Every completion of `prefix`, which uses ids 0..blocks-1."""
         if len(prefix) == n:
-            yield Partition._of_canonical(tuple(prefix))
+            yield Partition._of_canonical(tuple(prefix), blocks)
             return
-        for b in range(top + 2):
+        for b in range(blocks + 1):  # an old block, then a new one
             prefix.append(b)
-            yield from rec(prefix, max(top, b))
+            yield from rec(prefix, blocks + (b == blocks))
             prefix.pop()
 
-    yield from rec([0], 0)
+    yield from rec([0], 1)

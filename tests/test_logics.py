@@ -11,7 +11,7 @@ import pytest
 from law import logics
 from law.algebra import (FiniteAlgebra, congruences_bruteforce, eval_term, one_element,
                          term_values)
-from law.clone import JointClosure, _joint_table
+from law.clone import JointClosure, _image, _joint_table
 from law.config import DEFAULTS
 from law.errors import CapExceeded, NotAFilter, SignatureMismatch, TermError
 from law.gallery import GALLERY_NAMES, bool2, build, imp2, pointed_set, product_of_logics
@@ -455,6 +455,22 @@ def test_a_joint_table_is_bytes_while_its_packed_blocks_fit_256_lanes():
         assert type(_joint_table(blocks, sym, 2)) is table_type, case
 
 
+def test_a_set_image_is_the_image_of_every_choice_of_arguments():
+    sig = Signature({"c": 0, "u": 1, "b": 2, "t": 3})
+    rng = random.Random(30)
+    for n in range(1, 5):
+        alg = FiniteAlgebra(sig, n, {sym: [rng.randrange(n) for _ in range(n**arity)]
+                                     for sym, arity in sig.symbols})
+        for sym, arity in sig.symbols:
+            for head in itertools.product(range(1 << n), repeat=max(arity - 1, 0)):
+                image = _image(alg, sym, head)
+                assert len(image) == 1 << n
+                for tail in range(1 << n):
+                    sets = [[v for v in range(n) if m >> v & 1] for m in (*head, tail)]
+                    want = {alg.apply(sym, args[:arity]) for args in itertools.product(*sets)}
+                    assert image[tail] == sum(1 << v for v in want), (n, sym, head, tail)
+
+
 def test_a_symbol_may_share_its_name_with_a_canonical_variable():
     # the sweep's canonical variables v0, v1 are never rebuilt into terms, so a
     # symbol named v0 sweeps like any other; the witness searches' x clashes
@@ -667,10 +683,28 @@ def test_warm_shared_classes_sweep_as_cold_ones(alg, fresh_caches):
     assert [bounds["depth_effective"] for _, bounds in cold] == [2, 3, 2]
 
 
+def test_the_column_lanes_are_built_once_per_closure_state(monkeypatch, fresh_caches):
+    closure = logics._canonical_classes(L3, 3)
+    built = []  # the closure's level at each build
+    real = closure.rows_in
+    monkeypatch.setattr(closure, "rows_in", lambda *a: built.append(closure.level) or real(*a))
+    targets = TARGETS + (LUK3,)
+    warm = [_read(L3, alg, depth_cap=2) for alg in targets]
+    assert built == [2]
+    # a deeper target grows the closure, which drops the lanes
+    warm.append(_read(L3, TARGETS[0], depth_cap=3))
+    assert built == [2, 3]
+    warm.append(_read(L3, TARGETS[1], depth_cap=3))
+    assert built == [2, 3]
+    assert warm == ([_cold(L3, alg, depth_cap=2) for alg in targets]
+                    + [_cold(L3, alg, depth_cap=3) for alg in TARGETS])
+
+
 def test_an_error_part_way_through_a_level_leaves_the_shared_classes_whole(monkeypatch,
                                                                          fresh_caches):
     _read(L3, TARGETS[0], depth_cap=2)
     closure = logics._canonical_classes(L3, 3)
+    kept = dict(closure._kept_lanes)
     real = closure._candidates
 
     def interrupted():
@@ -684,6 +718,7 @@ def test_an_error_part_way_through_a_level_leaves_the_shared_classes_whole(monke
         _read(L3, TARGETS[1], depth_cap=3)
     monkeypatch.undo()
     assert (closure.level, len(closure._index)) == (2, len(closure._rows))
+    assert kept and closure._kept_lanes == kept  # the rows are unchanged, so are their lanes
     assert _read(L3, TARGETS[1], depth_cap=3) == _cold(L3, TARGETS[1], depth_cap=3)
 
 

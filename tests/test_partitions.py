@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from law import algebra
-from law.algebra import enumerate_algebras, largest_congruence_below
+from law.algebra import FiniteAlgebra, enumerate_algebras, largest_congruence_below
 from law.gallery import bool4
 from law.matrices import Matrix, leibniz_congruence
 from law.partitions import Partition, _canonical, all_partitions
@@ -129,7 +129,7 @@ def assert_counts(p):
 
 def test_size_and_block_count_are_set_by_every_constructor():
     built = [Partition((5, 5, 2, 5)), Partition((3, 1, 4, 1, 5, 9, 2, 6)), Partition(()),
-             Partition._of_canonical((0, 1, 0, 2)), Partition._of_canonical(()),
+             Partition._of_canonical((0, 1, 0, 2), 3), Partition._of_canonical((), 0),
              Partition.from_blocks(5, [[4], [3, 1], [0, 2]])]
     parts = list(all_partitions(4))
     built += [p.meet(q) for p, q in itertools.product(parts[::3], repeat=2)]
@@ -140,6 +140,26 @@ def test_size_and_block_count_are_set_by_every_constructor():
             assert again == p and hash(again) == hash(p)
             assert (again.size, again.num_blocks) == (p.size, p.num_blocks)
             assert_counts(again)
+
+
+def test_every_constructor_path_counts_the_distinct_block_ids(fresh_caches):
+    # the block count comes from what each path knows, never from the ids
+    unary = Signature({"f": 1})
+    for n in range(6):
+        parts = list(all_partitions(n))
+        built = parts + [Partition.identity(n), Partition.total(n)]
+        built += [Partition.seed_from_subset(n, s) for k in range(n + 1)
+                  for s in itertools.combinations(range(n), k)]
+        built += [Partition(p.block_ids[::-1]) for p in parts]
+        built += [Partition.from_blocks(n, p.blocks()) for p in parts]
+        built += [p.meet(q) for p, q in zip(parts, reversed(parts))]
+        built += [p.join(q) for p, q in zip(parts, reversed(parts))]
+        if n:
+            for f in ([(a + 1) % n for a in range(n)], [a // 2 for a in range(n)], [0] * n):
+                alg = FiniteAlgebra(unary, n, {"f": f})
+                built += [largest_congruence_below(alg, p) for p in parts]
+        for p in built:
+            assert p.num_blocks == len(set(p.block_ids)), (n, p)
 
 
 def uncached_seed(n, subset):
