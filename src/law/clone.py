@@ -11,7 +11,10 @@ the clone of term operations of the algebras taken jointly. Three readers:
   which each target of that size follows with its own values
   (`canonical_rows`), and the distinct per-row lanes of each column
   (`rows_in`), kept for every target until the closure grows
-  (`distinct_rows_in`);
+  (`distinct_rows_in`). The sweep's family only shrinks as the depth
+  grows, so `canonical_rows` offers the lanes of the depth below the cap
+  before it propagates the last level, and a target they leave with only
+  the full carrier skips that level;
 * the witness searches of `hierarchy`, over x, or x and y, read each class's
   designation mask (`designation`, `lanes`, `theorems`) and never evaluate a
   term;
@@ -188,7 +191,7 @@ class JointClosure:
             self._variables.append(self._index[row])
         # each row's first term's symbol and argument rows; none for a variable
         self._origins: list[Optional[tuple[str, tuple[int, ...]]]] = [None] * len(self._rows)
-        self._old = 0  # rows that predate the previous level's new ones
+        self._ends = [len(self._rows)]  # per level L: the rows of depth <= L
         # (algebra, member sets) -> `distinct_rows_in`, until a level adds rows
         self._kept_lanes: dict[tuple, tuple[int, ...]] = {}
         # a canonical closure's tuples per level L + 1, for `canonical_rows`:
@@ -198,7 +201,8 @@ class JointClosure:
     def _candidates(self) -> Iterator[tuple[str, tuple[int, ...], int, bytes]]:
         """The next level's (symbol, head) batches: symbol, head rows, first
         tail row, and the candidate rows, one per tail row, back to back."""
-        rows, width, base, old, count = self._rows, self._width, self._base, self._old, len(self._rows)
+        rows, width, base, count = self._rows, self._width, self._base, len(self._rows)
+        old = self._ends[self.level - 1] if self.level else 0  # rows before the last level's
         tails = {}  # (arity, first tail row) -> tags plus tail rows: an int, or cells
         for sym, arity in self._syms:
             table, tags = self._tables[sym], self._tags[arity]
@@ -269,7 +273,7 @@ class JointClosure:
             return False
         rows.extend(fresh)
         self._kept_lanes.clear()
-        self._old = count
+        self._ends.append(len(rows))
         self.level += 1
         return True
 
@@ -323,15 +327,22 @@ class JointClosure:
         return got
 
     def canonical_rows(self, target: FiniteAlgebra, depth_cap: int,
-                       cell_budget: int) -> tuple[list[int], int]:
+                       cell_budget: int) -> Iterator[tuple[list[int], int]]:
         """For each element v of `target`: the rows with a term of depth <= d
         whose value in `target` at the canonical assignment is v, in the
         lanes of `rows_in`; and d. The closure grows as far as the target
         reads. d is `depth_cap`, or less when a closure with the target's
         own column would pass `cell_budget`; at a fixpoint it is
-        `depth_cap`, since deeper terms add nothing."""
+        `depth_cap`, since deeper terms add nothing.
+
+        The last pair yielded is that answer. When the budget admits the
+        last level, the lanes of depth `depth_cap` - 1 come first, paired
+        with `depth_cap`, after the closure has grown for that level, so
+        they read the same `distinct_rows_in` as the answer: a caller whose
+        result those lanes already settle at every greater depth stops
+        there, and the last level is never propagated."""
         width, arities = self._width + (target not in self._spans), list(self._arity.values())
-        masks = [0] * len(self._rows)  # per row, bit v for a term of value v
+        masks = [0] * self._ends[0]  # per row of depth <= level, bit v for a term of value v
         for v, row in enumerate(self._variables):
             masks[row] |= 1 << v
         images: dict[tuple, list[int]] = {}  # (symbol, head masks) -> `_image`
@@ -339,27 +350,40 @@ class JointClosure:
         while level < depth_cap and sum(map(joint.__pow__, arities)) * width <= cell_budget:
             while self.level <= level and self.grow():
                 pass
-            # each row gains the image of every tuple of rows of depth <= level
-            # that yields it
-            new = masks + [0] * (len(self._rows) - len(masks))
-            for sym, head, start, rows in itertools.chain.from_iterable(self._yields[:level + 1]):
-                key = (sym, *map(masks.__getitem__, head))
-                image = images.get(key)
-                if image is None:
-                    image = images[key] = _image(target, sym, key[1:])
-                for row, tail in zip(rows, masks[start:start + len(rows)]):
-                    new[row] |= image[tail]
-            grown = sum(map(int.bit_count, new))
-            if grown == joint:
-                level = depth_cap  # fixpoint: deeper terms add nothing
-                break
-            joint, level, masks = grown, level + 1, new
-        masks += [0] * (len(self._rows) - len(masks))
-        # bit v of each mask, eight values to a byte
-        octets = [bytes(masks)] if target.size <= 8 else [
-            bytes(m >> k & 255 for m in masks) for k in range(0, target.size, 8)]
-        return [int.from_bytes(octets[v >> 3].translate(_BITS[v & 7]), "big")
-                for v in range(target.size)], level
+            if level == depth_cap - 1:
+                yield self._value_lanes(masks, target.size), depth_cap
+            masks, level = self._spread(target, masks, level, images), level + 1
+            if level < depth_cap:  # the last level's count decides nothing
+                grown = sum(map(int.bit_count, masks))
+                if grown == joint:
+                    level = depth_cap  # fixpoint: deeper terms add nothing
+                joint = grown
+        lanes = self._value_lanes(masks, target.size)
+        del masks, images  # freed while the caller reads the lanes
+        yield lanes, level
+
+    def _spread(self, target: FiniteAlgebra, masks: list[int], level: int,
+                images: dict[tuple, list[int]]) -> list[int]:
+        """The masks of the rows of depth <= `level` + 1, from `masks`, those
+        of depth <= `level`: each row gains the image of every tuple of rows
+        of depth <= `level` that yields it."""
+        new = masks + [0] * (self._ends[min(level + 1, self.level)] - len(masks))
+        for sym, head, start, rows in itertools.chain.from_iterable(self._yields[:level + 1]):
+            key = (sym, *map(masks.__getitem__, head))
+            image = images.get(key)
+            if image is None:
+                image = images[key] = _image(target, sym, key[1:])
+            for row, tail in zip(rows, masks[start:start + len(rows)]):
+                new[row] |= image[tail]
+        return new
+
+    def _value_lanes(self, masks: list[int], size: int) -> list[int]:
+        """For each of `size` values, the rows whose mask holds it, in the
+        lanes of `rows_in`: bit v of each mask, eight values to a byte."""
+        pad = bytes(len(self._rows) - len(masks))  # the rows of greater depth
+        octets = [bytes(masks) + pad] if size <= 8 else [
+            bytes(m >> k & 255 for m in masks) + pad for k in range(0, size, 8)]
+        return [int.from_bytes(octets[v >> 3].translate(_BITS[v & 7]), "big") for v in range(size)]
 
     def lanes(self, matrices: Sequence[Matrix], keep: Callable[[frozenset[int], tuple], bool]) -> int:
         """One byte lane per column of each matrix's block, matrices in

@@ -19,8 +19,11 @@ bounded filter iff no class has such a value outside G while staying
 designated at every column that keeps the classes with values in G
 designated. It reads each column's classes as ints with one byte lane per
 class, which the closure builds once per depth for every target, in pure
-Python. The exact sweep evaluates each rule once per algebra, when a
-subset first reaches it, and tests every subset against the stored values.
+Python. The family only shrinks as the depth cap grows, and the full
+carrier is always in it; so when the classes one level below the cap leave
+only the full carrier, the last level is skipped. The exact sweep evaluates
+each rule once per algebra, when a subset first reaches it, and tests every
+subset against the stored values.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
@@ -251,8 +254,14 @@ def _closed_under_rules(logic: LogicPresentation, alg: FiniteAlgebra, subset: fr
 # filters for matrix presentations (bounded): a sweep over the term classes
 
 
-def _bounded_filter_subsets(logic: LogicPresentation, closure: JointClosure,
-                            of_value: list[int]) -> list[tuple[int, ...]]:
+def _bounded_filter_subsets(logic: LogicPresentation, closure: JointClosure, target: FiniteAlgebra,
+                            depth_cap: int, cell_budget: int) -> tuple[list[tuple[int, ...]], int]:
+    """The bounded filters on `target` and the closure's effective depth.
+    The family only shrinks as the depth grows, since deeper terms add
+    rules, and the full carrier is always in it; so when the lanes of the
+    depth below the last leave only the full carrier, the last level is
+    skipped, and otherwise the final lanes test only the subsets that
+    survived them."""
     # Sets of rows are ints with one byte lane per row, 1 for a member:
     # of_value[v] holds the rows with a term of canonical value v, and each
     # column of every matrix gives the rows it leaves undesignated, read
@@ -261,30 +270,34 @@ def _bounded_filter_subsets(logic: LogicPresentation, closure: JointClosure,
     for m in logic.matrices:
         undesignated.setdefault(m.algebra, []).append(
             frozenset(range(m.algebra.size)) - m.filter_set())
-    # covers[k]: the columns killed by exactly the values in bitmask k, i.e.
-    # each leaves a row with a term of each such value undesignated, so no G
-    # holding one of them can use it; their rows ORed together
-    covers: dict[int, int] = {}
-    for alg, sets in undesignated.items():
-        for col in closure.distinct_rows_in(tuple(sets), alg):
-            k = sum(1 << v for v, rows in enumerate(of_value) if col & rows)
-            covers[k] = covers.get(k, 0) | col
-
-    results = []
-    for subset in _subsets_sorted(len(of_value)):
-        held = sum(1 << v for v in subset)
-        outside = cover = 0
-        for v, rows in enumerate(of_value):
-            if not held >> v & 1:
-                outside |= rows
-        for k, col in covers.items():
-            if not k & held:
-                cover |= col
-        # G is a filter iff every row with a term outside it is undesignated
-        # in some column that no value in G kills
-        if outside & cover == outside:
-            results.append(subset)
-    return results
+    subsets = _subsets_sorted(target.size)
+    for of_value, depth in closure.canonical_rows(target, depth_cap, cell_budget):
+        # covers[k]: the columns killed by exactly the values in bitmask k,
+        # i.e. each leaves a row with a term of each such value undesignated,
+        # so no G holding one of them can use it; their rows ORed together
+        covers: dict[int, int] = {}
+        for alg, sets in undesignated.items():
+            for col in closure.distinct_rows_in(tuple(sets), alg):
+                k = sum(1 << v for v, rows in enumerate(of_value) if col & rows)
+                covers[k] = covers.get(k, 0) | col
+        survivors = []
+        for subset in subsets:
+            held = sum(1 << v for v in subset)
+            outside = cover = 0
+            for v, rows in enumerate(of_value):
+                if not held >> v & 1:
+                    outside |= rows
+            for k, col in covers.items():
+                if not k & held:
+                    cover |= col
+            # G is a filter iff every row with a term outside it is
+            # undesignated in some column that no value in G kills
+            if outside & cover == outside:
+                survivors.append(subset)
+        subsets = survivors
+        if len(subsets) == 1:  # the full carrier, alone at every greater depth
+            break
+    return subsets, depth
 
 
 def _subsets_sorted(n: int) -> list[tuple[int, ...]]:
@@ -355,10 +368,9 @@ def _sweep(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
            cell_budget: int) -> FilterLattice:
     if logic.kind == RULES:
         return FilterLattice(alg, tuple(_rule_filters(logic, alg)))
-    closure = _canonical_classes(logic, alg.size)
-    of_value, depth_effective = closure.canonical_rows(alg, depth_cap, cell_budget)
-    return FilterLattice(alg, tuple(_bounded_filter_subsets(logic, closure, of_value)),
-                         depth_effective)
+    filters, depth_effective = _bounded_filter_subsets(
+        logic, _canonical_classes(logic, alg.size), alg, depth_cap, cell_budget)
+    return FilterLattice(alg, tuple(filters), depth_effective)
 
 
 def filter_lattice(logic: LogicPresentation, alg: FiniteAlgebra,

@@ -19,6 +19,7 @@ from law.serialize import (
     algebra_from_json,
     algebra_to_json,
     dump_json,
+    load_json,
     load_logic,
     logic_to_json,
     matrix_to_json,
@@ -249,7 +250,7 @@ def test_gallery_subcommand_writes_loadable_files(tmp_path):
     assert "nabla.logic.json" in written and "nabla.manifest.json" in written
     logic = load_logic(os.path.join(out_dir, "nabla.logic.json"))
     assert logic.kind == "rules" and len(logic.rules) == 2
-    manifest = json.load(open(os.path.join(out_dir, "nabla.manifest.json")))
+    manifest = load_json(os.path.join(out_dir, "nabla.manifest.json"))
     assert manifest["name"] == "nabla"
     assert manifest["expectations"]
 
@@ -258,7 +259,7 @@ def test_gallery_param_passthrough(tmp_path):
     out_dir = os.path.join(tmp_path, "out2")
     code, out, _ = invoke(["gallery", "pointed-set", "--param", "n=4", "--out", out_dir])
     assert code == 0
-    alg = algebra_from_json(json.load(open(os.path.join(out_dir, "pointed-set.inv0.json"))))
+    alg = algebra_from_json(load_json(os.path.join(out_dir, "pointed-set.inv0.json")))
     assert alg.size == 4
 
 

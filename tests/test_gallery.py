@@ -31,7 +31,7 @@ from law.hierarchy import (
 )
 from law.logics import entails, matrices_logic
 from law.matrices import Matrix
-from law.serialize import fingerprint, load_matrix, payload_to_json
+from law.serialize import fingerprint, load_json, load_matrix, payload_to_json
 from law.terms import App, Var, enumerate_terms, parse_term, to_sexpr
 
 X, Y = Var("x"), Var("y")
@@ -318,7 +318,7 @@ def test_write_entry_writes_every_file_and_a_manifest(tmp_path):
     assert written == ["pointed-set.inv0.json", "pointed-set.manifest.json",
                        "pointed-set.matrix0.json"]
     assert sorted(os.listdir(out)) == written
-    manifest = json.load(open(os.path.join(out, "pointed-set.manifest.json")))
+    manifest = load_json(os.path.join(out, "pointed-set.manifest.json"))
     assert manifest["params"] == {"n": 3}
     assert manifest["files"] == {"matrix0": "pointed-set.matrix0.json",
                                  "inventory0": "pointed-set.inv0.json"}

@@ -310,7 +310,7 @@ def _sweep_pairs(logic, alg, depth_cap, budget):
     sweep's effective depth."""
     closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices],
                            [f"v{i}" for i in range(alg.size)], float("inf"), canonical=True)
-    of_value, depth_effective = closure.canonical_rows(alg, depth_cap, budget)
+    *_, (of_value, depth_effective) = closure.canonical_rows(alg, depth_cap, budget)
     rows = _closure_rows(closure, _blocks(logic))
     pairs = {(rows[i], v) for v, lanes in enumerate(of_value)
              for i, lane in enumerate(lanes.to_bytes(len(rows), "big")) if lane}
@@ -513,6 +513,31 @@ def test_random_closures_are_the_joint_evaluations_of_bounded_terms():
             _assert_classes(closure, logic.signature, algebras, names, closure.level)
 
 
+def _assert_shrinks(logic, alg, budget):
+    """Deeper terms add rules, so the bounded family at cap d + 1 is part of
+    the one at cap d, and the full carrier is in every one."""
+    before = None
+    for cap in range(5):
+        filters = deductive_filters(logic, alg, oracle_max=alg.size, depth_cap=cap,
+                                    cell_budget=budget)
+        assert filters[-1] == tuple(range(alg.size))
+        if before is not None:
+            assert set(filters) <= set(before), cap
+        before = filters
+
+
+@pytest.mark.parametrize("logic, alg, depth_cap, budget", _closure_cases())
+def test_the_bounded_family_shrinks_as_the_depth_cap_grows(logic, alg, depth_cap, budget):
+    _assert_shrinks(logic, alg, budget or DEFAULTS.closure_cell_budget)
+
+
+def test_random_bounded_families_shrink_as_the_depth_cap_grows():
+    rng = random.Random(31)
+    for _ in range(30):
+        logic, alg, _ = _random_closure_case(rng)
+        _assert_shrinks(logic, alg, DEFAULTS.closure_cell_budget)
+
+
 @pytest.mark.parametrize("logic, alg, depth_cap, budget", _closure_cases())
 def test_witness_closures_rebuild_the_first_term_of_each_class(logic, alg, depth_cap, budget):
     # over x on the defining algebras, at depth 3: in the repeated-row cases
@@ -698,6 +723,30 @@ def test_the_column_lanes_are_built_once_per_closure_state(monkeypatch, fresh_ca
     assert built == [2, 3]
     assert warm == ([_cold(L3, alg, depth_cap=2) for alg in targets]
                     + [_cold(L3, alg, depth_cap=3) for alg in TARGETS])
+
+
+def test_a_target_down_to_the_full_carrier_never_propagates_the_last_level(monkeypatch,
+                                                                         fresh_caches):
+    # TARGETS[0] keeps only the full carrier from depth 1 on; Ł3 itself
+    # keeps {2} at every depth, so its last level is propagated and tested
+    closure = logics._canonical_classes(L3, 3)
+    spread = []  # the levels each sweep propagates
+    real = closure._spread
+    monkeypatch.setattr(closure, "_spread", lambda target, masks, level, images: (
+        spread.append(level) or real(target, masks, level, images)))
+    for alg, want in ((TARGETS[0], [0, 1]), (LUK3, [0, 1, 2])):
+        spread.clear()
+        assert _read(L3, alg, depth_cap=3)[1]["depth_effective"] == 3
+        assert spread == want
+    for alg in (TARGETS[0], LUK3):
+        for budget in (2000, 20000, DEFAULTS.closure_cell_budget):
+            for cap in range(1, 4):
+                pairs, depth_effective = _sweep_pairs(L3, alg, cap, budget)
+                filters, bounds = _read(L3, alg, depth_cap=cap, cell_budget=budget)
+                assert filters == _filters_by_definition(L3, alg, pairs), (budget, cap)
+                assert bounds["depth_effective"] == depth_effective, (budget, cap)
+    assert deductive_filters(L3, TARGETS[0]) == [(0, 1, 2)]
+    assert deductive_filters(L3, LUK3) == [(2,), (0, 1, 2)]
 
 
 def test_an_error_part_way_through_a_level_leaves_the_shared_classes_whole(monkeypatch,
