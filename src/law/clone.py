@@ -12,9 +12,10 @@ the clone of term operations of the algebras taken jointly. Three readers:
   (`canonical_rows`), and the distinct per-row lanes of each column
   (`rows_in`), kept for every target until the closure grows
   (`distinct_rows_in`). The sweep's family only shrinks as the depth
-  grows, so `canonical_rows` offers the lanes of the depth below the cap
-  before it propagates the last level, and a target they leave with only
-  the full carrier skips that level;
+  grows, so `canonical_rows` offers the lanes of each depth from 1 to the
+  cap - 1 at which the budget provably admits every deeper level, and a
+  target that one of them leaves with only the full carrier propagates no
+  deeper level;
 * the witness searches of `hierarchy`, over x, or x and y, read each class's
   designation mask (`designation`, `lanes`, `theorems`) and never evaluate a
   term;
@@ -327,40 +328,53 @@ class JointClosure:
         return got
 
     def canonical_rows(self, target: FiniteAlgebra, depth_cap: int,
-                       cell_budget: int) -> Iterator[tuple[list[int], int]]:
+                       cell_budget: int) -> Iterator[tuple[list[int], int, int]]:
         """For each element v of `target`: the rows with a term of depth <= d
         whose value in `target` at the canonical assignment is v, in the
-        lanes of `rows_in`; and d. The closure grows as far as the target
-        reads. d is `depth_cap`, or less when a closure with the target's
-        own column would pass `cell_budget`; at a fixpoint it is
+        lanes of `rows_in` less those of its last `beyond` rows, the rows of
+        greater depth; then `beyond`; and d. The closure grows as far as the
+        target reads. d is `depth_cap`, or less when a closure with the
+        target's own column would pass `cell_budget`; at a fixpoint it is
         `depth_cap`, since deeper terms add nothing.
 
-        The last pair yielded is that answer. When the budget admits the
-        last level, the lanes of depth `depth_cap` - 1 come first, paired
-        with `depth_cap`, after the closure has grown for that level, so
-        they read the same `distinct_rows_in` as the answer: a caller whose
-        result those lanes already settle at every greater depth stops
-        there, and the last level is never propagated."""
+        The last triple yielded is that answer. Before it come the lanes of
+        each depth L from 1 to `depth_cap` - 1 (0 at cap 1) at which the
+        budget provably admits every deeper level, paired with `depth_cap`,
+        each after the closure has grown for level L + 1: at `depth_cap` - 1
+        the loop has passed its test, and below it the test passes with
+        every row of depth < `depth_cap` taking every value, if the closure
+        has already built those rows. A caller whose result such lanes
+        settle at every greater depth stops there, and no deeper level is
+        propagated."""
         width, arities = self._width + (target not in self._spans), list(self._arity.values())
+
+        def admits(joint: int) -> bool:  # the budget admits a level of `joint` pairs
+            return sum(map(joint.__pow__, arities)) * width <= cell_budget
+
         masks = [0] * self._ends[0]  # per row of depth <= level, bit v for a term of value v
         for v, row in enumerate(self._variables):
             masks[row] |= 1 << v
         images: dict[tuple, list[int]] = {}  # (symbol, head masks) -> `_image`
         level, joint = 0, target.size  # joint: the (row, value) pairs
-        while level < depth_cap and sum(map(joint.__pow__, arities)) * width <= cell_budget:
+        while level < depth_cap and admits(joint):
             while self.level <= level and self.grow():
                 pass
-            if level == depth_cap - 1:
-                yield self._value_lanes(masks, target.size), depth_cap
+            # a deeper level holds at most its rows times the values, and
+            # `admits` grows with the count: bound the last, if it is built
+            last = min(depth_cap - 1, self.level)
+            bounded = (last == depth_cap - 1 or self.saturated) and admits(
+                self._ends[last] * target.size)
+            if level == depth_cap - 1 or level > 0 and bounded:
+                yield self._value_lanes(masks, target.size), len(self._rows) - len(masks), depth_cap
             masks, level = self._spread(target, masks, level, images), level + 1
             if level < depth_cap:  # the last level's count decides nothing
                 grown = sum(map(int.bit_count, masks))
                 if grown == joint:
                     level = depth_cap  # fixpoint: deeper terms add nothing
                 joint = grown
-        lanes = self._value_lanes(masks, target.size)
+        lanes, beyond = self._value_lanes(masks, target.size), len(self._rows) - len(masks)
         del masks, images  # freed while the caller reads the lanes
-        yield lanes, level
+        yield lanes, beyond, level
 
     def _spread(self, target: FiniteAlgebra, masks: list[int], level: int,
                 images: dict[tuple, list[int]]) -> list[int]:
@@ -377,12 +391,13 @@ class JointClosure:
                 new[row] |= image[tail]
         return new
 
-    def _value_lanes(self, masks: list[int], size: int) -> list[int]:
-        """For each of `size` values, the rows whose mask holds it, in the
-        lanes of `rows_in`: bit v of each mask, eight values to a byte."""
-        pad = bytes(len(self._rows) - len(masks))  # the rows of greater depth
-        octets = [bytes(masks) + pad] if size <= 8 else [
-            bytes(m >> k & 255 for m in masks) + pad for k in range(0, size, 8)]
+    @staticmethod
+    def _value_lanes(masks: list[int], size: int) -> list[int]:
+        """For each of `size` values, the rows whose mask holds it, one byte
+        lane per mask, 1 for such a row: bit v of each mask, eight values to
+        a byte."""
+        octets = [bytes(masks)] if size <= 8 else [
+            bytes(m >> k & 255 for m in masks) for k in range(0, size, 8)]
         return [int.from_bytes(octets[v >> 3].translate(_BITS[v & 7]), "big") for v in range(size)]
 
     def lanes(self, matrices: Sequence[Matrix], keep: Callable[[frozenset[int], tuple], bool]) -> int:

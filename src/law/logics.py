@@ -20,10 +20,11 @@ designated at every column that keeps the classes with values in G
 designated. It reads each column's classes as ints with one byte lane per
 class, which the closure builds once per depth for every target, in pure
 Python. The family only shrinks as the depth cap grows, and the full
-carrier is always in it; so when the classes one level below the cap leave
-only the full carrier, the last level is skipped. The exact sweep evaluates
-each rule once per algebra, when a subset first reaches it, and tests every
-subset against the stored values.
+carrier is always in it; so the first depth below the cap, from 1 on, that
+leaves only the full carrier, where the budget provably admits every
+deeper level, settles the sweep, and no deeper level is propagated. The
+exact sweep evaluates each rule once per algebra, when a subset first
+reaches it, and tests every subset against the stored values.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
@@ -258,10 +259,11 @@ def _bounded_filter_subsets(logic: LogicPresentation, closure: JointClosure, tar
                             depth_cap: int, cell_budget: int) -> tuple[list[tuple[int, ...]], int]:
     """The bounded filters on `target` and the closure's effective depth.
     The family only shrinks as the depth grows, since deeper terms add
-    rules, and the full carrier is always in it; so when the lanes of the
-    depth below the last leave only the full carrier, the last level is
-    skipped, and otherwise the final lanes test only the subsets that
-    survived them."""
+    rules, and the full carrier is always in it; so each depth that
+    `canonical_rows` offers below the answer tests the subsets that survived
+    the one before, the first that leaves only the full carrier settles the
+    sweep with no deeper level propagated, and otherwise the final lanes
+    test only the subsets that survived them all."""
     # Sets of rows are ints with one byte lane per row, 1 for a member:
     # of_value[v] holds the rows with a term of canonical value v, and each
     # column of every matrix gives the rows it leaves undesignated, read
@@ -271,13 +273,15 @@ def _bounded_filter_subsets(logic: LogicPresentation, closure: JointClosure, tar
         undesignated.setdefault(m.algebra, []).append(
             frozenset(range(m.algebra.size)) - m.filter_set())
     subsets = _subsets_sorted(target.size)
-    for of_value, depth in closure.canonical_rows(target, depth_cap, cell_budget):
+    for of_value, beyond, depth in closure.canonical_rows(target, depth_cap, cell_budget):
         # covers[k]: the columns killed by exactly the values in bitmask k,
         # i.e. each leaves a row with a term of each such value undesignated,
-        # so no G holding one of them can use it; their rows ORed together
+        # so no G holding one of them can use it; their rows ORed together,
+        # without the lanes of the rows `of_value` leaves out
         covers: dict[int, int] = {}
         for alg, sets in undesignated.items():
             for col in closure.distinct_rows_in(tuple(sets), alg):
+                col >>= 8 * beyond
                 k = sum(1 << v for v, rows in enumerate(of_value) if col & rows)
                 covers[k] = covers.get(k, 0) | col
         survivors = []
@@ -350,9 +354,13 @@ class FilterLattice(Frozen):
         return self._reduced
 
 
-# one closure per (logic, n), 4 at most, since memory grows with them: Ł3's
-# for n = 3 at depth 3 holds 117 KiB, the criterion-8 product's for n = 4
-# at depth 2 506 KiB; the column lanes each keeps for its targets
+# one closure per (logic, n), 4 at most, since memory grows with them. Each
+# grows only as deep as its targets read, and a sweep that depth L settles
+# reads level L + 1: at cap 3, targets that depth 1 leaves with only the
+# full carrier stop it at level 2 (Ł3's for n = 3: 52 classes). A few
+# targets of the filters sample keep a proper filter, so there Ł3's
+# reaches depth 3 and holds 117 KiB. The criterion-8 product's for n = 4
+# at depth 2 holds 506 KiB; the column lanes each keeps for its targets
 # (`distinct_rows_in`) add 14 KiB and 320 KiB
 @functools.lru_cache(maxsize=4)
 def _canonical_classes(logic: LogicPresentation, n: int) -> JointClosure:

@@ -310,10 +310,10 @@ def _sweep_pairs(logic, alg, depth_cap, budget):
     sweep's effective depth."""
     closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices],
                            [f"v{i}" for i in range(alg.size)], float("inf"), canonical=True)
-    *_, (of_value, depth_effective) = closure.canonical_rows(alg, depth_cap, budget)
+    *_, (of_value, beyond, depth_effective) = closure.canonical_rows(alg, depth_cap, budget)
     rows = _closure_rows(closure, _blocks(logic))
     pairs = {(rows[i], v) for v, lanes in enumerate(of_value)
-             for i, lane in enumerate(lanes.to_bytes(len(rows), "big")) if lane}
+             for i, lane in enumerate(lanes.to_bytes(len(rows) - beyond, "big")) if lane}
     return pairs, depth_effective
 
 
@@ -716,28 +716,34 @@ def test_the_column_lanes_are_built_once_per_closure_state(monkeypatch, fresh_ca
     targets = TARGETS + (LUK3,)
     warm = [_read(L3, alg, depth_cap=2) for alg in targets]
     assert built == [2]
-    # a deeper target grows the closure, which drops the lanes
+    # TARGETS[0] is settled at depth 1, so the closure stays at level 2
     warm.append(_read(L3, TARGETS[0], depth_cap=3))
+    assert (built, closure.level) == ([2], 2)
+    # a target that does not collapse grows the closure, which drops the lanes
+    warm.append(_read(L3, LUK3, depth_cap=3))
     assert built == [2, 3]
     warm.append(_read(L3, TARGETS[1], depth_cap=3))
     assert built == [2, 3]
     assert warm == ([_cold(L3, alg, depth_cap=2) for alg in targets]
-                    + [_cold(L3, alg, depth_cap=3) for alg in TARGETS])
+                    + [_cold(L3, alg, depth_cap=3) for alg in (TARGETS[0], LUK3, TARGETS[1])])
 
 
 def test_a_target_down_to_the_full_carrier_never_propagates_the_last_level(monkeypatch,
                                                                          fresh_caches):
-    # TARGETS[0] keeps only the full carrier from depth 1 on; Ł3 itself
+    # TARGETS[0] keeps only the full carrier from depth 1 on, so at cap 3
+    # only level 0 is propagated; at cap 4 the default budget stops the sweep
+    # at depth 3, so no trial below it answers and levels 0-2 run; Ł3 itself
     # keeps {2} at every depth, so its last level is propagated and tested
     closure = logics._canonical_classes(L3, 3)
     spread = []  # the levels each sweep propagates
     real = closure._spread
     monkeypatch.setattr(closure, "_spread", lambda target, masks, level, images: (
         spread.append(level) or real(target, masks, level, images)))
-    for alg, want in ((TARGETS[0], [0, 1]), (LUK3, [0, 1, 2])):
+    for alg, cap, want, depth in ((TARGETS[0], 3, [0], 3), (LUK3, 3, [0, 1, 2], 3),
+                                  (TARGETS[0], 4, [0, 1, 2], 3)):
         spread.clear()
-        assert _read(L3, alg, depth_cap=3)[1]["depth_effective"] == 3
-        assert spread == want
+        assert _read(L3, alg, depth_cap=cap)[1]["depth_effective"] == depth
+        assert spread == want, cap
     for alg in (TARGETS[0], LUK3):
         for budget in (2000, 20000, DEFAULTS.closure_cell_budget):
             for cap in range(1, 4):
@@ -747,6 +753,71 @@ def test_a_target_down_to_the_full_carrier_never_propagates_the_last_level(monke
                 assert bounds["depth_effective"] == depth_effective, (budget, cap)
     assert deductive_filters(L3, TARGETS[0]) == [(0, 1, 2)]
     assert deductive_filters(L3, LUK3) == [(2,), (0, 1, 2)]
+
+
+def _spy_sweeps(monkeypatch):
+    """Each bounded sweep from now on, as [the levels it propagates, whether
+    it read the last triple of `canonical_rows`]: a sweep that a trial
+    settles never does."""
+    sweeps = []
+    rows, spread = JointClosure.canonical_rows, JointClosure._spread
+
+    def spy_rows(self, *args):
+        sweeps.append([[], False])
+        yield from rows(self, *args)
+        sweeps[-1][1] = True
+
+    def spy_spread(self, target, masks, level, images):
+        sweeps[-1][0].append(level)
+        return spread(self, target, masks, level, images)
+
+    monkeypatch.setattr(JointClosure, "canonical_rows", spy_rows)
+    monkeypatch.setattr(JointClosure, "_spread", spy_spread)
+    return sweeps
+
+
+def test_random_sweeps_settled_below_the_last_level_agree_with_the_definition(monkeypatch,
+                                                                          fresh_caches):
+    # three-element targets at caps 3 and 4, where a trial below depth cap - 1
+    # may settle the sweep: `early` counts the sweeps one settled
+    sweeps = _spy_sweeps(monkeypatch)
+    rng = random.Random(32)
+    early = 0
+    for _ in range(20):
+        sig = Signature({f"f{i}": rng.choice((0, 1, 2, 2)) for i in range(rng.randint(1, 2))})
+
+        def algebra(n):
+            return FiniteAlgebra(sig, n, {s: [rng.randrange(n) for _ in range(n**a)]
+                                          for s, a in sig.symbols})
+
+        logic = matrices_logic([Matrix(algebra(2), (0,)) for _ in range(rng.randint(1, 2))])
+        alg = algebra(3)
+        for cap in (3, 4):
+            for budget in (20000, DEFAULTS.closure_cell_budget):
+                sweeps.clear()  # a draw met before reads its cached lattice
+                filters, bounds = _read(logic, alg, depth_cap=cap, cell_budget=budget)
+                early += sum(not answered and len(levels) < cap - 1 for levels, answered in sweeps)
+                pairs, depth_effective = _sweep_pairs(logic, alg, cap, budget)
+                assert filters == _filters_by_definition(logic, alg, pairs), (cap, budget)
+                assert bounds["depth_effective"] == depth_effective, (cap, budget)
+    assert early >= 10
+
+
+def test_a_budget_that_only_the_real_counts_admit_takes_no_early_trial(monkeypatch,
+                                                                      fresh_caches):
+    # at cap 3 TARGETS[0] needs 81**2 * 28 cells (81 (row, value) pairs at
+    # depth 2), but the 52 rows of depth 2 bound it at (52 * 3)**2 * 28: in
+    # between, no trial runs at depth 1, and the cap - 1 trial settles it
+    sweeps = _spy_sweeps(monkeypatch)
+    for budget, want in ((81**2 * 28, [[0, 1], False]), ((52 * 3)**2 * 28 - 1, [[0, 1], False]),
+                         ((52 * 3)**2 * 28, [[0], False])):
+        logics._canonical_classes.cache_clear()
+        bounds = filter_bounds(L3, TARGETS[0], 3, budget)
+        assert sweeps[-1] == want, budget
+        pairs, depth_effective = _sweep_pairs(L3, TARGETS[0], 3, budget)
+        assert bounds["depth_effective"] == depth_effective == 3, budget
+        assert deductive_filters(L3, TARGETS[0], depth_cap=3, cell_budget=budget) == (
+            _filters_by_definition(L3, TARGETS[0], pairs)) == [(0, 1, 2)]
 
 
 def test_an_error_part_way_through_a_level_leaves_the_shared_classes_whole(monkeypatch,
