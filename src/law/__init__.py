@@ -21,7 +21,7 @@ _EXPORTS = {
     "terms": ("App", "Signature", "Term", "Var", "enumerate_terms", "parse_term", "to_sexpr"),
     "translations": ("Translation", "check_interpretation_bounded", "tau_reduct",
                      "translate_term"),
-    "verdicts": ("Verdict", "verdict_merge"),
+    "verdicts": ("Verdict",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,24 +1,28 @@
-"""The term classes over k variables: the engine behind every Leibniz condition.
+"""The term classes over n variables: the engine behind every Leibniz condition.
 
-`JointClosure` grows the classes of terms over k variables, terms with equal
-values at every assignment in every algebra of a list, one depth level at a
-time and only as far as its caller reads, and rebuilds each class's first
-term in `enumerate_terms` order on demand. Its classes are the k-ary part of
-the clone of term operations of the algebras taken jointly. Three readers:
+`JointClosure` grows the classes of terms over n variables, terms with equal
+values at every assignment in every algebra of a set, one depth level at a
+time and only as far as its readers read, and rebuilds each class's first
+term in `enumerate_terms` order on demand, over the variable names its
+reader passes. Its classes are the n-ary part of the clone of term
+operations of the algebras taken jointly. Neither the names nor a cell
+budget change a class, so `term_classes` keeps one closure per (signature,
+algebras, n) for every reader. Each reader passes its own budget, checked
+before each level is read, so a closure that another reader grew answers
+as a fresh one would. The readers:
 
 * the bounded filter sweep of `logics`, over one canonical variable per
-  element of a target algebra: one closure per logic and carrier size,
-  which each target of that size follows with its own values
-  (`canonical_rows`), and the distinct per-row lanes of each column
-  (`rows_in`), kept for every target until the closure grows
-  (`distinct_rows_in`). The sweep's family only shrinks as the depth
-  grows, so `canonical_rows` offers the lanes of each depth from 1 to the
-  cap - 1 at which the budget provably admits every deeper level, and a
-  target that one of them leaves with only the full carrier propagates no
-  deeper level;
-* the witness searches of `hierarchy`, over x, or x and y, read each class's
-  designation mask (`designation`, `lanes`, `theorems`) and never evaluate a
-  term;
+  element of a target algebra: every target of that size follows the
+  closure of the defining algebras with its own values (`canonical_rows`),
+  and reads the distinct per-row lanes of each column (`rows_in`), kept for
+  every target until the closure grows (`distinct_rows_in`). The sweep's
+  family only shrinks as the depth grows, so `canonical_rows` offers the
+  lanes of each depth from 1 to the cap - 1 at which the budget provably
+  admits every deeper level, and a target that one of them leaves with only
+  the full carrier propagates no deeper level;
+* the witness searches of `hierarchy`, over x (n = 1), or x and y (n = 2),
+  read each class's designation mask (`designation`, `lanes`, `theorems`)
+  and never evaluate a term;
 * the injective-theorem search reads a class's values on one algebra
   (`values`).
 
@@ -33,7 +37,7 @@ import struct
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import FiniteAlgebra, distinct
-from .errors import CapExceeded, TermError
+from .errors import CapExceeded
 from .matrices import Matrix
 from .terms import App, Signature, Term, Var
 
@@ -73,11 +77,11 @@ from .terms import App, Signature, Term, Var
 # class keeps a bitmask of the values in the target, at the canonical
 # assignment (variable i sent to element i), of its terms of depth <= L,
 # and level L+1 adds to it the target's image of the masks of every tuple
-# of earlier classes that yields it. A canonical closure keeps those tuples
-# per level as it grows, with the class each yields, for every target it
-# serves. A class of the closure with the target's column is
-# one (class, value) pair, so the masks hold as many values as that
-# closure has classes, and the cell budget counts them.
+# of earlier classes that yields it. A closure keeps those tuples per level
+# as it grows, with the class each yields, for every target it serves. A
+# class of the closure with the target's column is one (class, value) pair,
+# so the masks hold as many values as that closure has classes, and the
+# cell budget counts them.
 
 _LANES = 256  # a closure cell is one byte
 
@@ -139,24 +143,19 @@ _BITS = [(bytes(1 << v) + b"\1" * (1 << v)) * (_LANES >> v + 1) for v in range(8
 
 
 class JointClosure:
-    """The term classes over `names` and the distinct `algebras`, grown one
-    level per `grow` under a cell budget; class i stands for its first term
-    in `enumerate_terms` order, `term(i)`.
+    """The term classes over n variables and the distinct `algebras`, grown
+    one level per `grow`; class i stands for its first term in
+    `enumerate_terms` order, `term(i, names)`. The library builds one only
+    through `term_classes`.
 
-    A `canonical` closure is the filter sweep's, read by `canonical_rows`:
-    its variables are never rebuilt into terms, so their names may clash
-    with a symbol. Otherwise a name that is a symbol raises TermError.
-    `level` is the depth of the deepest classes; `saturated` is set once a
-    level adds none."""
+    Its readers pass their cell budget per read (`classes`, `theorems`,
+    `canonical_rows`), so one closure serves every budget. `level` is the
+    depth of the deepest classes; `saturated` is set once a level adds
+    none."""
 
-    def __init__(self, sig: Signature, algebras: Iterable[FiniteAlgebra], names: Sequence[str],
-                 cell_budget: float, canonical: bool = False):
-        if not canonical:
-            for v in names:
-                if v in sig:
-                    raise TermError(f"variable {v!r} clashes with a symbol name")
+    def __init__(self, sig: Signature, algebras: Iterable[FiniteAlgebra], n: int):
         # each block's columns, as assignments of the variables, in block order
-        self._columns = {b: list(itertools.product(range(b.size), repeat=len(names)))
+        self._columns = {b: list(itertools.product(range(b.size), repeat=n))
                          for b in distinct(algebras)}
         block_algs = list(self._columns)
         for b in block_algs:
@@ -167,7 +166,6 @@ class JointClosure:
         offsets = tuple(itertools.accumulate(map(len, self._columns.values()), initial=0))
         self._spans = {b: slice(lo, hi) for b, lo, hi in zip(block_algs, offsets, offsets[1:])}
         self._width = offsets[-1]
-        self.cell_budget = cell_budget
         self.level = 0
         self.saturated = False
         self._base = max(b.size for b in block_algs)
@@ -180,14 +178,12 @@ class JointClosure:
         self._tables = {sym: _joint_table(block_algs, sym, arity) for sym, arity in self._syms}
         # depth-0 rows: one per variable whose row is new
         self._rows: list[bytes] = []
-        self._terms: dict[int, Term] = {}  # rebuilt first terms
         self._index: dict[bytes, int] = {}  # row -> its index
         self._variables = []  # each variable's row
-        for i, name in enumerate(names):
+        for i in range(n):
             row = bytes(inp[i] for cols in self._columns.values() for inp in cols)
             if row not in self._index:
                 self._index[row] = len(self._rows)
-                self._terms[len(self._rows)] = Var(name)
                 self._rows.append(row)
             self._variables.append(self._index[row])
         # each row's first term's symbol and argument rows; none for a variable
@@ -195,9 +191,9 @@ class JointClosure:
         self._ends = [len(self._rows)]  # per level L: the rows of depth <= L
         # (algebra, member sets) -> `distinct_rows_in`, until a level adds rows
         self._kept_lanes: dict[tuple, tuple[int, ...]] = {}
-        # a canonical closure's tuples per level L + 1, for `canonical_rows`:
-        # (symbol, head rows, first tail row, the row each tail yields)
-        self._yields: Optional[list[list[tuple]]] = [] if canonical else None
+        # the tuples per level L + 1, for `canonical_rows`: (symbol, head
+        # rows, first tail row, the row each tail yields)
+        self._yields: list[list[tuple]] = []
 
     def _candidates(self) -> Iterator[tuple[str, tuple[int, ...], int, bytes]]:
         """The next level's (symbol, head) batches: symbol, head rows, first
@@ -235,16 +231,15 @@ class JointClosure:
                     yield sym, head, start, idx.to_bytes(copies * width, "big").translate(table)
 
     def grow(self) -> bool:
-        """Build the next level. False, building nothing, when it would pass
-        the cell budget or, setting `saturated`, when it adds no row. An
-        error part-way through a level leaves the closure as it was."""
+        """Build the next level. False, building nothing, when it adds no
+        row, setting `saturated`. An error part-way through a level leaves
+        the closure as it was."""
+        if self.saturated:
+            return False
         rows, index, origins, width = self._rows, self._index, self._origins, self._width
         count = len(rows)
-        projected = sum(count**arity if arity else 1 for _, arity in self._syms) * width
-        if self.saturated or projected > self.cell_budget:
-            return False
         fresh: list[bytes] = []  # this level's new rows
-        tuples = []  # this level's `_yields`, when kept
+        tuples = []  # this level's `_yields`
         # batch length -> the unpack of a Struct that splits it into rows: a
         # level has two tail lengths, plus the one-row nullary batch
         splits: dict[int, Callable[[bytes], tuple[bytes, ...]]] = {}
@@ -260,15 +255,13 @@ class JointClosure:
                             index[k] = count + len(fresh)
                             fresh.append(k)
                             origins.append((sym, (*head, tail) if self._arity[sym] else ()))
-                if self._yields is not None:
-                    tuples.append((sym, head, start, list(map(index.__getitem__, keys))))
+                tuples.append((sym, head, start, list(map(index.__getitem__, keys))))
         except BaseException:
             for k in fresh:
                 del index[k]
             del origins[count:]
             raise
-        if self._yields is not None:
-            self._yields.append(tuples)
+        self._yields.append(tuples)
         if not fresh:
             self.saturated = True  # fixpoint: deeper terms add nothing
             return False
@@ -278,28 +271,35 @@ class JointClosure:
         self.level += 1
         return True
 
-    def classes(self, depth: int) -> Iterator[int]:
+    def classes(self, depth: int, cell_budget: float) -> Iterator[int]:
         """The indices of the classes of terms of depth <= `depth`, level by
         level, growing the closure only as far as the caller reads. Raises
-        CapExceeded when the cell budget stops it short of `depth`."""
-        done = 0
-        while True:
-            yield from range(done, len(self._rows))
-            done = len(self._rows)
-            if self.level >= depth or self.saturated:
-                return
-            if not self.grow() and not self.saturated:
-                raise CapExceeded(f"closure cell budget {self.cell_budget} stops the term "
-                                  f"classes at depth {self.level} of {depth}")
+        CapExceeded when `cell_budget` stops it short of `depth`: level L + 1,
+        built or not, and a fixpoint found there, are read only when the
+        budget admits every argument tuple of the rows of depth <= L at every
+        column, so a closure that a larger budget grew reads as a fresh one."""
+        level = 0
+        yield from range(self._ends[0])
+        while level < depth:
+            count = self._ends[level]
+            cells = sum(count**arity if arity else 1 for _, arity in self._syms) * self._width
+            if cells > cell_budget:
+                raise CapExceeded(f"closure cell budget {cell_budget} stops the term "
+                                  f"classes at depth {level} of {depth}")
+            if level == self.level and not self.grow():
+                return  # fixpoint: deeper terms add nothing
+            level += 1
+            yield from range(count, self._ends[level])
 
-    def term(self, i: int) -> Term:
-        """The first term of class i in `enumerate_terms` order: its origin's
-        symbol applied to its argument rows' first terms."""
-        got = self._terms.get(i)
-        if got is None:
-            sym, args = self._origins[i]
-            got = self._terms[i] = App(sym, tuple(map(self.term, args)))
-        return got
+    def term(self, i: int, names: Sequence[str]) -> Term:
+        """The first term of class i in `enumerate_terms` order over the
+        variables `names`: a variable's name, or its origin's symbol applied
+        to its argument rows' first terms."""
+        origin = self._origins[i]
+        if origin is None:
+            return Var(names[self._variables.index(i)])
+        sym, args = origin
+        return App(sym, tuple(self.term(a, names) for a in args))
 
     def values(self, i: int, alg: FiniteAlgebra) -> bytes:
         """Class i's values on `alg`, one byte per column of its block, at
@@ -413,9 +413,21 @@ class JointClosure:
         return lambda i: int.from_bytes(
             b"".join(self.values(i, a).translate(t) for a, t in tables), "big")
 
-    def theorems(self, matrices: Sequence[Matrix], depth: int) -> Iterator[int]:
+    def theorems(self, matrices: Sequence[Matrix], depth: int,
+                 cell_budget: float) -> Iterator[int]:
         """The classes of depth <= `depth` designated in every column of
         `matrices`, in order, growing the closure as they are read."""
         mask = self.designation(matrices)
         every = self.lanes(matrices, lambda d, col: True)
-        return (i for i in self.classes(depth) if mask(i) == every)
+        return (i for i in self.classes(depth, cell_budget) if mask(i) == every)
+
+
+# 16 closures at most, since memory grows with them: Ł3's for n = 3 at
+# depth 3 holds 117 KiB, the criterion-8 product's for n = 4 at depth 2
+# 506 KiB, and the column lanes they keep (`distinct_rows_in`) add 14 KiB
+# and 320 KiB
+@functools.lru_cache(maxsize=16)
+def term_classes(sig: Signature, algebras: frozenset[FiniteAlgebra], n: int) -> JointClosure:
+    """The term classes over n variables of `algebras`, shared by every
+    reader of those algebras and grown as far as the deepest of them reads."""
+    return JointClosure(sig, algebras, n)

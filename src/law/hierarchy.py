@@ -12,13 +12,17 @@ classes under that config's caps; a search's own `depth` is its argument.
 in x (`_theorems`), each with a reader of its values on an algebra. The
 witness searches over matrices (theorems and injective theorems of a
 matrix presentation, protoalgebraic sets of any presentation through its
-consequence matrices) read one stream of term classes from the joint closure
-of `clone`: terms with equal values in every matrix are interchangeable in
+consequence matrices) read one stream of term classes from
+`clone.term_classes`, the closure of their algebras over x (n = 1), or x
+and y (n = 2), that every search and filter sweep over those algebras
+shares: terms with equal values in every matrix are interchangeable in
 entailment, and each class stands for its first term, so the first class
 that qualifies gives the same term as a search over terms. A class is
 decided by its designation mask, never by evaluating a term. The stream
 grows only as far as a search reads; when the closure cell budget stops it
-short of the search depth before a hit, the search raises CapExceeded. A
+short of the search depth before a hit, the search raises CapExceeded,
+also on a closure that another reader has already grown further. Both
+searches check that x and y are not symbols before they read a class. A
 rule presentation's theorems come from forward chaining, which is
 syntactic, so its theorem searches test the enumerated terms.
 """
@@ -31,7 +35,7 @@ import operator
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import FiniteAlgebra, distinct, term_values
-from .clone import JointClosure
+from .clone import term_classes
 from .config import DEFAULTS, Config
 from .errors import CapExceeded, Frozen, SignatureMismatch, UnknownName
 from .logics import (
@@ -49,7 +53,8 @@ from .logics import (
 )
 from .matrices import Matrix, submatrices
 from .serialize import inventory_fingerprint
-from .terms import App, Signature, Term, Var, depth, enumerate_terms, substitute, to_sexpr, variables
+from .terms import (App, Signature, Term, Var, check_term, depth, enumerate_terms, substitute,
+                    to_sexpr, variables)
 from .verdicts import Verdict, fails, holds, unknown
 
 X, Y = Var("x"), Var("y")
@@ -274,14 +279,15 @@ def _theorems(
     up to depth `chain_cap`, read by evaluation on any algebra; a matrix
     presentation's are the term classes designated in every matrix column,
     read off the closure on a defining algebra or one of `algebras`."""
+    check_term(logic.signature, X)
     if logic.kind == RULES:
         theorems = derive_theorems(logic, ("x",), chain_cap)
         return ((t, functools.partial(term_values, t=t, variables=("x",)))
                 for t in enumerate_terms(logic.signature, ("x",), depth) if t in theorems)
-    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices] + list(algebras),
-                           ("x",), config.closure_cell_budget)
-    return ((closure.term(i), functools.partial(closure.values, i))
-            for i in closure.theorems(logic.matrices, depth))
+    closure = term_classes(logic.signature,
+                           frozenset(m.algebra for m in logic.matrices).union(algebras), 1)
+    return ((closure.term(i, ("x",)), functools.partial(closure.values, i))
+            for i in closure.theorems(logic.matrices, depth, config.closure_cell_budget))
 
 
 def theorem_search(
@@ -334,23 +340,25 @@ def find_protoalgebraic_witness(
     consequence = consequence_presentation(logic, inventory, config)
     if consequence.variable_budget < 2:
         raise CapExceeded(f"2 variables exceed the budget {consequence.variable_budget}")
+    for v in (X, Y):
+        check_term(logic.signature, v)
     mats = consequence.matrices
-    closure = JointClosure(logic.signature, [m.algebra for m in mats], ("x", "y"),
-                           config.closure_cell_budget)
+    closure = term_classes(logic.signature, frozenset(m.algebra for m in mats), 2)
     mask = closure.designation(mats)
     diagonal = closure.lanes(mats, lambda d, col: col[0] == col[1])
     escape = closure.lanes(mats, lambda d, col: col[0] in d and col[1] not in d)
     members = []  # (class, mask) of every class with a designated diagonal
-    for i in closure.classes(depth):
+    for i in closure.classes(depth, config.closure_cell_budget):
         m = mask(i)
         if m & diagonal == diagonal:
             if not escape & m:
-                return WitnessSet("protoalgebraic", (closure.term(i),))
+                return WitnessSet("protoalgebraic", (closure.term(i, ("x", "y")),))
             members.append((i, m))
     for size in range(2, max_set + 1):
         for combo in itertools.combinations(members, size):
             if not functools.reduce(operator.and_, (m for _, m in combo), escape):
-                return WitnessSet("protoalgebraic", tuple(closure.term(i) for i, _ in combo))
+                return WitnessSet("protoalgebraic",
+                                  tuple(closure.term(i, ("x", "y")) for i, _ in combo))
     return None
 
 

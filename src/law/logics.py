@@ -11,20 +11,21 @@ Two filter notions, always flagged:
   variable pinned to each carrier element) under consequence, with terms
   deduplicated by their joint evaluations so the caps stay feasible.
 
-The bounded sweep reads the term classes of `clone.JointClosure` over the
-canonical variables, one closure of the defining algebras per (logic,
-carrier size) shared by every target of that size, and the values each
-class's terms take in the target at the canonical assignment: G is a
-bounded filter iff no class has such a value outside G while staying
-designated at every column that keeps the classes with values in G
-designated. It reads each column's classes as ints with one byte lane per
-class, which the closure builds once per depth for every target, in pure
-Python. The family only shrinks as the depth cap grows, and the full
-carrier is always in it; so the first depth below the cap, from 1 on, that
-leaves only the full carrier, where the budget provably admits every
-deeper level, settles the sweep, and no deeper level is propagated. The
-exact sweep evaluates each rule once per algebra, when a subset first
-reaches it, and tests every subset against the stored values.
+The bounded sweep reads the term classes of the defining algebras over the
+canonical variables from `clone.term_classes`: one closure per carrier
+size, shared by every target of that size and by every logic and witness
+search over the same algebras. It reads the values each class's terms take
+in the target at the canonical assignment: G is a bounded filter iff no
+class has such a value outside G while staying designated at every column
+that keeps the classes with values in G designated. It reads each column's
+classes as ints with one byte lane per class, which the closure builds
+once per depth for every target, in pure Python. The family only shrinks
+as the depth cap grows, and the full carrier is always in it; so the first
+depth below the cap, from 1 on, that leaves only the full carrier, where
+the budget provably admits every deeper level, settles the sweep, and no
+deeper level is propagated. The exact sweep evaluates each rule once per
+algebra, when a subset first reaches it, and tests every subset against
+the stored values.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
@@ -41,7 +42,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, _columns, _values, distinct, eval_term
-from .clone import JointClosure
+from .clone import JointClosure, term_classes
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
 from .errors import CapExceeded, Frozen, Hashed, NotAFilter, SignatureMismatch
 from .matrices import Matrix, leibniz_congruence, matrix_product
@@ -354,30 +355,13 @@ class FilterLattice(Frozen):
         return self._reduced
 
 
-# one closure per (logic, n), 4 at most, since memory grows with them. Each
-# grows only as deep as its targets read, and a sweep that depth L settles
-# reads level L + 1: at cap 3, targets that depth 1 leaves with only the
-# full carrier stop it at level 2 (Ł3's for n = 3: 52 classes). A few
-# targets of the filters sample keep a proper filter, so there Ł3's
-# reaches depth 3 and holds 117 KiB. The criterion-8 product's for n = 4
-# at depth 2 holds 506 KiB; the column lanes each keeps for its targets
-# (`distinct_rows_in`) add 14 KiB and 320 KiB
-@functools.lru_cache(maxsize=4)
-def _canonical_classes(logic: LogicPresentation, n: int) -> JointClosure:
-    """The term classes of the defining algebras over n canonical variables,
-    shared by the sweeps of every n-element algebra and grown as far as the
-    deepest of them reads; the cell budget is each sweep's own."""
-    return JointClosure(logic.signature, [m.algebra for m in logic.matrices],
-                        [f"v{i}" for i in range(n)], float("inf"), canonical=True)
-
-
 @functools.lru_cache(maxsize=1024)  # lattices hold no closures: about 0.8 kB each
 def _sweep(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
            cell_budget: int) -> FilterLattice:
     if logic.kind == RULES:
         return FilterLattice(alg, tuple(_rule_filters(logic, alg)))
-    filters, depth_effective = _bounded_filter_subsets(
-        logic, _canonical_classes(logic, alg.size), alg, depth_cap, cell_budget)
+    closure = term_classes(logic.signature, frozenset(m.algebra for m in logic.matrices), alg.size)
+    filters, depth_effective = _bounded_filter_subsets(logic, closure, alg, depth_cap, cell_budget)
     return FilterLattice(alg, tuple(filters), depth_effective)
 
 

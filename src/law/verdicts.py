@@ -56,15 +56,3 @@ def fails(witness: Any, **bounds) -> Verdict:
 def unknown(**bounds) -> Verdict:
     return Verdict(UNKNOWN, None, bounds)
 
-
-def verdict_merge(v1: Verdict, v2: Verdict) -> Verdict:
-    """Fails dominates, then unknown; two Holds merge their bounds."""
-    for v in (v1, v2):
-        if v.fails:
-            return v
-    for v in (v1, v2):
-        if v.unknown:
-            return v
-    merged = v1.bounds_dict()
-    merged.update(v2.bounds_dict())
-    return Verdict(HOLDS, v1.witness if v1.witness is not None else v2.witness, merged)

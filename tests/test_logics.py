@@ -8,14 +8,14 @@ import random
 
 import pytest
 
-from law import logics
+from law import clone, logics
 from law.algebra import (FiniteAlgebra, congruences_bruteforce, eval_term, one_element,
                          term_values)
 from law.clone import JointClosure, _image, _joint_table
 from law.config import DEFAULTS
 from law.errors import CapExceeded, NotAFilter, SignatureMismatch, TermError
 from law.gallery import GALLERY_NAMES, bool2, build, imp2, pointed_set, product_of_logics
-from law.hierarchy import check_class, theorem_search
+from law.hierarchy import check_class, find_protoalgebraic_witness, theorem_search
 from law.logics import (
     Rule,
     deductive_filters,
@@ -300,7 +300,18 @@ def _blocks(logic):
 
 def _closure_rows(closure, blocks):
     """The closure's rows, each a tuple of its values on every block."""
-    return [tuple(closure.values(i, b) for b in blocks) for i in closure.classes(closure.level)]
+    return [tuple(closure.values(i, b) for b in blocks)
+            for i in closure.classes(closure.level, float("inf"))]
+
+
+def _grown(closure, depth):
+    """`closure` grown to `depth`, or as far as the default cell budget
+    admits."""
+    try:
+        collections.deque(closure.classes(depth, DEFAULTS.closure_cell_budget), maxlen=0)
+    except CapExceeded:
+        pass
+    return closure
 
 
 def _sweep_pairs(logic, alg, depth_cap, budget):
@@ -308,8 +319,7 @@ def _sweep_pairs(logic, alg, depth_cap, budget):
     `logic`, each row as its values on every defining block, read from a
     closure of its own over one canonical variable per element; and the
     sweep's effective depth."""
-    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices],
-                           [f"v{i}" for i in range(alg.size)], float("inf"), canonical=True)
+    closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices], alg.size)
     *_, (of_value, beyond, depth_effective) = closure.canonical_rows(alg, depth_cap, budget)
     rows = _closure_rows(closure, _blocks(logic))
     pairs = {(rows[i], v) for v, lanes in enumerate(of_value)
@@ -360,7 +370,7 @@ def _assert_classes(closure, sig, algebras, names, depth):
     rows = _closure_rows(closure, blocks)
     assert rows == list(first)
     for i, row in enumerate(rows):
-        assert closure.term(i) == first[row]
+        assert closure.term(i, names) == first[row]
 
 
 def _assert_sweep(logic, alg, depth_cap, budget):
@@ -472,8 +482,8 @@ def test_a_set_image_is_the_image_of_every_choice_of_arguments():
 
 
 def test_a_symbol_may_share_its_name_with_a_canonical_variable():
-    # the sweep's canonical variables v0, v1 are never rebuilt into terms, so a
-    # symbol named v0 sweeps like any other; the witness searches' x clashes
+    # the sweep's canonical variables are never rebuilt into terms, so a
+    # symbol named v0 sweeps like any other; the witness searches' x and y clash
     def logic(name):
         alg = FiniteAlgebra(Signature({name: 2}), 2, {name: [1, 1, 0, 1]})
         return matrices_logic([Matrix(alg, (1,))]), alg
@@ -481,6 +491,16 @@ def test_a_symbol_may_share_its_name_with_a_canonical_variable():
     assert deductive_filters(*logic("v0")) == deductive_filters(*logic("s")) == [(1,), (0, 1)]
     with pytest.raises(TermError, match="variable 'x' clashes with a symbol name"):
         theorem_search(logic("x")[0], 2)
+
+    # the protoalgebraic search checks its names before it reads a class, so
+    # a symbol named y raises where no set of terms would qualify
+    def constant(name):
+        alg = FiniteAlgebra(Signature({name: 1}), 2, {name: [1, 1]})
+        return matrices_logic([Matrix(alg, (1,))])
+
+    assert find_protoalgebraic_witness(constant("s"), 2) is None
+    with pytest.raises(TermError, match="variable 'y' clashes with a symbol name"):
+        find_protoalgebraic_witness(constant("y"), 2)
 
 
 def _random_closure_case(rng):
@@ -506,10 +526,7 @@ def test_random_closures_are_the_joint_evaluations_of_bounded_terms():
         _assert_sweep(logic, alg, depth_cap, DEFAULTS.closure_cell_budget)
         # the witness searches' closures: x, or x and y, and no canonical column
         for names in (("x",), ("x", "y")):
-            closure = JointClosure(logic.signature, algebras, names,
-                                   DEFAULTS.closure_cell_budget)
-            while closure.level < depth_cap and closure.grow():
-                pass
+            closure = _grown(JointClosure(logic.signature, algebras, len(names)), depth_cap)
             _assert_classes(closure, logic.signature, algebras, names, closure.level)
 
 
@@ -543,9 +560,7 @@ def test_witness_closures_rebuild_the_first_term_of_each_class(logic, alg, depth
     # over x on the defining algebras, at depth 3: in the repeated-row cases
     # one batch yields a new row from several tails, and the first one counts
     algebras = [m.algebra for m in logic.matrices]
-    closure = JointClosure(logic.signature, algebras, ("x",), DEFAULTS.closure_cell_budget)
-    while closure.level < 3 and closure.grow():
-        pass
+    closure = _grown(JointClosure(logic.signature, algebras, 1), 3)
     _assert_classes(closure, logic.signature, algebras, ("x",), closure.level)
 
 
@@ -620,7 +635,7 @@ def test_suszko_and_reduced_filters_agree_with_the_definitions(logic, inventory)
 
 def test_filter_lattice_is_swept_once_per_key(monkeypatch, fresh_caches):
     calls = collections.Counter()
-    for name in ("_canonical_classes", "_bounded_filter_subsets", "_rule_filters"):
+    for name in ("term_classes", "_bounded_filter_subsets", "_rule_filters"):
         def counted(*args, real=getattr(logics, name), name=name, **kw):
             calls[name] += 1
             return real(*args, **kw)
@@ -684,13 +699,18 @@ def _read(logic, alg, **caps):
 
 def _cold(logic, alg, **caps):
     logics._sweep.cache_clear()
-    logics._canonical_classes.cache_clear()
+    clone.term_classes.cache_clear()
     return _read(logic, alg, **caps)
+
+
+def _l3_classes():
+    """The sweep's shared closure for Ł3's three-element targets."""
+    return clone.term_classes(IMP, frozenset([LUK3]), 3)
 
 
 def test_targets_of_one_size_share_the_defining_classes(fresh_caches):
     warm = [_read(L3, alg) for alg in TARGETS]
-    info = logics._canonical_classes.cache_info()
+    info = clone.term_classes.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert warm == [_cold(L3, alg) for alg in TARGETS]
 
@@ -702,14 +722,14 @@ def test_warm_shared_classes_sweep_as_cold_ones(alg, fresh_caches):
     sweeps = [{"depth_cap": 2}, {"depth_cap": 3}, {"depth_cap": 3, "cell_budget": 10_000}]
     cold = [_cold(L3, alg, **caps) for caps in sweeps]
     logics._sweep.cache_clear()
-    logics._canonical_classes.cache_clear()
+    clone.term_classes.cache_clear()
     assert [_read(L3, alg, **caps) for caps in sweeps] == cold
-    assert logics._canonical_classes.cache_info().misses == 1
+    assert clone.term_classes.cache_info().misses == 1
     assert [bounds["depth_effective"] for _, bounds in cold] == [2, 3, 2]
 
 
 def test_the_column_lanes_are_built_once_per_closure_state(monkeypatch, fresh_caches):
-    closure = logics._canonical_classes(L3, 3)
+    closure = _l3_classes()
     built = []  # the closure's level at each build
     real = closure.rows_in
     monkeypatch.setattr(closure, "rows_in", lambda *a: built.append(closure.level) or real(*a))
@@ -734,7 +754,7 @@ def test_a_target_down_to_the_full_carrier_never_propagates_the_last_level(monke
     # only level 0 is propagated; at cap 4 the default budget stops the sweep
     # at depth 3, so no trial below it answers and levels 0-2 run; Ł3 itself
     # keeps {2} at every depth, so its last level is propagated and tested
-    closure = logics._canonical_classes(L3, 3)
+    closure = _l3_classes()
     spread = []  # the levels each sweep propagates
     real = closure._spread
     monkeypatch.setattr(closure, "_spread", lambda target, masks, level, images: (
@@ -811,7 +831,7 @@ def test_a_budget_that_only_the_real_counts_admit_takes_no_early_trial(monkeypat
     sweeps = _spy_sweeps(monkeypatch)
     for budget, want in ((81**2 * 28, [[0, 1], False]), ((52 * 3)**2 * 28 - 1, [[0, 1], False]),
                          ((52 * 3)**2 * 28, [[0], False])):
-        logics._canonical_classes.cache_clear()
+        clone.term_classes.cache_clear()
         bounds = filter_bounds(L3, TARGETS[0], 3, budget)
         assert sweeps[-1] == want, budget
         pairs, depth_effective = _sweep_pairs(L3, TARGETS[0], 3, budget)
@@ -823,7 +843,7 @@ def test_a_budget_that_only_the_real_counts_admit_takes_no_early_trial(monkeypat
 def test_an_error_part_way_through_a_level_leaves_the_shared_classes_whole(monkeypatch,
                                                                          fresh_caches):
     _read(L3, TARGETS[0], depth_cap=2)
-    closure = logics._canonical_classes(L3, 3)
+    closure = _l3_classes()
     kept = dict(closure._kept_lanes)
     real = closure._candidates
 
@@ -843,10 +863,9 @@ def test_an_error_part_way_through_a_level_leaves_the_shared_classes_whole(monke
 
 
 def test_an_error_part_way_through_a_level_leaves_a_witness_closure_whole(monkeypatch):
-    closure = JointClosure(IMP, [LUK3], ("x", "y"), DEFAULTS.closure_cell_budget)
-    while closure.level < 2 and closure.grow():
-        pass
-    known = [closure.term(i) for i in closure.classes(2)]
+    closure = _grown(JointClosure(IMP, [LUK3], 2), 2)
+    names = ("x", "y")
+    known = [closure.term(i, names) for i in closure.classes(2, DEFAULTS.closure_cell_budget)]
     real = closure._candidates
 
     def interrupted():
@@ -862,9 +881,10 @@ def test_an_error_part_way_through_a_level_leaves_a_witness_closure_whole(monkey
     monkeypatch.undo()
     assert closure.level == 2
     assert len(closure._index) == len(closure._origins) == len(closure._rows) == len(known)
-    cold = JointClosure(IMP, [LUK3], ("x", "y"), DEFAULTS.closure_cell_budget)
-    assert [closure.term(i) for i in closure.classes(4)] == [cold.term(i)
-                                                              for i in cold.classes(4)]
+    cold = JointClosure(IMP, [LUK3], 2)
+    budget = DEFAULTS.closure_cell_budget
+    assert [closure.term(i, names) for i in closure.classes(4, budget)] == [
+        cold.term(i, names) for i in cold.classes(4, budget)]
 
 
 def test_the_cell_budget_counts_the_target_column():

@@ -7,18 +7,21 @@ decide each candidate by truth tables (`entails`, `term_values`). Both must
 return the same term or term set.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from law import hierarchy, logics
+from law import clone, hierarchy, logics
 from law.algebra import FiniteAlgebra, distinct, one_element, term_values
 from law.config import DEFAULTS
 from law.errors import CapExceeded
-from law.gallery import GALLERY_NAMES, build
+from law.gallery import GALLERY_NAMES, build, verify_entry
 from law.hierarchy import (
+    CLASS_NAMES,
     WitnessSet,
+    check_class,
     consequence_presentation,
     derive_theorems,
     find_injective_theorem,
@@ -26,7 +29,7 @@ from law.hierarchy import (
     theorem_search,
     verify_protoalgebraic_witness,
 )
-from law.logics import RULES, entails, matrices_logic
+from law.logics import RULES, deductive_filters, entails, matrices_logic
 from law.matrices import Matrix
 from law.terms import Signature, enumerate_terms, to_sexpr
 
@@ -173,10 +176,10 @@ def test_k_implications_need_a_set_of_k_terms(k):
 # laziness and the named limits
 
 
-def test_a_singleton_hit_builds_only_the_levels_it_needs(monkeypatch):
+def test_a_singleton_hit_builds_only_the_levels_it_needs(monkeypatch, fresh_caches):
     closures = []
-    real = hierarchy.JointClosure
-    monkeypatch.setattr(hierarchy, "JointClosure",
+    real = hierarchy.term_classes
+    monkeypatch.setattr(hierarchy, "term_classes",
                         lambda *a: closures.append(real(*a)) or closures[-1])
     proto = build("basic-proto")
     w = find_protoalgebraic_witness(proto.logic, depth=3, inventory=proto.inventory)
@@ -232,3 +235,88 @@ def test_a_variable_budget_below_two_refuses_the_protoalgebraic_search():
     tight = matrices_logic(pair.matrices, variable_budget=1)
     with pytest.raises(CapExceeded, match="2 variables exceed the budget 1"):
         find_protoalgebraic_witness(tight, 1)
+
+
+# ---------------------------------------------------------------------------
+# one store of term classes, shared by every sweep and search
+
+
+def test_every_gallery_check_builds_each_closure_once(monkeypatch, fresh_caches):
+    keys = []
+    real = clone.JointClosure
+
+    def spy(sig, algebras, n):
+        keys.append((sig, algebras, n))
+        return real(sig, algebras, n)
+
+    monkeypatch.setattr(clone, "JointClosure", spy)
+    entries = [build(name) for name in GALLERY_NAMES]
+    for _ in range(2):
+        for entry in entries:
+            if entry.logic is not None:
+                for class_name in CLASS_NAMES:
+                    check_class(class_name, entry.logic, entry.inventory)
+            assert verify_entry(entry) == []
+    assert len(keys) == len(set(keys)) == clone.term_classes.cache_info().misses >= 5
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CapExceeded as error:
+        return str(error)
+
+
+def _cold(call):
+    logics._sweep.cache_clear()
+    clone.term_classes.cache_clear()
+    return _outcome(call)
+
+
+def _store_calls():
+    """(budget, depth, call) for the searches and class checks of two matrix
+    logics and a rule logic, and the theorem search of a unary flip, whose x
+    closure reaches a fixpoint at level 1, and of `_many_classes_logic`."""
+    flip = FiniteAlgebra(Signature({"s": 1}), 2, {"s": [1, 0]})
+    flips = matrices_logic([Matrix(flip, (1,))])
+    many = _many_classes_logic()
+    for budget in (3, 40, 2000, DEFAULTS.closure_cell_budget):
+        for depth in (1, 2, 3):
+            config = DEFAULTS.override(closure_cell_budget=budget, depth_default=depth)
+            for logic in (flips, many):
+                yield budget, depth, functools.partial(theorem_search, logic, depth, config)
+            if budget == 3:
+                continue
+            for name in ("two-valued-pair", "ba-star-logic", "nabla"):
+                entry = build(name)
+                logic, inv = entry.logic, entry.inventory
+                yield budget, depth, functools.partial(theorem_search, logic, depth, config)
+                yield budget, depth, functools.partial(find_protoalgebraic_witness, logic, depth,
+                                                       2, inv, config)
+                yield budget, depth, functools.partial(find_injective_theorem, logic, inv, depth,
+                                                       config)
+                for class_name in CLASS_NAMES:
+                    yield budget, depth, functools.partial(check_class, class_name, logic, inv,
+                                                           config=config)
+
+
+def test_warm_closures_answer_as_cold_ones_in_either_budget_order(fresh_caches):
+    calls = list(_store_calls())
+    cold = [_cold(call) for _, _, call in calls]
+    assert "closure cell budget 3 stops the term classes at depth 1 of 3" in cold
+    assert "closure cell budget 40 stops the term classes at depth 1 of 2" in cold
+    logics._sweep.cache_clear()
+    clone.term_classes.cache_clear()
+    order = sorted(range(len(calls)), key=lambda k: calls[k][:2])
+    for k in order + order[::-1]:
+        assert _outcome(calls[k][2]) == cold[k], calls[k][:2]
+
+
+def test_a_search_over_classes_a_sweep_grew_stops_where_a_cold_one_does(fresh_caches):
+    pair = build("two-valued-pair").logic
+    deductive_filters(pair, pair.matrices[0].algebra)
+    closure = clone.term_classes(pair.signature, frozenset(m.algebra for m in pair.matrices), 2)
+    assert closure.level >= 2
+    with pytest.raises(CapExceeded, match="budget 40 stops the term classes at depth 1 of 2"):
+        find_protoalgebraic_witness(pair, depth=2,
+                                    config=DEFAULTS.override(closure_cell_budget=40))

@@ -19,7 +19,7 @@ from law.translations import (
     tau_reduct,
     translate_term,
 )
-from law.verdicts import Verdict, fails, holds, unknown, verdict_merge
+from law.verdicts import Verdict
 
 POINTED = Signature({"⊤": 1})
 IMP = imp2().signature
@@ -191,17 +191,6 @@ def test_interpretation_reads_the_inventory_as_a_set():
         own, *others = (payload_to_json(check_interpretation_bounded(tau, ASSERTIONAL, IMP_LOGIC, inv))
                         for inv in (inventory, inventory[::-1], inventory + inventory[:1]))
         assert others == [own, own]
-
-
-def test_verdict_merge():
-    w = {"x": 1}
-    assert verdict_merge(holds(), holds()).holds
-    assert verdict_merge(holds(), fails(w)).witness == w
-    assert verdict_merge(fails(w), holds()).fails
-    assert verdict_merge(unknown(), holds()).unknown
-    assert verdict_merge(fails(w), unknown()).fails
-    merged = verdict_merge(holds(depth=2), holds(inventory="abc"))
-    assert merged.bounds_dict() == {"depth": 2, "inventory": "abc"}
 
 
 def test_verdict_validation():
