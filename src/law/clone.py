@@ -11,13 +11,12 @@ algebras, n) for every reader. Each reader passes its own budget, checked
 before each level is read, so a closure that another reader grew answers
 as a fresh one would. The readers:
 
-* the bounded filter sweep of `logics`, over one canonical variable per
-  element of a target algebra: every target of that size follows the
-  closure of the defining algebras with its own values (`canonical_rows`),
-  and reads the distinct per-row lanes of each column (`rows_in`), kept for
-  every target until the closure grows (`distinct_rows_in`). The sweep's
-  family only shrinks as the depth grows, so `canonical_rows` offers the
-  lanes of each depth from 1 to the cap - 1 at which the budget provably
+* the bounded filter sweep of `logics`, `filters`, over one canonical
+  variable per element of a target algebra: every target of that size
+  follows the closure of the defining algebras with its own values, and
+  the lanes of each logic's columns are kept for every target until the
+  closure grows. The sweep's family only shrinks as the depth grows, so it
+  also tests each depth from 1 to the cap - 1 at which the budget provably
   admits every deeper level, and a target that one of them leaves with only
   the full carrier propagates no deeper level;
 * the witness searches of `hierarchy`, over x (n = 1), or x and y (n = 2),
@@ -149,7 +148,7 @@ class JointClosure:
     through `term_classes`.
 
     Its readers pass their cell budget per read (`classes`, `theorems`,
-    `canonical_rows`), so one closure serves every budget. `level` is the
+    `filters`), so one closure serves every budget. `level` is the
     depth of the deepest classes; `saturated` is set once a level adds
     none."""
 
@@ -189,9 +188,9 @@ class JointClosure:
         # each row's first term's symbol and argument rows; none for a variable
         self._origins: list[Optional[tuple[str, tuple[int, ...]]]] = [None] * len(self._rows)
         self._ends = [len(self._rows)]  # per level L: the rows of depth <= L
-        # (algebra, member sets) -> `distinct_rows_in`, until a level adds rows
-        self._kept_lanes: dict[tuple, tuple[int, ...]] = {}
-        # the tuples per level L + 1, for `canonical_rows`: (symbol, head
+        # a logic's matrices -> `_column_lanes`, until a level adds rows
+        self._kept_lanes: dict[tuple[Matrix, ...], tuple[int, ...]] = {}
+        # the tuples per level L + 1, for `_canonical_masks`: (symbol, head
         # rows, first tail row, the row each tail yields)
         self._yields: list[list[tuple]] = []
 
@@ -306,44 +305,91 @@ class JointClosure:
         every assignment of the variables."""
         return self._rows[i][self._spans[alg]]
 
-    def rows_in(self, member_sets: Sequence[Iterable[int]], alg: FiniteAlgebra) -> list[int]:
-        """For each column of `alg`'s block and each set of `member_sets`:
-        the rows whose value there lies in the set, as one int with one byte
-        lane per row, 1 for such a row."""
-        width, blob, span = self._width, b"".join(self._rows), self._spans[alg]
-        tables = [_indicator(members) for members in member_sets]
-        return [int.from_bytes(column.translate(t), "big")
-                for column in (blob[c::width] for c in range(span.start, span.stop))
-                for t in tables]
+    def filters(self, matrices: tuple[Matrix, ...], target: FiniteAlgebra, depth_cap: int,
+                cell_budget: int) -> tuple[list[tuple[int, ...]], int]:
+        """The bounded filters on `target` of the logic of `matrices`, over
+        this closure's algebras and one canonical variable per element of
+        `target`, sorted by (size, elements); and the effective depth of
+        `_canonical_masks`. The family only shrinks as the depth grows,
+        since deeper terms add rules, and the full carrier is always in it;
+        so each depth offered below the answer tests the subsets that
+        survived the one before, the first that leaves only the full carrier
+        settles the sweep with no deeper level propagated, and otherwise the
+        answer tests only the subsets that survived them all."""
+        n = target.size
+        subsets = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+        for masks, depth in self._canonical_masks(target, depth_cap, cell_budget):
+            subsets = self._survivors(matrices, masks, subsets, n)
+            if len(subsets) == 1:  # the full carrier, alone at every greater depth
+                break
+        return subsets, depth
 
-    def distinct_rows_in(self, member_sets: tuple[frozenset[int], ...],
-                         alg: FiniteAlgebra) -> tuple[int, ...]:
-        """The distinct ints of `rows_in`, in first order, built once per
-        (alg, member_sets) and kept until `grow` adds rows, so every target
+    def _survivors(self, matrices: tuple[Matrix, ...], masks: list[int],
+                   subsets: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+        """Those of `subsets`, of an `n`-element target, that stay filters
+        under the rows of `masks`: G is one iff every row with a term of
+        value outside G is undesignated in some column that no value in G
+        kills."""
+        # Sets of rows are ints with one byte lane per row, 1 for a member:
+        # of_value[v] holds the rows with a term of value v, and each column
+        # lane drops the lanes of the rows of greater depth than `masks`'
+        of_value = self._value_lanes(masks, n)
+        beyond = 8 * (len(self._rows) - len(masks))
+        # covers[k]: the columns killed by exactly the values in bitmask k,
+        # i.e. each leaves a row with a term of each such value undesignated,
+        # so no G holding one of them can use it; their rows ORed together
+        covers: dict[int, int] = {}
+        for col in self._column_lanes(matrices):
+            col >>= beyond
+            k = sum(1 << v for v, rows in enumerate(of_value) if col & rows)
+            covers[k] = covers.get(k, 0) | col
+        survivors = []
+        for subset in subsets:
+            held = sum(1 << v for v in subset)
+            outside = cover = 0
+            for v, rows in enumerate(of_value):
+                if not held >> v & 1:
+                    outside |= rows
+            for k, col in covers.items():
+                if not k & held:
+                    cover |= col
+            if outside & cover == outside:
+                survivors.append(subset)
+        return survivors
+
+    def _column_lanes(self, matrices: tuple[Matrix, ...]) -> tuple[int, ...]:
+        """For each matrix and each column of its block: the rows whose value
+        there lies outside its filter, as one int with one byte lane per
+        row, 1 for such a row. The distinct ints, in first order, are built
+        once per `matrices` and kept until `grow` adds rows, so every target
         that reads this closure at one depth shares them."""
-        key = (alg, member_sets)
-        got = self._kept_lanes.get(key)
+        got = self._kept_lanes.get(matrices)
         if got is None:
-            got = self._kept_lanes[key] = tuple(dict.fromkeys(self.rows_in(member_sets, alg)))
+            width, blob, lanes = self._width, b"".join(self._rows), {}
+            for m in matrices:
+                outside = _indicator(set(range(m.algebra.size)) - m.filter_set())
+                span = self._spans[m.algebra]
+                for c in range(span.start, span.stop):
+                    lanes[int.from_bytes(blob[c::width].translate(outside), "big")] = None
+            got = self._kept_lanes[matrices] = tuple(lanes)
         return got
 
-    def canonical_rows(self, target: FiniteAlgebra, depth_cap: int,
-                       cell_budget: int) -> Iterator[tuple[list[int], int, int]]:
-        """For each element v of `target`: the rows with a term of depth <= d
-        whose value in `target` at the canonical assignment is v, in the
-        lanes of `rows_in` less those of its last `beyond` rows, the rows of
-        greater depth; then `beyond`; and d. The closure grows as far as the
-        target reads. d is `depth_cap`, or less when a closure with the
-        target's own column would pass `cell_budget`; at a fixpoint it is
-        `depth_cap`, since deeper terms add nothing.
+    def _canonical_masks(self, target: FiniteAlgebra, depth_cap: int,
+                         cell_budget: int) -> Iterator[tuple[list[int], int]]:
+        """For each row with a term of depth <= d: the values in `target`
+        of those terms at the canonical assignment, as a bitmask, bit v for
+        value v; and d. The closure grows as far as the target reads. d is
+        `depth_cap`, or less when a closure with the target's own column
+        would pass `cell_budget`; at a fixpoint it is `depth_cap`, since
+        deeper terms add nothing.
 
-        The last triple yielded is that answer. Before it come the lanes of
+        The last pair yielded is that answer. Before it come the masks of
         each depth L from 1 to `depth_cap` - 1 (0 at cap 1) at which the
         budget provably admits every deeper level, paired with `depth_cap`,
         each after the closure has grown for level L + 1: at `depth_cap` - 1
         the loop has passed its test, and below it the test passes with
         every row of depth < `depth_cap` taking every value, if the closure
-        has already built those rows. A caller whose result such lanes
+        has already built those rows. A caller whose result such masks
         settle at every greater depth stops there, and no deeper level is
         propagated."""
         width, arities = self._width + (target not in self._spans), list(self._arity.values())
@@ -365,16 +411,15 @@ class JointClosure:
             bounded = (last == depth_cap - 1 or self.saturated) and admits(
                 self._ends[last] * target.size)
             if level == depth_cap - 1 or level > 0 and bounded:
-                yield self._value_lanes(masks, target.size), len(self._rows) - len(masks), depth_cap
+                yield masks, depth_cap
             masks, level = self._spread(target, masks, level, images), level + 1
             if level < depth_cap:  # the last level's count decides nothing
                 grown = sum(map(int.bit_count, masks))
                 if grown == joint:
                     level = depth_cap  # fixpoint: deeper terms add nothing
                 joint = grown
-        lanes, beyond = self._value_lanes(masks, target.size), len(self._rows) - len(masks)
-        del masks, images  # freed while the caller reads the lanes
-        yield lanes, beyond, level
+        del images  # freed while the caller reads the masks
+        yield masks, level
 
     def _spread(self, target: FiniteAlgebra, masks: list[int], level: int,
                 images: dict[tuple, list[int]]) -> list[int]:
@@ -424,7 +469,7 @@ class JointClosure:
 
 # 16 closures at most, since memory grows with them: Ł3's for n = 3 at
 # depth 3 holds 117 KiB, the criterion-8 product's for n = 4 at depth 2
-# 506 KiB, and the column lanes they keep (`distinct_rows_in`) add 14 KiB
+# 506 KiB, and the column lanes they keep (`_column_lanes`) add 14 KiB
 # and 320 KiB
 @functools.lru_cache(maxsize=16)
 def term_classes(sig: Signature, algebras: frozenset[FiniteAlgebra], n: int) -> JointClosure:

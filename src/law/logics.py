@@ -11,21 +11,15 @@ Two filter notions, always flagged:
   variable pinned to each carrier element) under consequence, with terms
   deduplicated by their joint evaluations so the caps stay feasible.
 
-The bounded sweep reads the term classes of the defining algebras over the
-canonical variables from `clone.term_classes`: one closure per carrier
-size, shared by every target of that size and by every logic and witness
-search over the same algebras. It reads the values each class's terms take
-in the target at the canonical assignment: G is a bounded filter iff no
-class has such a value outside G while staying designated at every column
-that keeps the classes with values in G designated. It reads each column's
-classes as ints with one byte lane per class, which the closure builds
-once per depth for every target, in pure Python. The family only shrinks
-as the depth cap grows, and the full carrier is always in it; so the first
-depth below the cap, from 1 on, that leaves only the full carrier, where
-the budget provably admits every deeper level, settles the sweep, and no
-deeper level is propagated. The exact sweep evaluates each rule once per
-algebra, when a subset first reaches it, and tests every subset against
-the stored values.
+The bounded sweep is `JointClosure.filters` on the term classes of the
+defining algebras over the canonical variables, read from
+`clone.term_classes`: one closure per carrier size, shared by every target
+of that size and by every logic and witness search over the same algebras.
+G is a bounded filter iff no class has a value in the target, at the
+canonical assignment, outside G while staying designated at every column
+that keeps the classes with values in G designated. The exact sweep
+evaluates each rule once per algebra, when a subset first reaches it, and
+tests every subset against the stored values.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
@@ -42,7 +36,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, _columns, _values, distinct, eval_term
-from .clone import JointClosure, term_classes
+from .clone import term_classes
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
 from .errors import CapExceeded, Frozen, Hashed, NotAFilter, SignatureMismatch
 from .matrices import Matrix, leibniz_congruence, matrix_product
@@ -252,59 +246,6 @@ def _closed_under_rules(logic: LogicPresentation, alg: FiniteAlgebra, subset: fr
     return True
 
 
-# ---------------------------------------------------------------------------
-# filters for matrix presentations (bounded): a sweep over the term classes
-
-
-def _bounded_filter_subsets(logic: LogicPresentation, closure: JointClosure, target: FiniteAlgebra,
-                            depth_cap: int, cell_budget: int) -> tuple[list[tuple[int, ...]], int]:
-    """The bounded filters on `target` and the closure's effective depth.
-    The family only shrinks as the depth grows, since deeper terms add
-    rules, and the full carrier is always in it; so each depth that
-    `canonical_rows` offers below the answer tests the subsets that survived
-    the one before, the first that leaves only the full carrier settles the
-    sweep with no deeper level propagated, and otherwise the final lanes
-    test only the subsets that survived them all."""
-    # Sets of rows are ints with one byte lane per row, 1 for a member:
-    # of_value[v] holds the rows with a term of canonical value v, and each
-    # column of every matrix gives the rows it leaves undesignated, read
-    # from the closure, which keeps them for every target of its size.
-    undesignated: dict[FiniteAlgebra, list[frozenset[int]]] = {}
-    for m in logic.matrices:
-        undesignated.setdefault(m.algebra, []).append(
-            frozenset(range(m.algebra.size)) - m.filter_set())
-    subsets = _subsets_sorted(target.size)
-    for of_value, beyond, depth in closure.canonical_rows(target, depth_cap, cell_budget):
-        # covers[k]: the columns killed by exactly the values in bitmask k,
-        # i.e. each leaves a row with a term of each such value undesignated,
-        # so no G holding one of them can use it; their rows ORed together,
-        # without the lanes of the rows `of_value` leaves out
-        covers: dict[int, int] = {}
-        for alg, sets in undesignated.items():
-            for col in closure.distinct_rows_in(tuple(sets), alg):
-                col >>= 8 * beyond
-                k = sum(1 << v for v, rows in enumerate(of_value) if col & rows)
-                covers[k] = covers.get(k, 0) | col
-        survivors = []
-        for subset in subsets:
-            held = sum(1 << v for v in subset)
-            outside = cover = 0
-            for v, rows in enumerate(of_value):
-                if not held >> v & 1:
-                    outside |= rows
-            for k, col in covers.items():
-                if not k & held:
-                    cover |= col
-            # G is a filter iff every row with a term outside it is
-            # undesignated in some column that no value in G kills
-            if outside & cover == outside:
-                survivors.append(subset)
-        subsets = survivors
-        if len(subsets) == 1:  # the full carrier, alone at every greater depth
-            break
-    return subsets, depth
-
-
 def _subsets_sorted(n: int) -> list[tuple[int, ...]]:
     return [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
 
@@ -361,7 +302,7 @@ def _sweep(logic: LogicPresentation, alg: FiniteAlgebra, depth_cap: int,
     if logic.kind == RULES:
         return FilterLattice(alg, tuple(_rule_filters(logic, alg)))
     closure = term_classes(logic.signature, frozenset(m.algebra for m in logic.matrices), alg.size)
-    filters, depth_effective = _bounded_filter_subsets(logic, closure, alg, depth_cap, cell_budget)
+    filters, depth_effective = closure.filters(logic.matrices, alg, depth_cap, cell_budget)
     return FilterLattice(alg, tuple(filters), depth_effective)
 
 

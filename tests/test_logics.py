@@ -320,10 +320,9 @@ def _sweep_pairs(logic, alg, depth_cap, budget):
     closure of its own over one canonical variable per element; and the
     sweep's effective depth."""
     closure = JointClosure(logic.signature, [m.algebra for m in logic.matrices], alg.size)
-    *_, (of_value, beyond, depth_effective) = closure.canonical_rows(alg, depth_cap, budget)
+    *_, (masks, depth_effective) = closure._canonical_masks(alg, depth_cap, budget)
     rows = _closure_rows(closure, _blocks(logic))
-    pairs = {(rows[i], v) for v, lanes in enumerate(of_value)
-             for i, lane in enumerate(lanes.to_bytes(len(rows) - beyond, "big")) if lane}
+    pairs = {(rows[i], v) for i, mask in enumerate(masks) for v in range(alg.size) if mask >> v & 1}
     return pairs, depth_effective
 
 
@@ -635,11 +634,12 @@ def test_suszko_and_reduced_filters_agree_with_the_definitions(logic, inventory)
 
 def test_filter_lattice_is_swept_once_per_key(monkeypatch, fresh_caches):
     calls = collections.Counter()
-    for name in ("term_classes", "_bounded_filter_subsets", "_rule_filters"):
-        def counted(*args, real=getattr(logics, name), name=name, **kw):
+    for owner, name in ((logics, "term_classes"), (JointClosure, "filters"),
+                        (logics, "_rule_filters")):
+        def counted(*args, real=getattr(owner, name), name=name, **kw):
             calls[name] += 1
             return real(*args, **kw)
-        monkeypatch.setattr(logics, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     for logic, alg in ((PAIR, bool2()), (NABLA, imp2())):
         def every_reader():
             filters = deductive_filters(logic, alg)
@@ -671,9 +671,8 @@ def test_repeated_inventory_scans_sweep_each_algebra_once(fresh_caches):
 def test_filter_bounds_keeps_the_carrier_cap(monkeypatch, fresh_caches):
     pointed = matrices_logic([Matrix(pointed_set(2), (0,))])
     sweeps = []
-    real = logics._bounded_filter_subsets
-    monkeypatch.setattr(logics, "_bounded_filter_subsets",
-                        lambda *a: sweeps.append(a) or real(*a))
+    real = JointClosure.filters
+    monkeypatch.setattr(JointClosure, "filters", lambda *a: sweeps.append(a) or real(*a))
     with pytest.raises(CapExceeded, match="filter sweep cap 6"):
         filter_bounds(pointed, pointed_set(7))
     assert not sweeps
@@ -731,8 +730,14 @@ def test_warm_shared_classes_sweep_as_cold_ones(alg, fresh_caches):
 def test_the_column_lanes_are_built_once_per_closure_state(monkeypatch, fresh_caches):
     closure = _l3_classes()
     built = []  # the closure's level at each build
-    real = closure.rows_in
-    monkeypatch.setattr(closure, "rows_in", lambda *a: built.append(closure.level) or real(*a))
+    real = closure._column_lanes
+
+    def spy(matrices):
+        if matrices not in closure._kept_lanes:
+            built.append(closure.level)
+        return real(matrices)
+
+    monkeypatch.setattr(closure, "_column_lanes", spy)
     targets = TARGETS + (LUK3,)
     warm = [_read(L3, alg, depth_cap=2) for alg in targets]
     assert built == [2]
@@ -746,6 +751,21 @@ def test_the_column_lanes_are_built_once_per_closure_state(monkeypatch, fresh_ca
     assert built == [2, 3]
     assert warm == ([_cold(L3, alg, depth_cap=2) for alg in targets]
                     + [_cold(L3, alg, depth_cap=3) for alg in (TARGETS[0], LUK3, TARGETS[1])])
+
+
+def test_logics_over_one_closure_keep_their_own_column_lanes(fresh_caches):
+    # two-valued-pair and <B2, {1}> read one closure of B2 over two canonical
+    # variables, but their filters differ: each keeps the lanes of its own columns
+    b2one = matrices_logic([Matrix(bool2(), (1,))])
+    targets = (bool2(), FiniteAlgebra(BOOL, 2, {"and": (0, 1, 1, 1), "or": (0, 0, 0, 1),
+                                                "not": (1, 0)}))
+    sweeps = [(logic, alg, cap) for cap in (2, 3) for alg in targets for logic in (PAIR, b2one)]
+    warm = [_read(logic, alg, depth_cap=cap) for logic, alg, cap in sweeps]
+    assert clone.term_classes.cache_info().misses == 1
+    closure = clone.term_classes(BOOL, frozenset([bool2()]), 2)
+    assert set(closure._kept_lanes) == {PAIR.matrices, b2one.matrices}
+    assert warm == [_cold(logic, alg, depth_cap=cap) for logic, alg, cap in sweeps]
+    assert all(warm[i] != warm[i + 1] for i in range(0, len(warm), 2))
 
 
 def test_a_target_down_to_the_full_carrier_never_propagates_the_last_level(monkeypatch,
@@ -777,21 +797,21 @@ def test_a_target_down_to_the_full_carrier_never_propagates_the_last_level(monke
 
 def _spy_sweeps(monkeypatch):
     """Each bounded sweep from now on, as [the levels it propagates, whether
-    it read the last triple of `canonical_rows`]: a sweep that a trial
+    it read the last pair of `_canonical_masks`]: a sweep that a trial
     settles never does."""
     sweeps = []
-    rows, spread = JointClosure.canonical_rows, JointClosure._spread
+    masks, spread = JointClosure._canonical_masks, JointClosure._spread
 
-    def spy_rows(self, *args):
+    def spy_masks(self, *args):
         sweeps.append([[], False])
-        yield from rows(self, *args)
+        yield from masks(self, *args)
         sweeps[-1][1] = True
 
     def spy_spread(self, target, masks, level, images):
         sweeps[-1][0].append(level)
         return spread(self, target, masks, level, images)
 
-    monkeypatch.setattr(JointClosure, "canonical_rows", spy_rows)
+    monkeypatch.setattr(JointClosure, "_canonical_masks", spy_masks)
     monkeypatch.setattr(JointClosure, "_spread", spy_spread)
     return sweeps
 
