@@ -105,6 +105,12 @@ def _joint_table(block_algs: Sequence[FiniteAlgebra], sym: str, arity: int) -> b
     return bytes(table).ljust(_LANES, b"\0") if len(table) <= _LANES else table
 
 
+def _subsets_sorted(n: int) -> list[tuple[int, ...]]:
+    """Every subset of range(n), by size then elements: the full carrier is
+    last, and alone at size n."""
+    return [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+
+
 def _indicator(members: Iterable[int]) -> bytes:
     """A translation table sending members to 1 and everything else to 0."""
     table = bytearray(_LANES)
@@ -317,7 +323,7 @@ class JointClosure:
         settles the sweep with no deeper level propagated, and otherwise the
         answer tests only the subsets that survived them all."""
         n = target.size
-        subsets = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+        subsets = _subsets_sorted(n)
         for masks, depth in self._canonical_masks(target, depth_cap, cell_budget):
             subsets = self._survivors(matrices, masks, subsets, n)
             if len(subsets) == 1:  # the full carrier, alone at every greater depth

@@ -36,7 +36,7 @@ import itertools
 from typing import Iterable, Optional, Sequence
 
 from .algebra import FiniteAlgebra, _columns, _values, distinct, eval_term
-from .clone import term_classes
+from .clone import _subsets_sorted, term_classes
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
 from .errors import CapExceeded, Frozen, Hashed, NotAFilter, SignatureMismatch
 from .matrices import Matrix, leibniz_congruence, matrix_product
@@ -244,10 +244,6 @@ def _closed_under_rules(logic: LogicPresentation, alg: FiniteAlgebra, subset: fr
                     and all(eval_term(alg, p, valuation) in subset for p in rule.premises)):
                 return False
     return True
-
-
-def _subsets_sorted(n: int) -> list[tuple[int, ...]]:
-    return [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
 
 
 # ---------------------------------------------------------------------------

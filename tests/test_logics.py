@@ -729,15 +729,14 @@ def test_warm_shared_classes_sweep_as_cold_ones(alg, fresh_caches):
 
 def test_the_column_lanes_are_built_once_per_closure_state(monkeypatch, fresh_caches):
     closure = _l3_classes()
-    built = []  # the closure's level at each build
-    real = closure._column_lanes
+    built = []  # the closure's level at each build, as each build stores its lanes
 
-    def spy(matrices):
-        if matrices not in closure._kept_lanes:
+    class Kept(dict):
+        def __setitem__(self, matrices, lanes):
             built.append(closure.level)
-        return real(matrices)
+            super().__setitem__(matrices, lanes)
 
-    monkeypatch.setattr(closure, "_column_lanes", spy)
+    monkeypatch.setattr(closure, "_kept_lanes", Kept())
     targets = TARGETS + (LUK3,)
     warm = [_read(L3, alg, depth_cap=2) for alg in targets]
     assert built == [2]
