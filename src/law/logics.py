@@ -272,10 +272,13 @@ class FilterLattice(Frozen):
         return got
 
     def meet(self, family: Iterable[tuple[int, ...]]) -> Partition:
-        """Meet of the Leibniz congruences of the filters in `family`; the
-        total partition for an empty family."""
-        return functools.reduce(Partition.meet, map(self.omega, family),
-                                Partition.total(self.algebra.size))
+        """Meet of the Leibniz congruences of the filters in `family`, folded
+        from the first one; the total partition for an empty family."""
+        omegas = map(self.omega, family)
+        first = next(omegas, None)
+        if first is None:
+            return Partition.total(self.algebra.size)
+        return functools.reduce(Partition.meet, omegas, first)
 
     def suszko(self, f: Iterable[int]) -> Partition:
         """Meet of the Leibniz congruences of the filters containing `f`,

@@ -14,7 +14,8 @@ from law.algebra import (FiniteAlgebra, congruences_bruteforce, eval_term, one_e
 from law.clone import JointClosure, _image, _joint_table
 from law.config import DEFAULTS
 from law.errors import CapExceeded, NotAFilter, SignatureMismatch, TermError
-from law.gallery import GALLERY_NAMES, bool2, build, imp2, pointed_set, product_of_logics
+from law.gallery import (GALLERY_NAMES, bool2, bool4, build, imp2, pointed_set,
+                         product_of_logics)
 from law.hierarchy import check_class, find_protoalgebraic_witness, theorem_search
 from law.logics import (
     Rule,
@@ -31,6 +32,8 @@ from law.logics import (
     suszko_congruence,
 )
 from law.matrices import Matrix, is_compatible, leibniz_congruence
+from law.partitions import Partition
+from law.serialize import fingerprint
 from law.terms import App, Signature, Var, enumerate_terms, parse_term
 
 BOOL = bool2().signature
@@ -632,6 +635,23 @@ def test_suszko_and_reduced_filters_agree_with_the_definitions(logic, inventory)
         assert [m.filter for m in reduced_filters_on(logic, alg)] == want_reduced
 
 
+@pytest.mark.parametrize("logic, inventory", _lattice_cases())
+def test_the_meet_of_a_family_is_the_meet_of_its_leibniz_congruences(logic, inventory):
+    for alg in inventory:
+        lattice = filter_lattice(logic, alg)
+        assert lattice.meet([]) == lattice.meet(iter(())) == Partition.total(alg.size)
+        for f in lattice.filters:
+            assert lattice.meet([f]) == lattice.omega(f)
+        for f, g in itertools.combinations(lattice.filters, 2):
+            assert lattice.meet([f, g]) == lattice.omega(f).meet(lattice.omega(g))
+            assert lattice.meet(iter([g, f])) == lattice.meet([f, g])
+        # the whole family relates a and b iff every congruence in it does
+        want = set(itertools.product(range(alg.size), repeat=2))
+        for f in lattice.filters:
+            want &= _related(lattice.omega(f))
+        assert _related(lattice.meet(lattice.filters)) == want
+
+
 def test_filter_lattice_is_swept_once_per_key(monkeypatch, fresh_caches):
     calls = collections.Counter()
     for owner, name in ((logics, "term_classes"), (JointClosure, "filters"),
@@ -771,15 +791,17 @@ def test_a_target_down_to_the_full_carrier_never_propagates_the_last_level(monke
                                                                          fresh_caches):
     # TARGETS[0] keeps only the full carrier from depth 1 on, so at cap 3
     # only level 0 is propagated; at cap 4 the default budget stops the sweep
-    # at depth 3, so no trial below it answers and levels 0-2 run; Ł3 itself
-    # keeps {2} at every depth, so its last level is propagated and tested
+    # at depth 3, which the closure's 632 rows of depth 3 (grown by Ł3 at cap
+    # 3) prove, so the trial at depth 1 answers with depth 3 and again only
+    # level 0 runs; Ł3 itself keeps {2} at every depth, so its last level is
+    # propagated and tested
     closure = _l3_classes()
     spread = []  # the levels each sweep propagates
     real = closure._spread
     monkeypatch.setattr(closure, "_spread", lambda target, masks, level, images: (
         spread.append(level) or real(target, masks, level, images)))
     for alg, cap, want, depth in ((TARGETS[0], 3, [0], 3), (LUK3, 3, [0, 1, 2], 3),
-                                  (TARGETS[0], 4, [0, 1, 2], 3)):
+                                  (TARGETS[0], 4, [0], 3)):
         spread.clear()
         assert _read(L3, alg, depth_cap=cap)[1]["depth_effective"] == depth
         assert spread == want, cap
@@ -792,6 +814,25 @@ def test_a_target_down_to_the_full_carrier_never_propagates_the_last_level(monke
                 assert bounds["depth_effective"] == depth_effective, (budget, cap)
     assert deductive_filters(L3, TARGETS[0]) == [(0, 1, 2)]
     assert deductive_filters(L3, LUK3) == [(2,), (0, 1, 2)]
+
+
+def _four_element_targets():
+    b2one = matrices_logic([Matrix(bool2(), (1,))], name="b2one")
+    product = product_of_logics(b2one, b2one)
+    yield pytest.param(build("ba-star-logic").logic, bool4(), id="ba-star-logic-on-b4")
+    yield pytest.param(product, product.matrices[0].algebra, id="criterion-8-product")
+
+
+@pytest.mark.parametrize("logic, alg", _four_element_targets())
+def test_sweeps_of_four_element_targets_agree_with_the_definition(logic, alg, fresh_caches):
+    # the sweeps share one warm closure across caps and budgets; each oracle
+    # reads a cold closure of its own
+    for budget in (2000, 20000, DEFAULTS.closure_cell_budget):
+        for cap in range(1, 4):
+            pairs, depth_effective = _sweep_pairs(logic, alg, cap, budget)
+            filters, bounds = _read(logic, alg, depth_cap=cap, cell_budget=budget)
+            assert filters == _filters_by_definition(logic, alg, pairs), (budget, cap)
+            assert bounds["depth_effective"] == depth_effective, (budget, cap)
 
 
 def _spy_sweeps(monkeypatch):
@@ -840,6 +881,47 @@ def test_random_sweeps_settled_below_the_last_level_agree_with_the_definition(mo
                 assert filters == _filters_by_definition(logic, alg, pairs), (cap, budget)
                 assert bounds["depth_effective"] == depth_effective, (cap, budget)
     assert early >= 10
+
+
+def _sweep_corpus():
+    """100 random matrix logics, each with 1-2 symbols of arity 0-2 and 1-2
+    defining matrices over 2-3 elements, and two targets of 1-3 elements
+    each, with the eight (depth cap, budget) pairs of caps 1-4 and budgets
+    2000 and the default in a shuffled order."""
+    rng = random.Random(35)
+    caps = [(cap, budget) for cap in range(1, 5)
+            for budget in (2000, DEFAULTS.closure_cell_budget)]
+    for _ in range(100):
+        sig = Signature({f"f{i}": rng.randrange(3) for i in range(rng.randint(1, 2))})
+
+        def algebra(n):
+            return FiniteAlgebra(sig, n, {s: [rng.randrange(n) for _ in range(n**a)]
+                                          for s, a in sig.symbols})
+
+        mats = []
+        for _ in range(rng.randint(1, 2)):
+            a = algebra(rng.randint(2, 3))
+            mats.append(Matrix(a, rng.sample(range(a.size), rng.randint(1, a.size - 1))))
+        logic = matrices_logic(mats)
+        for _ in range(2):
+            alg = algebra(rng.randint(1, 3))
+            rng.shuffle(caps)
+            for cap, budget in caps:
+                yield logic, alg, cap, budget
+
+
+def test_the_bounded_sweeps_of_a_seeded_corpus_keep_their_outputs(fresh_caches):
+    # 1,600 sweeps in one process, so later ones read closures that earlier
+    # ones grew: (filters, depth_effective) of each, or the refusal
+    outputs = []
+    for logic, alg, cap, budget in _sweep_corpus():
+        try:
+            lattice = filter_lattice(logic, alg, depth_cap=cap, cell_budget=budget)
+            outputs.append([[list(f) for f in lattice.filters], lattice.depth_effective])
+        except CapExceeded as e:
+            outputs.append(str(e))
+    assert len(outputs) == 1600
+    assert fingerprint(outputs) == "5c4d8de04868855f"
 
 
 def test_a_budget_that_only_the_real_counts_admit_takes_no_early_trial(monkeypatch,
