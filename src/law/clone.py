@@ -16,9 +16,9 @@ as a fresh one would. The readers:
   follows the closure of the defining algebras with its own values, and
   the lanes of each logic's columns are kept for every target until the
   closure grows. The sweep's family only shrinks as the depth grows, so it
-  also tests each depth from 1 to the cap - 1 at which the closure's rows
-  prove the depth the budget lets the sweep reach, and a target that one of
-  them leaves with only the full carrier propagates no deeper level;
+  also tests each depth from 1 to the cap - 1 at which the budget provably
+  admits every deeper level, and a target that one of them leaves with only
+  the full carrier propagates no deeper level;
 * the witness searches of `hierarchy`, over x (n = 1), or x and y (n = 2),
   read each class's designation mask (`designation`, `lanes`, `theorems`)
   and never evaluate a term;
@@ -397,47 +397,33 @@ class JointClosure:
 
         The last pair yielded is that answer. Before it come the masks of
         each depth L from 1 to `depth_cap` - 1 (0 at cap 1) at which the
-        rows the closure has built prove the answer's d, each paired with
-        that d and yielded after the closure has grown for level L + 1. The
-        loop's count at a level lies between the level's rows and its rows
-        times the values, and `admits` grows with the count. So the loop
-        passes its test at every level from L + 1 to `depth_cap` - 1 if each
-        passes with every row taking every value, and it stops at the first
-        level that fails with one value per row if every level before it
-        passed that way. That level has more rows than the one before it,
-        which passed, and a closure adds no rows after a level that adds
-        none, so every level up to it added rows and the loop meets no
-        fixpoint first. A caller whose result such masks settle at every
-        greater depth stops there, and no deeper level is propagated."""
+        budget provably admits every deeper level, paired with `depth_cap`,
+        each after the closure has grown for level L + 1: at `depth_cap` - 1
+        the loop has passed its test, and below it the test passes with
+        every row of depth < `depth_cap` taking every value, if the closure
+        has already built those rows. A caller whose result such masks
+        settle at every greater depth stops there, and no deeper level is
+        propagated."""
         width, arities = self._width + (target not in self._spans), list(self._arity.values())
-        size = target.size
 
         def admits(joint: int) -> bool:  # the budget admits a level of `joint` pairs
             return sum(map(joint.__pow__, arities)) * width <= cell_budget
-
-        def settled(level: int) -> Optional[int]:
-            """The depth the loop reaches from `level`, if the built rows
-            prove it; the closure is not grown for the proof."""
-            for deeper in range(level + 1, depth_cap):
-                if deeper > self.level and not self.saturated:
-                    return None
-                rows = self._ends[min(deeper, self.level)]
-                if not admits(rows * size):
-                    return None if admits(rows) else deeper
-            return depth_cap
 
         masks = [0] * self._ends[0]  # per row of depth <= level, bit v for a term of value v
         for v, row in enumerate(self._variables):
             masks[row] |= 1 << v
         images: dict[tuple, list[int]] = {}  # (symbol, head masks) -> `_image`
-        level, joint = 0, size  # joint: the (row, value) pairs
+        level, joint = 0, target.size  # joint: the (row, value) pairs
         while level < depth_cap and admits(joint):
             while self.level <= level and self.grow():
                 pass
-            if level or depth_cap == 1:
-                depth = settled(level)
-                if depth is not None:
-                    yield masks, depth
+            # a deeper level holds at most its rows times the values, and
+            # `admits` grows with the count: bound the last, if it is built
+            last = min(depth_cap - 1, self.level)
+            bounded = (last == depth_cap - 1 or self.saturated) and admits(
+                self._ends[last] * target.size)
+            if level == depth_cap - 1 or level > 0 and bounded:
+                yield masks, depth_cap
             masks, level = self._spread(target, masks, level, images), level + 1
             if level < depth_cap:  # the last level's count decides nothing
                 grown = sum(map(int.bit_count, masks))

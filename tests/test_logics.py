@@ -791,17 +791,15 @@ def test_a_target_down_to_the_full_carrier_never_propagates_the_last_level(monke
                                                                          fresh_caches):
     # TARGETS[0] keeps only the full carrier from depth 1 on, so at cap 3
     # only level 0 is propagated; at cap 4 the default budget stops the sweep
-    # at depth 3, which the closure's 632 rows of depth 3 (grown by Ł3 at cap
-    # 3) prove, so the trial at depth 1 answers with depth 3 and again only
-    # level 0 runs; Ł3 itself keeps {2} at every depth, so its last level is
-    # propagated and tested
+    # at depth 3, so no trial below it answers and levels 0-2 run; Ł3 itself
+    # keeps {2} at every depth, so its last level is propagated and tested
     closure = _l3_classes()
     spread = []  # the levels each sweep propagates
     real = closure._spread
     monkeypatch.setattr(closure, "_spread", lambda target, masks, level, images: (
         spread.append(level) or real(target, masks, level, images)))
     for alg, cap, want, depth in ((TARGETS[0], 3, [0], 3), (LUK3, 3, [0, 1, 2], 3),
-                                  (TARGETS[0], 4, [0], 3)):
+                                  (TARGETS[0], 4, [0, 1, 2], 3)):
         spread.clear()
         assert _read(L3, alg, depth_cap=cap)[1]["depth_effective"] == depth
         assert spread == want, cap
