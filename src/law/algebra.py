@@ -250,16 +250,22 @@ def _induced(alg: FiniteAlgebra, elems: Sequence[int], relabel) -> FiniteAlgebra
     relabel(f(elems[i1], .., elems[ik])), read from the tables directly.
     The caller vouches that `relabel` maps every such value into the new
     carrier, so the tables skip the constructor's checks."""
-    n = alg.size
     tables = []
     for sym, arity in alg.signature.symbols:
-        cells = [0]  # flat indices of the argument tuples over `elems`
-        for _ in range(arity):
-            cells = [i * n + e for i in cells for e in elems]
+        cells = _cells(alg.size, elems, arity)
         tables.append((sym, tuple(map(relabel, map(alg.table(sym).__getitem__, cells)))))
     out = object.__new__(FiniteAlgebra)
     out._fill(alg.signature, len(elems), tuple(tables))
     return out
+
+
+def _cells(n: int, elems: Sequence[int], arity: int) -> list[int]:
+    """The flat table indices, on a carrier of size n, of the argument tuples
+    over `elems` in lexicographic order; [0] for arity 0."""
+    cells = [0]
+    for _ in range(arity):
+        cells = [i * n + e for i in cells for e in elems]
+    return cells
 
 
 # ---------------------------------------------------------------------------

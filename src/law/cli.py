@@ -10,16 +10,17 @@ fails or witness absent within bounds, 2 input or cap error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from .algebra import FiniteAlgebra, congruences_bruteforce
 from .config import Config, load_config
-from .errors import LawError
+from .errors import LawError, SignatureMismatch
 from .matrices import leibniz_congruence, matrix_product, reduce_matrix
 from .serialize import (
     file_fingerprint,
@@ -163,7 +164,8 @@ def _filters(args, config: Config, inputs: _Inputs):
     logic = inputs.load(load_logic, args.logic)
     alg = inputs.load(load_algebra, args.algebra)
     # the sweep runs before the bounds, so its carrier cap and signature check report first
-    filters = deductive_filters(logic, alg, **config.caps())
+    with _naming(args.algebra):
+        filters = deductive_filters(logic, alg, **config.caps())
     return (0, {"filters": [list(f) for f in filters],
                 "bounds": filter_bounds(logic, alg, **config.caps())},
             f"{len(filters)} deductive filters")
@@ -175,10 +177,23 @@ def _suszko(args, config: Config, inputs: _Inputs):
     logic = inputs.load(load_logic, args.logic)
     alg = inputs.load(load_algebra, args.algebra)
     # the sweep runs before the bounds, as in `_filters`
-    p = suszko_congruence(logic, alg, _parse_filter(args.filter), **config.caps())
+    with _naming(args.algebra):
+        p = suszko_congruence(logic, alg, _parse_filter(args.filter), **config.caps())
     return (0, {"partition": partition_to_json(p),
                 "bounds": filter_bounds(logic, alg, **config.caps())},
             f"suszko congruence has {p.num_blocks} blocks")
+
+
+@contextlib.contextmanager
+def _naming(path: Optional[str]) -> Iterator[None]:
+    """Prefix a SignatureMismatch raised inside with `path`, the algebra file
+    whose signature differs; None leaves the error as it is."""
+    try:
+        yield
+    except SignatureMismatch as exc:
+        if path is None:
+            raise
+        raise SignatureMismatch(f"{path}: {exc}") from None
 
 
 def _parse_filter(text: str) -> tuple[int, ...]:
@@ -209,7 +224,12 @@ def _product(args, config: Config, inputs: _Inputs):
 
 
 def _inventory(items: Sequence[str], inputs: _Inputs) -> list[FiniteAlgebra]:
-    """The algebras of the `-i` items: files, and the *.json files of directories."""
+    """The algebras of the `-i` items."""
+    return [inputs.load(load_algebra, p) for p in _inventory_paths(items)]
+
+
+def _inventory_paths(items: Sequence[str]) -> list[str]:
+    """The files of the `-i` items: files, and the *.json files of directories."""
     paths: list[str] = []
     for item in items:
         if os.path.isdir(item):
@@ -218,7 +238,7 @@ def _inventory(items: Sequence[str], inputs: _Inputs) -> list[FiniteAlgebra]:
             paths.append(item)
     if not paths:
         raise LawError(f"empty inventory: no *.json file in -i {' -i '.join(items)}")
-    return [inputs.load(load_algebra, p) for p in paths]
+    return paths
 
 
 def _verdict_report(verdict: Verdict, label: str):
@@ -229,9 +249,14 @@ def _check(args, config: Config, inputs: _Inputs):
     from .hierarchy import check_class
 
     logic = inputs.load(load_logic, args.logic)
-    inventory = _inventory(args.inventory, inputs)
+    paths = _inventory_paths(args.inventory)
+    inventory = [inputs.load(load_algebra, p) for p in paths]
     config = config.override(depth_default=args.depth)
-    return _verdict_report(check_class(args.cls, logic, inventory, args.max_set, config), args.cls)
+    foreign = next((p for p, alg in zip(paths, inventory) if alg.signature != logic.signature),
+                   None)
+    with _naming(foreign):
+        verdict = check_class(args.cls, logic, inventory, args.max_set, config)
+    return _verdict_report(verdict, args.cls)
 
 
 def _interpret(args, config: Config, inputs: _Inputs):

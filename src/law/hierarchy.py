@@ -137,18 +137,15 @@ def _saturate(
     gamma: Iterable[Term],
     pool: Sequence[str],
     cap: int,
-    goal: Optional[Term] = None,
 ) -> set[Term]:
     """`gamma` and every term of depth <= `cap` derivable from it through
-    such terms (see `chain_entails`). Stops once `goal` is derived."""
+    such terms (see `chain_entails`), saturated to the fixpoint."""
     if logic.kind != RULES:
         raise ValueError("forward chaining needs a rule presentation")
     derived: set[Term] = set(gamma)
     for rule in logic.rules:
         if not rule.premises:
             derived.update(_axiom_instances(rule, logic.signature, pool, cap))
-    if goal in derived:
-        return derived
     proper = [r for r in logic.rules if r.premises]
     changed = True
     while changed:
@@ -167,10 +164,7 @@ def _saturate(
                     ]
                 for full in bindings:
                     t = substitute(rule.conclusion, full)
-                    if depth(t) <= cap and t not in derived and t not in fresh:
-                        if t == goal:
-                            derived.add(t)
-                            return derived
+                    if depth(t) <= cap and t not in derived:
                         fresh.add(t)
             if fresh:
                 derived.update(fresh)
@@ -220,14 +214,15 @@ def chain_entails(
 ) -> bool:
     """Bounded forward chaining from `gamma`; True means derivable.
 
-    The saturation of `derive_theorems`, under the same caps: axioms are
-    instantiated with pool terms, every derived term has depth <=
+    Membership of `phi` in the saturation of `derive_theorems` from `gamma`,
+    under the same caps, run to the fixpoint whether or not `phi` turns up:
+    axioms are instantiated with pool terms, every derived term has depth <=
     `depth_cap`, and conclusion variables that no premise binds range over
     `pool`. So with no premises it agrees with ``phi in derive_theorems(logic,
     pool, depth_cap)``. False is not a refutation: derivations that pass
     through deeper terms are missed.
     """
-    return phi in _saturate(logic, gamma, pool, depth_cap, goal=phi)
+    return phi in _saturate(logic, gamma, pool, depth_cap)
 
 
 # ---------------------------------------------------------------------------

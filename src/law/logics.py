@@ -18,8 +18,8 @@ of that size and by every logic and witness search over the same algebras.
 G is a bounded filter iff no class has a value in the target, at the
 canonical assignment, outside G while staying designated at every column
 that keeps the classes with values in G designated. The exact sweep
-evaluates each rule once per algebra, when a subset first reaches it, and
-tests every subset against the stored values.
+evaluates every rule once per algebra and tests every subset against the
+stored values.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
@@ -212,22 +212,16 @@ def entails(logic: LogicPresentation, gamma: Iterable[Term], phi: Term) -> bool:
 
 def _rule_filters(logic: LogicPresentation, alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     """The subsets of `alg` closed under every rule, in `_subsets_sorted`
-    order. A subset is tested against the rules in order up to the first it
-    violates; each rule's rows are built once, when a subset first reaches
-    it, so a rule that no subset reaches is never evaluated. The rules were
-    checked when the logic was built and `filter_lattice` checks the
-    algebra's signature, so the terms are not checked again here."""
-    rows: list[frozenset[tuple[int, int]]] = []
+    order. Every rule's rows are built once, and each subset is tested
+    against them. The rules were checked when the logic was built and
+    `filter_lattice` checks the algebra's signature, so the terms are not
+    checked again here."""
+    rows = [_rule_rows(alg, rule.premises, rule.conclusion, sorted(rule.variables()))
+            for rule in logic.rules]
     filters = []
     for subset in _subsets_sorted(alg.size):
         undesignated = _undesignated(alg.size, subset)
-        for i, rule in enumerate(logic.rules):
-            if i == len(rows):
-                rows.append(_rule_rows(alg, rule.premises, rule.conclusion,
-                                       sorted(rule.variables())))
-            if _violated(rows[i], undesignated):
-                break
-        else:
+        if not any(_violated(r, undesignated) for r in rows):
             filters.append(subset)
     return filters
 

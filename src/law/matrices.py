@@ -8,6 +8,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     FiniteAlgebra,
+    _cells,
     _induced,
     _set_subuniverses,
     largest_congruence_below,
@@ -80,66 +81,27 @@ def reduce_matrix(m: Matrix) -> tuple[Matrix, Partition]:
 def subuniverses(alg: FiniteAlgebra, cap: int = DEFAULTS.oracle_max + 2) -> list[tuple[int, ...]]:
     """All nonempty subsets closed under every operation, sorted by (size, elements).
 
-    Visits the subsets X of the carrier as bit masks in ascending order, so
-    Sg(X minus its top element t) is known when X comes: Sg(X) is that
-    subuniverse when it holds t, and otherwise its closure with t, where
-    only the argument tuples that touch t or a later addition are fired.
-    The sorted list is built on first use and kept with the algebra; each
-    call returns a fresh copy.
+    The subsets, in that order, that every table maps into themselves: the
+    argument tuples over a subset are read from the tables by flat index,
+    and a nullary symbol's one cell is among them. The list is built on
+    first use and kept with the algebra; each call returns a fresh copy.
     """
     if alg.size > cap:
         raise CapExceeded(f"carrier {alg.size} exceeds subuniverse cap {cap}")
     if alg._subuniverses is None:
-        n, ops = alg.size, _operations(alg)
-        generated = [_close(n, ops, (), _constants(alg))]
-        for mask in range(1, 1 << n):
-            top = mask.bit_length() - 1
-            below = generated[mask ^ (1 << top)]
-            generated.append(below if top in below else _close(n, ops, below, (top,)))
-        subs = tuple(sorted(set(generated[1:]), key=lambda s: (len(s), s)))
-        _set_subuniverses(alg, subs)
+        n = alg.size
+        tables = [(alg.table(sym), arity) for sym, arity in alg.signature.symbols]
+        subs = []
+        for k in range(1, n + 1):
+            for sub in itertools.combinations(range(n), k):
+                members = set(sub)
+                for table, arity in tables:
+                    if not members.issuperset(map(table.__getitem__, _cells(n, sub, arity))):
+                        break
+                else:
+                    subs.append(sub)
+        _set_subuniverses(alg, tuple(subs))
     return list(alg._subuniverses)
-
-
-def _operations(alg: FiniteAlgebra) -> list[tuple[tuple[int, ...], int]]:
-    """(table, arity) of every symbol of arity at least 1."""
-    return [(alg.table(sym), arity) for sym, arity in alg.signature.symbols if arity]
-
-
-def _constants(alg: FiniteAlgebra) -> set[int]:
-    return {alg.table(sym)[0] for sym, arity in alg.signature.symbols if not arity}
-
-
-def _close(n: int, ops, closed: Sequence[int], fresh: Iterable[int]) -> tuple[int, ...]:
-    """The closure of `closed` plus `fresh` under `ops` (`_operations`),
-    sorted, where `closed` is already closed. Semi-naive: each round fires
-    exactly the argument tuples over the elements so far that hold at least
-    one of the last round's additions, reading the tables by flat index."""
-    old = list(closed)
-    members = set(old)
-    delta = list(set(fresh) - members)
-    members.update(delta)
-    while delta:
-        full = old + delta
-        values: set[int] = set()
-        for table, arity in ops:
-            if arity == 1:
-                values.update(map(table.__getitem__, delta))
-                continue
-            # flat-index prefixes of the tuples fired: `heads` over older
-            # elements only, `cells` with an addition at some position
-            heads, cells = old, delta
-            for _ in range(arity - 2):
-                cells = [i * n + e for i in cells for e in full] + [
-                    i * n + d for i in heads for d in delta
-                ]
-                heads = [i * n + o for i in heads for o in old]
-            values.update([table[i * n + e] for i in cells for e in full])
-            values.update([table[i * n + d] for i in heads for d in delta])
-        old = full
-        delta = list(values - members)
-        members.update(delta)
-    return tuple(sorted(members))
 
 
 def restrict_to_subuniverse(alg: FiniteAlgebra, sub: Sequence[int]) -> FiniteAlgebra:
@@ -151,13 +113,10 @@ def restrict_to_subuniverse(alg: FiniteAlgebra, sub: Sequence[int]) -> FiniteAlg
 
 def submatrices(m: Matrix, cap: int = DEFAULTS.oracle_max + 2) -> list[Matrix]:
     """Matrices on every subuniverse with the restricted filter, m itself included."""
-    out = []
-    for sub in subuniverses(m.algebra, cap=cap):
-        index = {x: i for i, x in enumerate(sub)}
-        alg = _induced(m.algebra, sub, index.__getitem__)
-        des = sorted(index[x] for x in m.filter if x in index)
-        out.append(Matrix(alg, des))
-    return out
+    f = m.filter_set()
+    return [Matrix(restrict_to_subuniverse(m.algebra, sub),
+                   [i for i, x in enumerate(sub) if x in f])
+            for sub in subuniverses(m.algebra, cap=cap)]
 
 
 def matrix_product(m1: Matrix, m2: Matrix, cap: int = DEFAULTS.product_max) -> Matrix:

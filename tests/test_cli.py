@@ -644,8 +644,9 @@ def _kleene9():
 @pytest.mark.parametrize(
     "alg, error",
     [(_kleene9(), "CapExceeded: carrier 9 exceeds the filter sweep cap 6"),
-     (pointed_set(2), "SignatureMismatch: algebra signature differs from the logic's")],
-    ids=["nine-elements", "pointed-set"],
+     (pointed_set(2), "SignatureMismatch: {alg}: algebra signature differs from the logic's"),
+     (pointed_set(9), "CapExceeded: carrier 9 exceeds the filter sweep cap 6")],
+    ids=["nine-elements", "pointed-set", "nine-element-pointed-set"],
 )
 @pytest.mark.parametrize("command", [["filters"], ["suszko", "--filter", "0"]],
                          ids=["filters", "suszko"])
@@ -654,7 +655,7 @@ def test_filter_sweep_errors_come_before_the_bounds(tmp_path, alg, error, comman
     alg_path = write(tmp_path, "alg.json", algebra_to_json(alg))
     code, out, _ = invoke([command[0], "-l", logic_path, "-a", alg_path, *command[1:]])
     assert code == 2
-    assert json.loads(out)["error"] == error
+    assert json.loads(out)["error"] == error.format(alg=alg_path)
 
 
 def _imp_chain7():
@@ -711,16 +712,17 @@ def test_filter_classes_refuse_an_algebra_above_the_sweep_cap(tmp_path, cls):
 
 def test_check_has_theorems_sweeps_no_filters(tmp_path):
     # a theorem search reads no filter, so the 7 elements pass the sweep cap
-    # of 6; an inventory of another signature is still refused
+    # of 6; an inventory of another signature is still refused, by its first
+    # file of another signature
     nabla = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))
     inv = write(tmp_path, "imp7.json", algebra_to_json(_imp_chain7()))
     code, out, _ = invoke(["check", "has_theorems", "-l", nabla, "-i", inv])
     result = json.loads(out)["result"]
     assert (code, result["status"], result["witness"]) == (0, "holds", "(→ x x)")
     pointed = write(tmp_path, "pointed.json", algebra_to_json(pointed_set(2)))
-    code, out, _ = invoke(["check", "has_theorems", "-l", nabla, "-i", pointed])
+    code, out, _ = invoke(["check", "has_theorems", "-l", nabla, "-i", inv, "-i", pointed])
     assert (code, json.loads(out)["error"]) == (
-        2, "SignatureMismatch: algebra signature differs from the logic's")
+        2, f"SignatureMismatch: {pointed}: algebra signature differs from the logic's")
 
 
 def test_config_closure_cell_budget_reaches_check_and_interpret(tmp_path):

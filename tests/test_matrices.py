@@ -161,6 +161,35 @@ def test_subuniverses_match_the_closure_of_every_subset():
                             [x for x in range(n) if rng.random() < 0.5])
 
 
+def generated(alg, generators):
+    """Sg(generators) by a naive fixpoint: apply every symbol to every
+    argument tuple over the set so far until nothing new turns up."""
+    closed = set(generators)
+    while True:
+        values = {alg.apply(sym, args) for sym, arity in alg.signature.symbols
+                  for args in itertools.product(sorted(closed), repeat=arity)}
+        if values <= closed:
+            return tuple(sorted(closed))
+        closed |= values
+
+
+def test_subuniverses_at_the_cap_are_the_generated_subalgebras():
+    # an oracle independent of the definition `subuniverses` and
+    # `brute_subuniverses` share: the listed sets are exactly the Sg(X)
+    rng = random.Random(8)
+    sigs = [Signature({"c": 0, "f": 1}), Signature({"g": 2}), Signature({"t": 3}),
+            Signature({"c": 0, "g": 2, "t": 3})]
+    for sig in sigs:
+        for n in (6, 7, 8) * 3:
+            alg = FiniteAlgebra(sig, n, {s: random_table(rng, n, a) for s, a in sig.symbols})
+            subs = subuniverses(alg)
+            for sub in subs:
+                assert generated(alg, sub) == sub, (alg.tables, sub)
+            want = {generated(alg, x) for k in range(n + 1)
+                    for x in itertools.combinations(range(n), k)} - {()}
+            assert set(subs) == want and len(subs) == len(want), alg.tables
+
+
 def test_submatrices():
     assert len(submatrices(Matrix(one_element(BOOL), (0,)))) == 1
     mats = submatrices(Matrix(bool4(), (1, 3)))
@@ -315,7 +344,8 @@ def assert_same_algebra(got, want):
 
 
 def test_reduce_matrix_and_submatrices_equal_the_checked_constructions():
-    # both skip the checks of `quotient` and `restrict_to_subuniverse`
+    # `reduce_matrix` skips the check of `quotient`; `submatrices` must match
+    # the validated restriction to each of `subuniverses`, in order
     rng = random.Random(31)
     sigs = [BOOL, Signature({"c": 0}), Signature({"c": 0, "t": 3}),
             Signature({"c": 0, "f": 1, "g": 2})]
@@ -328,7 +358,8 @@ def test_reduce_matrix_and_submatrices_equal_the_checked_constructions():
         assert_same_algebra(reduced.algebra, quotient(alg, omega))
         assert reduced.filter == tuple(sorted({omega.block_of(x) for x in m.filter}))
         for sm, sub in zip(submatrices(m), subuniverses(alg), strict=True):
-            assert_same_algebra(sm.algebra, restrict_to_subuniverse(alg, sub))
+            index = {x: i for i, x in enumerate(sub)}
+            assert_same_algebra(sm.algebra, validated(alg, sub, index.__getitem__))
 
 
 def test_restrictions_and_quotients_equal_the_validated_construction():
