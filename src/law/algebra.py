@@ -154,11 +154,21 @@ def _values(alg: FiniteAlgebra, t: Term, columns: dict[str, list[int]], count: i
         if t.name not in columns:
             raise TermError(f"unbound variable {t.name!r}")
         return columns[t.name]
+    return _apply(alg, t.sym, [_values(alg, a, columns, count) for a in t.args], count)
+
+
+def _apply(alg: FiniteAlgebra, sym: str, args: Sequence[list[int]], count: int) -> list[int]:
+    """`sym` applied at each of `count` assignments to its arguments' values
+    there, read from the table: the first argument's values are the index of
+    a unary cell, and each further one shifts the index by the carrier."""
+    table = alg.table(sym)
+    if not args:
+        return [table[0]] * count
+    idx = args[0]
     n = alg.size
-    idx = [0] * count
-    for a in t.args:
-        idx = [i * n + v for i, v in zip(idx, _values(alg, a, columns, count))]
-    return list(map(alg.table(t.sym).__getitem__, idx))
+    for values in args[1:]:
+        idx = [i * n + v for i, v in zip(idx, values)]
+    return list(map(table.__getitem__, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +345,14 @@ def largest_congruence_below(alg: FiniteAlgebra, p: Partition) -> Partition:
     single-coordinate replacement stays inside blocks, which chains to the
     full congruence property. Every pass stays coarser than or equal to the
     answer, so one that reaches the identity (`alg.size` blocks) is the
-    answer at once, and so is an identity `p`.
+    answer at once, and so is an identity `p`. A total `p` is the answer too,
+    since the total partition is always a congruence.
     """
     n = alg.size
     if p.size != n:
         raise ValueError("partition carrier mismatch")
     ids, count = p.block_ids, p.num_blocks
-    if count == n:
+    if count == n or count == 1:
         return p
     keys = _row_keys(alg)
     while True:

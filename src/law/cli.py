@@ -35,6 +35,7 @@ from .serialize import (
 )
 
 if TYPE_CHECKING:
+    from .terms import Signature
     from .verdicts import Verdict
 
 
@@ -186,8 +187,8 @@ def _suszko(args, config: Config, inputs: _Inputs):
 
 @contextlib.contextmanager
 def _naming(path: Optional[str]) -> Iterator[None]:
-    """Prefix a SignatureMismatch raised inside with `path`, the algebra file
-    whose signature differs; None leaves the error as it is."""
+    """Prefix a SignatureMismatch raised inside with `path`, the file or files
+    whose signatures differ; None leaves the error as it is."""
     try:
         yield
     except SignatureMismatch as exc:
@@ -223,9 +224,16 @@ def _product(args, config: Config, inputs: _Inputs):
     raise LawError("product needs two -l files or two -m files")
 
 
-def _inventory(items: Sequence[str], inputs: _Inputs) -> list[FiniteAlgebra]:
-    """The algebras of the `-i` items."""
-    return [inputs.load(load_algebra, p) for p in _inventory_paths(items)]
+def _inventory(items: Sequence[str], inputs: _Inputs) -> tuple[list[str], list[FiniteAlgebra]]:
+    """The files of the `-i` items and their algebras."""
+    paths = _inventory_paths(items)
+    return paths, [inputs.load(load_algebra, p) for p in paths]
+
+
+def _foreign(paths: Sequence[str], inventory: Sequence[FiniteAlgebra],
+             signature: Signature) -> Optional[str]:
+    """The first of `paths` whose algebra is not over `signature`, or None."""
+    return next((p for p, alg in zip(paths, inventory) if alg.signature != signature), None)
 
 
 def _inventory_paths(items: Sequence[str]) -> list[str]:
@@ -249,12 +257,9 @@ def _check(args, config: Config, inputs: _Inputs):
     from .hierarchy import check_class
 
     logic = inputs.load(load_logic, args.logic)
-    paths = _inventory_paths(args.inventory)
-    inventory = [inputs.load(load_algebra, p) for p in paths]
+    paths, inventory = _inventory(args.inventory, inputs)
     config = config.override(depth_default=args.depth)
-    foreign = next((p for p, alg in zip(paths, inventory) if alg.signature != logic.signature),
-                   None)
-    with _naming(foreign):
+    with _naming(_foreign(paths, inventory, logic.signature)):
         verdict = check_class(args.cls, logic, inventory, args.max_set, config)
     return _verdict_report(verdict, args.cls)
 
@@ -265,9 +270,17 @@ def _interpret(args, config: Config, inputs: _Inputs):
     tau = inputs.load(load_translation, args.translation)
     source = inputs.load(load_logic, args.source)
     target = inputs.load(load_logic, args.target)
-    inventory = _inventory(args.inventory, inputs)
-    return _verdict_report(check_interpretation_bounded(tau, source, target, inventory, config),
-                           "interpretation")
+    paths, inventory = _inventory(args.inventory, inputs)
+    # the check tests the translation's ends first, then the inventory
+    if tau.source != source.signature:
+        culprit = f"{args.translation} and {args.source}"
+    elif tau.target != target.signature:
+        culprit = f"{args.translation} and {args.target}"
+    else:
+        culprit = _foreign(paths, inventory, target.signature)
+    with _naming(culprit):
+        verdict = check_interpretation_bounded(tau, source, target, inventory, config)
+    return _verdict_report(verdict, "interpretation")
 
 
 def _gallery(args, config: Config, inputs: _Inputs):

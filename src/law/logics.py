@@ -18,8 +18,8 @@ of that size and by every logic and witness search over the same algebras.
 G is a bounded filter iff no class has a value in the target, at the
 canonical assignment, outside G while staying designated at every column
 that keeps the classes with values in G designated. The exact sweep
-evaluates every rule once per algebra and tests every subset against the
-stored values.
+compiles the rules once per logic into one program of distinct subterms,
+runs it once per algebra and tests every subset against the stored values.
 
 Either sweep runs once per (logic, algebra, caps): `filter_lattice` keeps the
 filters with their Leibniz congruences, and every public filter function
@@ -35,13 +35,13 @@ import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, _columns, _values, distinct, eval_term
+from .algebra import FiniteAlgebra, _apply, _columns, _values, distinct, eval_term
 from .clone import _subsets_sorted, term_classes
 from .config import DEFAULTS, VARIABLE_BUDGET, Config
 from .errors import CapExceeded, Frozen, Hashed, NotAFilter, SignatureMismatch
 from .matrices import Matrix, leibniz_congruence, matrix_product
 from .partitions import Partition
-from .terms import Signature, Term, check_term, to_sexpr, variables_of
+from .terms import Signature, Term, Var, check_term, to_sexpr, variables_of
 
 
 class Rule(Hashed):
@@ -147,20 +147,31 @@ def filter_notion(logic: LogicPresentation) -> str:
 # consequence for matrix presentations
 
 
+def _masks(premise_values: Iterable[Sequence[int]], count: int) -> list[int]:
+    """Each of `count` assignments' mask of its premise values, bit v for
+    element v, from every premise's values at every assignment."""
+    masks = [0] * count
+    for values in premise_values:
+        masks = [m | 1 << v for m, v in zip(masks, values)]
+    return masks
+
+
+def _rows(conclusion_values: Sequence[int], masks: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """The distinct (conclusion bit, premises mask) pairs over the
+    assignments: the rows `_violated` tests against a designated set. A row
+    whose conclusion is among its premises' values holds under every
+    designated set, so it is left out."""
+    return frozenset((1 << c, m) for c, m in zip(conclusion_values, masks) if not 1 << c & m)
+
+
 def _rule_rows(alg: FiniteAlgebra, premises: Sequence[Term], conclusion: Term,
                variables: Sequence[str]) -> frozenset[tuple[int, int]]:
-    """A rule's values on `alg` at every assignment of `variables`, kept once
-    per distinct (conclusion bit, premises mask), bit v for element v: the
-    rows `_violated` tests against a designated set. A row whose conclusion
-    is among its premises' values holds under every designated set, so it
-    is left out. The caller has checked the terms against the algebra's
-    signature (`check_term`)."""
+    """A rule's `_rows` on `alg` at every assignment of `variables`. The
+    caller has checked the terms against the algebra's signature
+    (`check_term`)."""
     columns, count = _columns(alg, variables)
-    masks = [0] * count
-    for p in premises:
-        masks = [m | 1 << v for m, v in zip(masks, _values(alg, p, columns, count))]
-    return frozenset((1 << c, m) for c, m in zip(_values(alg, conclusion, columns, count), masks)
-                     if not 1 << c & m)
+    masks = _masks((_values(alg, p, columns, count) for p in premises), count)
+    return _rows(_values(alg, conclusion, columns, count), masks)
 
 
 def _violated(rows: Iterable[tuple[int, int]], undesignated: int) -> bool:
@@ -210,14 +221,55 @@ def entails(logic: LogicPresentation, gamma: Iterable[Term], phi: Term) -> bool:
 # filters for rule presentations (exact)
 
 
+@functools.lru_cache(maxsize=64)
+def _rule_program(logic: LogicPresentation) -> tuple:
+    """The rules of `logic` compiled once for `_rule_filters`: one group
+    (variables, steps, rules) per sorted variable tuple of the rules. Slot i
+    holds variable i and slot len(variables) + j step j; `steps` lists the
+    group's distinct other subterms in post-order as (symbol, child slots),
+    and `rules` pairs each distinct premise slot tuple with the conclusion
+    slots of its rules."""
+    groups: dict[tuple[str, ...], tuple[dict[Term, int], list, dict]] = {}
+
+    def slot(t: Term, slots: dict[Term, int], steps: list) -> int:
+        got = slots.get(t)
+        if got is None:
+            # a variable is a slot from the start, so `t` is an application
+            children = tuple(slot(a, slots, steps) for a in t.args)
+            got = slots[t] = len(slots)
+            steps.append((t.sym, children))
+        return got
+
+    for rule in logic.rules:
+        variables = tuple(sorted(rule.variables()))
+        if variables not in groups:
+            groups[variables] = ({Var(v): i for i, v in enumerate(variables)}, [], {})
+        slots, steps, rules = groups[variables]
+        premises = tuple(sorted({slot(p, slots, steps) for p in rule.premises}))
+        rules.setdefault(premises, []).append(slot(rule.conclusion, slots, steps))
+    return tuple((variables, tuple(steps), tuple((p, tuple(c)) for p, c in rules.items()))
+                 for variables, (_, steps, rules) in groups.items())
+
+
 def _rule_filters(logic: LogicPresentation, alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     """The subsets of `alg` closed under every rule, in `_subsets_sorted`
-    order. Every rule's rows are built once, and each subset is tested
+    order. The logic's `_rule_program`, compiled once per logic, runs every
+    group of rules over the same variables once: each distinct subterm is
+    evaluated once at every assignment, through the operation tables, and
+    each distinct premise tuple's masks are built once. Every rule's rows
+    are then built from the stored values, and each subset is tested
     against them. The rules were checked when the logic was built and
     `filter_lattice` checks the algebra's signature, so the terms are not
     checked again here."""
-    rows = [_rule_rows(alg, rule.premises, rule.conclusion, sorted(rule.variables()))
-            for rule in logic.rules]
+    rows = []
+    for variables, steps, rules in _rule_program(logic):
+        columns, count = _columns(alg, variables)
+        values = [columns[v] for v in variables]
+        for sym, children in steps:
+            values.append(_apply(alg, sym, [values[c] for c in children], count))
+        for premises, conclusions in rules:
+            masks = _masks(map(values.__getitem__, premises), count)
+            rows.extend(_rows(values[c], masks) for c in conclusions)
     filters = []
     for subset in _subsets_sorted(alg.size):
         undesignated = _undesignated(alg.size, subset)

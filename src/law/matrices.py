@@ -54,7 +54,7 @@ def leibniz_congruence(m: Matrix) -> Partition:
     """Largest congruence under which the filter is a union of blocks.
 
     The seed partition is {F, complement}; for the empty or full filter that
-    seed is the total relation, so the result is the largest congruence.
+    seed is the total relation, a congruence, so it is the result.
     """
     seed = Partition.seed_from_subset(m.algebra.size, m.filter)
     return largest_congruence_below(m.algebra, seed)

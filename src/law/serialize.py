@@ -168,6 +168,9 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     return FiniteAlgebra(sig, size, tables, name=name)
 
 
+# algebras are immutable, and equal ones have one fingerprint, their names
+# aside: a class check reads every inventory algebra's fingerprint again
+@functools.lru_cache(maxsize=256)
 def algebra_fingerprint(alg: FiniteAlgebra) -> str:
     data = algebra_to_json(alg)
     data.pop("name", None)

@@ -490,6 +490,37 @@ def test_a_translation_names_the_symbols_it_misses_and_adds(tmp_path):
         "missing ['⊤', '⊥'], extra ['→']")
 
 
+def _interpret_files(tmp_path):
+    """tau: ⊤ ↦ (→ x1 x1), from basic-assertional to the matrix logic of
+    <imp2, {1}>, with imp2 as the inventory."""
+    pointed, imp = Signature({"⊤": 1}), imp2().signature
+    tau = Translation(pointed, imp, {"⊤": parse_term(imp, "(→ x1 x1)")})
+    return (write(tmp_path, "tau.json", translation_to_json(tau)),
+            write(tmp_path, "src.json", logic_to_json(build("basic-assertional").logic)),
+            write(tmp_path, "tgt.json", logic_to_json(matrices_logic([Matrix(imp2(), (1,))]))),
+            write(tmp_path, "imp2.json", algebra_to_json(imp2())))
+
+
+def test_interpret_names_an_inventory_file_of_another_signature(tmp_path):
+    tau, src, tgt, inv = _interpret_files(tmp_path)
+    pointed = write(tmp_path, "pointed.json", algebra_to_json(pointed_set(2)))
+    code, out, err = invoke(["interpret", "-t", tau, "--from", src, "--to", tgt,
+                             "-i", inv, "-i", pointed])
+    assert (code, json.loads(out)["error"]) == (
+        2, f"SignatureMismatch: {pointed}: algebra signature differs from the logic's")
+    assert pointed in err
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_interpret_names_the_translation_and_the_logic_whose_signatures_differ(tmp_path, end):
+    tau, src, tgt, inv = _interpret_files(tmp_path)
+    # one logic at both ends, over the signature of the other end
+    logic = {"source": tgt, "target": src}[end]
+    code, out, _ = invoke(["interpret", "-t", tau, "--from", logic, "--to", logic, "-i", inv])
+    assert (code, json.loads(out)["error"]) == (
+        2, f"SignatureMismatch: {tau} and {logic}: translation {end} differs from the {end} logic")
+
+
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_check_rejects_nonpositive_depth(tmp_path, capsys, depth):
     logic_path = write(tmp_path, "nabla.json", logic_to_json(build("nabla").logic))

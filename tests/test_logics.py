@@ -131,15 +131,18 @@ def test_exact_filters_agree_with_the_slow_oracle():
         entry = build(name)
         if entry.logic is not None and entry.logic.kind == logics.RULES:
             for alg in entry.inventory:
-                assert deductive_filters(entry.logic, alg) == _oracle_rule_filters(
-                    entry.logic, alg), (name, alg)
+                # `_rule_filters` itself too, since the lattice cache may
+                # already hold the sweep
+                assert (deductive_filters(entry.logic, alg) == logics._rule_filters(entry.logic, alg)
+                        == _oracle_rule_filters(entry.logic, alg)), (name, alg)
     # seeded random rule logics; each rule's `is_model` on every subset too
     rng = random.Random(19)
     proper = 0
     for _ in range(100):
         logic, alg = _random_rule_case(rng)
         filters = deductive_filters(logic, alg)
-        assert filters == _oracle_rule_filters(logic, alg), logic.rules
+        assert filters == logics._rule_filters(logic, alg) == _oracle_rule_filters(
+            logic, alg), logic.rules
         proper += len(filters) > 1
         for rule in logic.rules:
             one = rules_logic(logic.signature, [rule])
@@ -148,6 +151,64 @@ def test_exact_filters_agree_with_the_slow_oracle():
                     assert is_model(Matrix(alg, s), rule) == logics._closed_under_rules(
                         one, alg, frozenset(s))
     assert proper >= 25  # the cases are not all trivial
+
+
+def test_the_compiled_sweep_agrees_with_the_slow_oracle_on_a_second_corpus():
+    rng = random.Random(37)
+    for _ in range(200):
+        logic, alg = _random_rule_case(rng)
+        assert logics._rule_filters(logic, alg) == _oracle_rule_filters(logic, alg), logic.rules
+
+
+CFG = Signature({"c": 0, "f": 1, "g": 2})
+Z = Var("z")
+
+
+def _cfg(text):
+    return parse_term(CFG, text)
+
+
+# hand-made rule logics over a nullary, a unary and a binary symbol
+COMPILED_CASES = {
+    "shared-premises": [Rule([X, _cfg("(g x y)")], Y), Rule([X, _cfg("(g x y)")], _cfg("(f y)")),
+                        Rule([_cfg("(g x y)"), X], _cfg("(g y x)"))],
+    "variable-free": [Rule([], _cfg("(c)")), Rule([_cfg("(c)")], _cfg("(f (c))"))],
+    "nullary-inside": [Rule([_cfg("(g (c) x)")], _cfg("(g x (c))")), Rule([X], _cfg("(f (c))"))],
+    "variable-tuples": [Rule([X], _cfg("(f x)")), Rule([X, Y], _cfg("(g x y)")),
+                        Rule([Y, Z], _cfg("(g z y)")), Rule([], _cfg("(f (c))"))],
+    "premise-is-conclusion": [Rule([X, _cfg("(f x)")], _cfg("(f x)")),
+                              Rule([_cfg("(g x y)")], _cfg("(g x y)"))],
+}
+
+
+def _cfg_algebras():
+    """Every 2-element algebra over `CFG`, and 20 seeded 3-element ones."""
+    rng = random.Random(5)
+    for cells in itertools.product(range(2), repeat=7):
+        yield FiniteAlgebra(CFG, 2, {"c": cells[:1], "f": cells[1:3], "g": cells[3:]})
+    for _ in range(20):
+        yield FiniteAlgebra(CFG, 3, {f: [rng.randrange(3) for _ in range(3**a)]
+                                     for f, a in CFG.symbols})
+
+
+@pytest.mark.parametrize("case", [*COMPILED_CASES, "all"])
+def test_the_compiled_sweep_on_hand_made_rules(case):
+    rules = (sum(COMPILED_CASES.values(), []) if case == "all" else COMPILED_CASES[case])
+    logic = rules_logic(CFG, rules)
+    for alg in _cfg_algebras():
+        assert logics._rule_filters(logic, alg) == _oracle_rule_filters(logic, alg), alg.tables
+
+
+def test_the_rule_program_evaluates_each_distinct_subterm_once():
+    # three rules over (x, y) share the premises {x, (g x y)}; (g x y) is a
+    # premise of all three and (g y x) a conclusion
+    program = logics._rule_program(rules_logic(CFG, COMPILED_CASES["shared-premises"]))
+    assert program == ((("x", "y"), (("g", (0, 1)), ("f", (1,)), ("g", (1, 0))),
+                        (((0, 2), (1, 3, 4)),)),)
+    # a premise equal to the conclusion leaves no row, so every subset is closed
+    logic = rules_logic(CFG, COMPILED_CASES["premise-is-conclusion"])
+    alg = next(_cfg_algebras())
+    assert logics._rule_filters(logic, alg) == [(), (0,), (1,), (0, 1)]
 
 
 def test_theoremless_logic_on_one_element_algebra():

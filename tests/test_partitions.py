@@ -181,5 +181,7 @@ def test_row_keys_are_built_once_over_every_filter_of_one_algebra(fresh_caches):
     for k in range(alg.size + 1):
         for f in itertools.combinations(range(alg.size), k):
             leibniz_congruence(Matrix(alg, f))
+    # the empty and the full filter seed the total partition, a congruence
+    # returned without a read of the rows
     info = algebra._row_keys.cache_info()
-    assert (info.misses, info.hits) == (1, 2 ** alg.size - 1)
+    assert (info.misses, info.hits) == (1, 2 ** alg.size - 3)

@@ -6,8 +6,9 @@ import os
 
 import pytest
 
+from law.algebra import FiniteAlgebra
 from law.errors import LawError
-from law.gallery import bool2, bool4, build, imp2
+from law.gallery import GALLERY_NAMES, bool2, bool4, build, imp2
 from law.logics import matrices_logic
 from law.matrices import Matrix
 from law.partitions import Partition
@@ -121,6 +122,26 @@ def test_fingerprints_are_sha256_prefixes(tmp_path):
     # sorted by size, signature and tables, so the list order does not count
     assert inventory_fingerprint([imp2(), bool2()]) == "049ba4f91b79eaf2+6fde763415d1f4ff"
     assert inventory_fingerprint([bool2(), imp2()]) == inventory_fingerprint([imp2(), bool2()])
+
+
+def test_the_kept_algebra_fingerprint_is_the_one_computed_anew():
+    # every gallery inventory algebra, the cache emptied first and read twice
+    algebras = [alg for name in GALLERY_NAMES for alg in build(name).inventory]
+    algebra_fingerprint.cache_clear()
+    for _ in range(2):
+        for alg in algebras:
+            data = algebra_to_json(alg)
+            del data["name"]
+            assert algebra_fingerprint(alg) == fingerprint(data), alg
+
+
+def test_equal_algebras_with_different_names_have_one_fingerprint():
+    tables = {sym: bool2().table(sym) for sym in bool2().signature.names()}
+    a = FiniteAlgebra(bool2().signature, 2, tables, name="A")
+    b = FiniteAlgebra(bool2().signature, 2, tables, name="B")
+    algebra_fingerprint.cache_clear()
+    assert algebra_fingerprint(a) == algebra_fingerprint(b) == "049ba4f91b79eaf2"
+    assert algebra_fingerprint.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize(
